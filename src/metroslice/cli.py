@@ -162,6 +162,14 @@ def cmd_deploy(args, scenario: Scenario) -> int:
 # table1
 
 
+def _num(x: float | None, spec: str) -> str:
+    """``format(x, spec)``, or ``n/a`` at the same width when a row lost
+    every packet and has no value."""
+    if x is None:
+        return format("n/a", ">" + spec.split(".")[0])
+    return format(x, spec)
+
+
 def cmd_table1(args, scenario: Scenario) -> int:
     cfg = scenario.probe_cfg
     if args.count is not None:
@@ -225,9 +233,11 @@ def cmd_table1(args, scenario: Scenario) -> int:
     for r in rows_out:
         print(f"{r['label']:>16}  len {r['length_km']:9.4f} km  "
               f"prop {r['twoway_propagation_us']:11.3f} us  "
-              f"rtt {r['rtt_us']:11.3f} us  delta {r['delta_us']:7.3f} us  "
-              f"jitter {r['jitter_ns']:5.2f} ns  "
-              f"loss {r['loss_rate']:.2e}  tput {r['throughput_mbps']:9.2f} "
+              f"rtt {_num(r['rtt_us'], '11.3f')} us  "
+              f"delta {_num(r['delta_us'], '7.3f')} us  "
+              f"jitter {_num(r['jitter_ns'], '5.2f')} ns  "
+              f"loss {r['loss_rate']:.2e}  "
+              f"tput {_num(r['throughput_mbps'], '9.2f')} "
               f"/ {r['ceiling_mbps']:9.2f} Mb/s")
     if budget:
         print(f"fixed budget: probe {budget['probe_us']:.3f} us, "

@@ -24,6 +24,7 @@ from scipy.special import erfc
 
 from .model import (
     DEFAULT_PROP_CONST_US_PER_KM,
+    LatencyGraph,
     NodeKind,
     Topology,
 )
@@ -268,28 +269,14 @@ def path_from_topology(
     Traversed nodes (endpoints included) contribute their fixed latency,
     loss and jitter; traversed links contribute propagation length.
     """
-    import networkx as nx
-
-    g = nx.Graph()
-    for n in t.nodes:
-        g.add_node(n.node_id)
-    for l in t.links:
-        a, z = l.endpoints
-        lat = l.length_km * t.prop_const_us_per_km
-        if g.has_edge(a, z):
-            if lat >= g[a][z]["latency_us"]:
-                continue
-        g.add_edge(a, z, latency_us=lat, length_km=l.length_km)
-
-    fixed = {n.node_id: n.fixed_latency_us for n in t.nodes}
-    try:
-        nodes = nx.dijkstra_path(
-            g, src, dst, weight=lambda a, b, d: d["latency_us"] + fixed[b]
-        )
-    except nx.NetworkXNoPath as exc:
-        raise NoPath(f"{src} -> {dst}") from exc
-    length = sum(
-        g[a][b]["length_km"] for a, b in zip(nodes, nodes[1:])
-    )
+    g = LatencyGraph(t)
+    dist, pred = g.shortest_paths(src, dst)
+    if dst not in dist:
+        raise NoPath(f"{src} -> {dst}")
+    nodes = [dst]
+    while nodes[-1] != src:
+        nodes.append(pred[nodes[-1]])
+    nodes.reverse()
+    length = sum(g.length_km(a, b) for a, b in zip(nodes, nodes[1:]))
     elements = tuple(element_for_node(t, nid, overrides) for nid in nodes)
     return PathModel(elements, length, t.prop_const_us_per_km)

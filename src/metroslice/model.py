@@ -7,6 +7,8 @@ requisite, and the video-surveillance demand profile used for sizing.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -127,6 +129,68 @@ class Topology:
             if n.vim is not None and n.vim.vim_id == vim_id:
                 return n
         raise KeyError(vim_id)
+
+
+class LatencyGraph:
+    """One-way latency view of a topology for shortest-path queries.
+
+    Parallel links collapse to the one with the least propagation delay;
+    on equal delay the first listed wins. Entering node ``b`` over a link
+    costs the link's propagation delay plus ``b``'s fixed latency, so a
+    path's cost covers its links, its intermediate nodes and its
+    destination, but not its source.
+    """
+
+    def __init__(self, topology: Topology):
+        self.fixed = {n.node_id: n.fixed_latency_us for n in topology.nodes}
+        # node -> neighbour -> (latency_us, length_km). Neighbours keep the
+        # order their first link was listed in; Dijkstra's tie-breaking
+        # depends on it.
+        self._adj: dict[str, dict[str, tuple[float, float]]] = {
+            nid: {} for nid in self.fixed
+        }
+        for l in topology.links:
+            a, z = l.endpoints
+            lat = l.length_km * topology.prop_const_us_per_km
+            best = self._adj.setdefault(a, {}).get(z)
+            if best is not None and lat >= best[0]:
+                continue
+            self._adj[a][z] = (lat, l.length_km)
+            self._adj.setdefault(z, {})[a] = (lat, l.length_km)
+
+    def length_km(self, a: str, b: str) -> float:
+        """Fibre length of the link kept between two adjacent nodes."""
+        return self._adj[a][b][1]
+
+    def shortest_paths(
+        self, source: str, target: str | None = None
+    ) -> tuple[dict[str, float], dict[str, str]]:
+        """Dijkstra from ``source``: distance and predecessor of each node
+        reached, stopping once ``target`` is settled.
+
+        Ties go to the first path found: a predecessor changes only on a
+        strict improvement, and equal distances settle in the order the
+        nodes were reached. Raises ``KeyError`` for an unknown source.
+        """
+        dist: dict[str, float] = {}
+        pred: dict[str, str] = {}
+        seen = {source: 0.0}
+        order = itertools.count()
+        heap = [(0.0, next(order), source)]
+        while heap:
+            d, _, v = heapq.heappop(heap)
+            if v in dist:
+                continue
+            dist[v] = d
+            if v == target:
+                break
+            for u, (lat, _) in self._adj[v].items():
+                alt = d + (lat + self.fixed[u])
+                if u not in dist and (u not in seen or alt < seen[u]):
+                    seen[u] = alt
+                    pred[u] = v
+                    heapq.heappush(heap, (alt, next(order), u))
+        return dist, pred
 
 
 @dataclass(frozen=True)

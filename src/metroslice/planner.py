@@ -10,14 +10,13 @@ the slice's RTT requisite.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-import networkx as nx
-
-from .model import NsRequest, Topology, VimStatus
+from .model import LatencyGraph, NsRequest, Topology, VimStatus
 
 log = logging.getLogger(__name__)
 
@@ -84,26 +83,15 @@ def build_rtt_graph(
     charge their own fixed latency. Edge weight is twice the one-way
     minimum.
     """
-    g = nx.Graph()
-    for n in topology.nodes:
-        g.add_node(n.node_id)
-    for l in topology.links:
-        a, z = l.endpoints
-        lat = l.length_km * topology.prop_const_us_per_km
-        if g.has_edge(a, z) and lat >= g[a][z]["latency_us"]:
-            continue
-        g.add_edge(a, z, latency_us=lat)
-
-    fixed = {n.node_id: n.fixed_latency_us for n in topology.nodes}
+    g = LatencyGraph(topology)
     weights: dict[tuple[str, str], float] = {}
-    # Charge the fixed latency of the node being entered, then refund the
-    # destination's own charge: what remains is links + intermediate nodes.
-    weight_fn = lambda a, b, d: d["latency_us"] + fixed[b]
     for i, u in enumerate(terminal_nodes):
-        dist = nx.single_source_dijkstra_path_length(g, u, weight=weight_fn)
+        dist, _ = g.shortest_paths(u)
         for v in terminal_nodes[i + 1:]:
             if v in dist:
-                one_way = dist[v] - fixed[v]
+                # The path cost includes the destination's own fixed
+                # latency; refund it to leave links + intermediate nodes.
+                one_way = dist[v] - g.fixed[v]
                 weights[(u, v)] = 2.0 * one_way
     return RttGraph(weights)
 
@@ -122,6 +110,12 @@ def filter_vims(
     }
 
 
+#: Relative slack on the stopping test of the ranking search. A prefix's
+#: heap key adds the remaining legs in another order than the exact
+#: left-to-right cost, so the two may differ by a few ulps.
+_KEY_SLACK = 1e-9
+
+
 def rank_service_chains(
     req: NsRequest,
     graph: RttGraph,
@@ -133,34 +127,87 @@ def rank_service_chains(
     """Up to req.k candidates by ascending cost, ties on the vim-id tuple.
 
     Cost is the sum of RTT weights between consecutive VNFs' VIM nodes,
-    plus the ingress and egress access legs when configured. Feasibility
+    plus the ingress and egress access legs when configured, added left
+    to right. Chains with an unreachable leg are left out. Feasibility
     (one VNF per VIM) is deliberately not applied here; the placement
     walk does that.
-    """
-    per_vnf = [eligibility[vnf.vnf_id] for vnf in req.chain]
-    if any(not opts for opts in per_vnf):
-        return []
 
-    candidates: list[ServiceChainCandidate] = []
-    for combo in itertools.product(*per_vnf):
-        cost = 0.0
-        nodes = [vim_node[v] for v in combo]
-        legs = list(zip(nodes, nodes[1:]))
+    Best-first search over the layered chain (Lawler 1972; Eppstein
+    1998): a backward pass finds the cheapest completion from each VIM of
+    each layer, and a heap of chain prefixes keyed on prefix cost plus
+    that bound yields complete chains in (nearly) ascending cost. The
+    search stops once the heap minimum exceeds the k-th cheapest complete
+    chain by more than rounding, so ties at the cut are all kept. The
+    result equals sorting every combination, because weights are
+    non-negative and each kept chain's cost is the same left-to-right sum.
+    """
+    opts = [eligibility[vnf.vnf_id] for vnf in req.chain]
+    if any(not layer for layer in opts):
+        return []
+    nodes = [[vim_node[v] for v in layer] for layer in opts]
+    last = len(opts) - 1
+
+    # legs[i][j][m]: weight from option j of layer i to option m of layer
+    # i + 1, None when unreachable.
+    legs = [
+        [[graph.weight_us(a, b) for b in nodes[i + 1]] for a in nodes[i]]
+        for i in range(last)
+    ]
+    exit_w = [
+        0.0 if egress is None else graph.weight_us(a, egress) for a in nodes[-1]
+    ]
+    # bounds[i][j]: cheapest completion from option j of layer i, egress
+    # leg included.
+    bounds = [[math.inf if w is None else w for w in exit_w]]
+    for i in reversed(range(last)):
+        after = bounds[0]
+        bounds.insert(0, [
+            min((w + h for w, h in zip(row, after) if w is not None),
+                default=math.inf)
+            for row in legs[i]
+        ])
+
+    # Entries are (key, vim_ids, option index, exact prefix cost); vim_ids
+    # are unique, so the last two never take part in a comparison.
+    heap = []
+    for j, vim in enumerate(opts[0]):
+        prefix = 0.0
         if ingress is not None:
-            legs.insert(0, (ingress, nodes[0]))
-        if egress is not None:
-            legs.append((nodes[-1], egress))
-        for a, b in legs:
-            w = graph.weight_us(a, b)
+            w = graph.weight_us(ingress, nodes[0][j])
             if w is None:
-                cost = None
-                break
-            cost += w
-        if cost is None:
+                continue
+            prefix += w
+        if bounds[0][j] < math.inf:
+            heap.append((prefix + bounds[0][j], (vim,), j, prefix))
+    heapq.heapify(heap)
+
+    done: list[tuple[float, tuple[str, ...]]] = []
+    kth = []  # max-heap (negated) of the k cheapest complete costs
+    limit = math.inf
+    while heap:
+        key, ids, j, prefix = heapq.heappop(heap)
+        if key > limit:
+            break
+        i = len(ids) - 1
+        if i == last:
+            cost = prefix if egress is None else prefix + exit_w[j]
+            done.append((cost, ids))
+            if len(kth) < req.k:
+                heapq.heappush(kth, -cost)
+            elif cost < -kth[0]:
+                heapq.heapreplace(kth, -cost)
+            if len(kth) == req.k:
+                limit = -kth[0] * (1.0 + _KEY_SLACK)
             continue
-        candidates.append(ServiceChainCandidate(vim_ids=combo, cost_us=cost))
-    candidates.sort(key=lambda c: (c.cost_us, c.vim_ids))
-    return candidates[: req.k]
+        for m, w in enumerate(legs[i][j]):
+            if w is None or bounds[i + 1][m] == math.inf:
+                continue
+            step = prefix + w
+            heapq.heappush(
+                heap, (step + bounds[i + 1][m], ids + (opts[i + 1][m],), m, step)
+            )
+    done.sort()
+    return [ServiceChainCandidate(vim_ids=ids, cost_us=c) for c, ids in done[: req.k]]
 
 
 def place(

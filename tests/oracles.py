@@ -2,8 +2,9 @@
 
 Deliberately different algorithms and data layouts than the package:
 Floyd-Warshall over a dense matrix instead of per-source Dijkstra,
-exhaustive enumeration instead of the ranked placement walk. Agreement
-between the two is therefore evidence, not tautology.
+exhaustive enumeration instead of the best-first ranking and the
+placement walk. Agreement between the two is therefore evidence, not
+tautology.
 
 Randomized placement instances use dyadic lengths and latencies (exact
 in binary floating point) so equal costs are bitwise equal and tie
@@ -111,6 +112,32 @@ def brute_force_place(req, topology, vims):
     if chosen[0] > req.max_rtt_us:
         return "RttExceeded", None, ranked
     return None, chosen, ranked
+
+
+def exhaustive_rank(req, graph, eligibility, vim_node, ingress=None, egress=None):
+    """Every chain of the product, costed left to right and sorted.
+
+    Same inputs as ``planner.rank_service_chains``; returns the first
+    ``req.k`` (cost_us, vim_ids) pairs. Legs run ingress, chain, egress,
+    and a chain with an unreachable leg is dropped.
+    """
+    ranked = []
+    for combo in itertools.product(*(eligibility[v.vnf_id] for v in req.chain)):
+        nodes = [vim_node[v] for v in combo]
+        if ingress is not None:
+            nodes.insert(0, ingress)
+        if egress is not None:
+            nodes.append(egress)
+        cost = 0.0
+        for a, b in zip(nodes, nodes[1:]):
+            w = graph.weight_us(a, b)
+            if w is None:
+                break
+            cost += w
+        else:
+            ranked.append((cost, combo))
+    ranked.sort()
+    return ranked[: req.k]
 
 
 def random_placement_instance(rng):

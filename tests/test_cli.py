@@ -116,6 +116,24 @@ class TestTable1:
         assert budget["budget"]["optical_us"] == pytest.approx(13.1, abs=0.2)
 
 
+    def test_row_losing_every_packet_prints_na(self, tmp_path, capsys):
+        data = default_scenario_path().parent
+        for name in ("scenario.yaml", "topology.yaml", "ns_request.yaml"):
+            shutil.copy(data / name, tmp_path / name)
+        sc = yaml.safe_load((tmp_path / "scenario.yaml").read_text())
+        sc["dataplane"] = {"element_overrides": {"sw-mcen": {"loss_prob": 1.0}}}
+        (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(sc))
+
+        rc, out = _run(capsys, "--scenario", str(tmp_path / "scenario.yaml"),
+                       "--out", str(tmp_path / "out"),
+                       "table1", "--count", "1000", "--trains", "1")
+        assert rc == 0
+        lines = {l.split()[0]: l for l in out.splitlines()}
+        assert "n/a" not in lines["probe-loopback"]
+        assert "rtt         n/a us  delta     n/a us  jitter   n/a ns" in lines["agg-switches"]
+        assert "tput       n/a /" in lines["agg-switches"]
+
+
 class TestDegrade:
     def test_default_ramp(self, tmp_path, capsys):
         rc, out = _run(capsys, "--out", str(tmp_path), "--json", "degrade")

@@ -217,6 +217,83 @@ class TestEvolveQuality:
             DegradationScenario(ramp_db_per_s=0.1, duration_s=1.0, sample_period_s=0.0)
 
 
+def _tie_grid():
+    """3 x 4 ROADM grid where every hop costs 1 us of fibre plus 1 us of
+    transit, so all monotone routes tie. Links are listed out of order, so
+    the order they were given in, not sorting, decides ties."""
+    nodes = [Node(f"g{r}{c}", NodeKind.ROADM, 1.0) for r in range(3) for c in range(4)]
+    nodes.append(Node("sw", NodeKind.AGG_SWITCH, 0.0))
+    links = [Link(f"v{r}{c}", (f"g{r + 1}{c}", f"g{r}{c}"), 0.25)
+             for c in reversed(range(4)) for r in range(2)]
+    links += [Link(f"h{r}{c}", (f"g{r}{c}", f"g{r}{c + 1}"), 0.25)
+              for r in range(3) for c in range(3)]
+    links += [
+        Link("h00-eq", ("g01", "g00"), 0.25),    # equal parallel: ignored
+        Link("h12-short", ("g13", "g12"), 0.0),  # shorter parallel: replaces
+        Link("sw-a", ("g00", "sw"), 2.25),       # corner to corner via sw
+        Link("sw-b", ("sw", "g23"), 0.0),        # ties with the grid
+    ]
+    return Topology(nodes=nodes, links=links, prop_const_us_per_km=4.0)
+
+
+#: Node sequences produced by networkx.dijkstra_path on the same graph
+#: (parallel-link minimum, entered node's latency), the reference the
+#: stdlib Dijkstra replaced.
+TIE_GRID_PATHS = {
+    "g00": {
+        "g01": "g00 g01",
+        "g02": "g00 g01 g02",
+        "g03": "g00 g01 g02 g03",
+        "g10": "g00 g10",
+        "g11": "g00 g10 g11",
+        "g12": "g00 g10 g11 g12",
+        "g13": "g00 g10 g11 g12 g13",
+        "g20": "g00 g10 g20",
+        "g21": "g00 g10 g20 g21",
+        "g22": "g00 g10 g20 g21 g22",
+        "g23": "g00 g10 g11 g12 g13 g23",
+        "sw": "g00 sw",
+    },
+    "g23": {
+        "g00": "g23 g13 g12 g02 g01 g00",
+        "g01": "g23 g13 g12 g02 g01",
+        "g02": "g23 g13 g12 g02",
+        "g03": "g23 g13 g03",
+        "g10": "g23 g13 g12 g11 g10",
+        "g11": "g23 g13 g12 g11",
+        "g12": "g23 g13 g12",
+        "g13": "g23 g13",
+        "g20": "g23 g22 g21 g20",
+        "g21": "g23 g22 g21",
+        "g22": "g23 g22",
+        "sw": "g23 sw",
+    },
+}
+
+DEFAULT_SCENARIO_PATHS = {
+    "probe-a": {
+        "probe-b": "probe-a sw-amen roadm-1 roadm-2 sw-mcen probe-b",
+        "sw-amen": "probe-a sw-amen",
+        "sw-mcen": "probe-a sw-amen roadm-1 roadm-2 sw-mcen",
+        "roadm-1": "probe-a sw-amen roadm-1",
+        "roadm-2": "probe-a sw-amen roadm-1 roadm-2",
+        "roadm-3": "probe-a sw-amen roadm-1 roadm-3",
+        "amen": "probe-a sw-amen amen",
+        "mcen": "probe-a sw-amen roadm-1 roadm-2 sw-mcen mcen",
+    },
+    "roadm-3": {
+        "probe-a": "roadm-3 roadm-1 sw-amen probe-a",
+        "probe-b": "roadm-3 roadm-2 sw-mcen probe-b",
+        "sw-amen": "roadm-3 roadm-1 sw-amen",
+        "sw-mcen": "roadm-3 roadm-2 sw-mcen",
+        "roadm-1": "roadm-3 roadm-1",
+        "roadm-2": "roadm-3 roadm-2",
+        "amen": "roadm-3 roadm-1 sw-amen amen",
+        "mcen": "roadm-3 roadm-2 sw-mcen mcen",
+    },
+}
+
+
 class TestPathFromTopology:
     def test_default_route_uses_direct_span(self, scenario):
         # 80 km direct beats 120 km via the third ROADM once the extra
@@ -230,6 +307,23 @@ class TestPathFromTopology:
         p = path_from_topology(scenario.topology, "roadm-1", "roadm-2")
         assert [e.element_id for e in p.elements] == ["roadm-1", "roadm-2"]
         assert p.length_km == pytest.approx(80.0)
+
+    @pytest.mark.parametrize("topology, pinned", [
+        ("tie_grid", TIE_GRID_PATHS),
+        ("default", DEFAULT_SCENARIO_PATHS),
+    ])
+    def test_pinned_node_sequences(self, scenario, topology, pinned):
+        t = _tie_grid() if topology == "tie_grid" else scenario.topology
+        for src, routes in pinned.items():
+            for dst, want in routes.items():
+                p = path_from_topology(t, src, dst)
+                assert " ".join(e.element_id for e in p.elements) == want
+
+    def test_tie_grid_lengths_use_the_kept_parallel_link(self):
+        t = _tie_grid()
+        assert path_from_topology(t, "g00", "g13").length_km == 0.75
+        assert path_from_topology(t, "g00", "g23").length_km == 1.0
+        assert path_from_topology(t, "g00", "g00").length_km == 0
 
     def test_disconnected_raises(self):
         t = Topology(

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metroslice.model import (
     DemandEntry,
     DemandProfile,
+    LatencyGraph,
     Link,
     LinkKind,
     Node,
@@ -19,6 +22,8 @@ from metroslice.model import (
     check_ptz_bound,
     validate_topology,
 )
+
+from oracles import all_pairs_rtt_us
 
 
 def _vnf(cpu=4, mem=8192, sto=200, tag="vms-core", vnf_id="v"):
@@ -150,6 +155,63 @@ class TestValidateTopology:
         t.links[0].length_km = -2.0
         t.nodes[1].fixed_latency_us = -1.0
         assert len(validate_topology(t)) == 2
+
+
+@st.composite
+def dyadic_topologies(draw):
+    """Small graphs with dyadic lengths and latencies (exact sums, so
+    equal costs tie bitwise), parallel links and disconnected parts."""
+    n = draw(st.integers(1, 10))
+    nodes = [
+        Node(f"n{i}", NodeKind.ROADM, draw(st.integers(0, 8)) / 4.0) for i in range(n)
+    ]
+    links = []
+    if n > 1:
+        for lid in range(draw(st.integers(0, 25))):
+            a, z = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            links.append(Link(f"l{lid}", (f"n{a}", f"n{z}"),
+                              draw(st.integers(0, 20)) / 4.0))
+    return Topology(nodes=nodes, links=links, prop_const_us_per_km=4.0)
+
+
+class TestLatencyGraph:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dyadic_topologies())
+    def test_distances_match_floyd_warshall(self, t):
+        g = LatencyGraph(t)
+        oracle = all_pairs_rtt_us(t)
+        for u in t.nodes:
+            dist, pred = g.shortest_paths(u.node_id)
+            assert dist[u.node_id] == 0.0 and u.node_id not in pred
+            for v in t.nodes:
+                if v is u:
+                    continue
+                want = oracle(u.node_id, v.node_id)
+                if want is None:
+                    assert v.node_id not in dist
+                else:
+                    assert 2.0 * (dist[v.node_id] - g.fixed[v.node_id]) == want
+
+    def test_parallel_links_keep_the_shortest(self):
+        t = Topology(
+            nodes=[Node("a", NodeKind.ROADM), Node("b", NodeKind.ROADM, 1.0)],
+            links=[Link("l1", ("a", "b"), 3.0), Link("l2", ("b", "a"), 2.0),
+                   Link("l3", ("a", "b"), 2.0)],
+            prop_const_us_per_km=4.0,
+        )
+        g = LatencyGraph(t)
+        assert g.length_km("a", "b") == g.length_km("b", "a") == 2.0
+        assert g.shortest_paths("a")[0] == {"a": 0.0, "b": 9.0}
+
+    def test_stops_at_target(self):
+        t = _clean_topology()
+        dist, pred = LatencyGraph(t).shortest_paths("a", target="r")
+        assert set(dist) == {"a", "r"} and pred == {"r": "a"}
+
+    def test_unknown_source(self):
+        with pytest.raises(KeyError):
+            LatencyGraph(_clean_topology()).shortest_paths("nowhere")
 
 
 class TestDemand:

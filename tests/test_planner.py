@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metroslice.model import (
     Link,
@@ -15,13 +17,19 @@ from metroslice.model import (
 )
 from metroslice.planner import (
     BlockReason,
+    RttGraph,
     build_rtt_graph,
     filter_vims,
     place,
     rank_service_chains,
 )
 
-from oracles import all_pairs_rtt_us, brute_force_place, random_placement_instance
+from oracles import (
+    all_pairs_rtt_us,
+    brute_force_place,
+    exhaustive_rank,
+    random_placement_instance,
+)
 
 
 def _vnf(vnf_id, tag="vms-core", cpu=4, mem=8192, sto=200):
@@ -150,6 +158,76 @@ class TestRanking:
         # Only same-VIM chains are connected, and those repeat a VIM.
         assert decision.block_reason is BlockReason.NO_VALID_SC
         assert all(len(set(c.vim_ids)) == 1 for c in decision.ranked)
+
+
+@st.composite
+def ranking_instances(draw):
+    """Up to 12 VIMs on shared or separate nodes, chains of 1-4 VNFs,
+    RTT weights on a coarse grid (many equal costs), some pairs
+    unreachable, optional ingress and egress, k up to past every chain.
+
+    Quarter steps are dyadic, so sums are exact and ties are real; tenth
+    steps round, so sums of the same legs in another order can differ."""
+    n_vim = draw(st.integers(1, 12))
+    n_node = draw(st.integers(1, n_vim))
+    vim_node = {
+        f"vim-{i:02d}": f"n{draw(st.integers(0, n_node - 1))}" for i in range(n_vim)
+    }
+    vim_ids = sorted(vim_node)
+    terminals = [f"n{i}" for i in range(n_node)] + ["in", "out"]
+    step = draw(st.sampled_from([4.0, 10.0]))
+    weights = {}
+    for i, u in enumerate(terminals):
+        for v in terminals[i + 1:]:
+            w = draw(st.one_of(st.none(), st.integers(0, 12)))
+            if w is not None:
+                weights[(u, v)] = w / step
+    length = draw(st.integers(1, 4))
+    chain = [_vnf(f"v{i}") for i in range(length)]
+    eligibility = {
+        vnf.vnf_id: sorted(draw(st.sets(st.sampled_from(vim_ids), min_size=1)))
+        for vnf in chain
+    }
+    combos = 1
+    for opts in eligibility.values():
+        combos *= len(opts)
+    ingress = draw(st.sampled_from([None, "in", "n0"]))
+    egress = draw(st.sampled_from([None, "out", f"n{n_node - 1}"]))
+    k = draw(st.integers(1, combos + 1))
+    req = _req(chain, k=k, ingress=ingress, egress=egress)
+    return req, RttGraph(weights), eligibility, vim_node
+
+
+class TestRankingMatchesExhaustive:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ranking_instances())
+    def test_bitwise_equal_to_sorted_product(self, inst):
+        req, graph, eligibility, vim_node = inst
+        got = rank_service_chains(req, graph, eligibility, vim_node,
+                                  req.ingress, req.egress)
+        want = exhaustive_rank(req, graph, eligibility, vim_node,
+                               req.ingress, req.egress)
+        assert [(c.cost_us.hex(), c.vim_ids) for c in got] == [
+            (cost.hex(), ids) for cost, ids in want
+        ]
+
+    def test_rounding_near_tie_at_the_cut(self):
+        # ("v1", "v0", "v1") costs (0.1 + 0.1) + 1.1 == 1.3 left to right,
+        # but its one-VNF prefix is keyed 0.1 + (0.1 + 1.1) > 1.3, above
+        # the 8th cost; the stopping test must allow for that rounding.
+        legs = {("n0", "n1"): 0.1, ("n0", "n2"): 3.3, ("n0", "n3"): 0.6,
+                ("n1", "n2"): 2.2, ("n1", "n3"): 0.2, ("n2", "n3"): 0.6,
+                ("n0", "out"): 3.3, ("n1", "out"): 1.1, ("n2", "out"): 3.3,
+                ("n3", "out"): 1.1}
+        vim_node = {f"v{i}": f"n{i}" for i in range(4)}
+        chain = [_vnf(f"f{i}") for i in range(3)]
+        eligibility = {vnf.vnf_id: sorted(vim_node) for vnf in chain}
+        req = _req(chain, k=8, egress="out")
+        graph = RttGraph(legs)
+        got = rank_service_chains(req, graph, eligibility, vim_node, None, "out")
+        want = exhaustive_rank(req, graph, eligibility, vim_node, None, "out")
+        assert [(c.cost_us, c.vim_ids) for c in got] == want
+        assert (1.3, ("v1", "v0", "v1")) in want
 
 
 class TestPlace:
