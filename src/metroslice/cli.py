@@ -39,6 +39,7 @@ from .model import aggregate_bandwidth_mbps
 from .orchestrator import merge_logs, run_wf1, run_wf2
 from .planner import place
 from .probe import (
+    MAX_TRAIN_COUNT,
     NegativeBudget,
     ProbeError,
     ProbeTimeout,
@@ -288,7 +289,7 @@ def cmd_degrade(args, scenario: Scenario) -> int:
 # records
 
 
-def cmd_records(args, scenario: Scenario) -> int:
+def cmd_records(args, scenario: Scenario | None) -> int:
     path = Path(args.records) if args.records else Path(args.out) / "records.jsonl"
     mda = MdaController.load_jsonl(path)
     found = mda.query_records(
@@ -315,6 +316,24 @@ def _host_port(text: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
     return host, int(port)
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (no upper bound if hi is None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_in(1)
+_train_count = _int_in(1, MAX_TRAIN_COUNT)
 
 
 def cmd_measure(args, scenario: Scenario) -> int:
@@ -347,7 +366,7 @@ def cmd_measure(args, scenario: Scenario) -> int:
     return 0
 
 
-def cmd_reflect(args, scenario: Scenario) -> int:
+def cmd_reflect(args, scenario: Scenario | None) -> int:
     try:
         count = live_reflect(args.bind, max_packets=args.max_packets)
     except KeyboardInterrupt:
@@ -376,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output on stdout")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="debug logging")
+    parser.set_defaults(uses_scenario=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="rank service chains and place the slice")
@@ -389,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deploy)
 
     p = sub.add_parser("table1", help="simulate the calibration measurements")
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=_train_count, default=None,
                    help="packets per train (default: scenario)")
-    p.add_argument("--trains", type=int, default=None,
+    p.add_argument("--trains", type=_positive_int, default=None,
                    help="trains per row (default: scenario)")
     p.set_defaults(func=cmd_table1)
 
@@ -408,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", default=None)
     p.add_argument("--tmin", type=float, default=None)
     p.add_argument("--tmax", type=float, default=None)
-    p.set_defaults(func=cmd_records)
+    p.set_defaults(func=cmd_records, uses_scenario=False)
 
     p = sub.add_parser("measure", help="probe a live UDP reflector")
     p.add_argument("--dst", type=_host_port, required=True, metavar="HOST:PORT")
     p.add_argument("--bind", type=_host_port, default=("0.0.0.0", 0),
                    metavar="HOST:PORT")
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=_train_count, default=None)
     p.add_argument("--payload", type=int, default=None,
                    help="IP payload bytes")
     p.add_argument("--timeout-ms", type=int, default=None)
@@ -424,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", type=_host_port, default=("0.0.0.0", 9000),
                    metavar="HOST:PORT")
     p.add_argument("--max-packets", type=int, default=None)
-    p.set_defaults(func=cmd_reflect)
+    p.set_defaults(func=cmd_reflect, uses_scenario=False)
 
     return parser
 
@@ -436,7 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        scenario = load_scenario(args.scenario or default_scenario_path())
+        scenario = None
+        if args.uses_scenario:
+            scenario = load_scenario(args.scenario or default_scenario_path())
         return args.func(args, scenario)
     except (ConfigError, ProbeError, OSError) as exc:
         if args.json:

@@ -23,6 +23,7 @@ or PRBS-31 seeded with 0x7FFFFFFF).
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -50,6 +51,9 @@ FRAME_OVERHEAD_BYTES = 42
 IP_UDP_HEADER_BYTES = 28
 
 MAX_TRAIN_COUNT = 2**32 - 1
+
+#: Packets per block of the simulated train kernel.
+CHUNK = 1 << 16
 
 
 class ProbeError(Exception):
@@ -250,6 +254,72 @@ class EchoSet:
                 got[i] = True
         return cls(seq, tx, rx, got)
 
+    def reduce(self) -> "TrainReduction":
+        """The whole set folded as one block."""
+        red = TrainReduction()
+        if self.tx_ns.size:
+            got = self.received
+            tx, rx = self.tx_ns, self.rx_ns
+            if not got.all():
+                tx, rx = tx[got], rx[got]
+            red.fold(tx, rx, float(self.tx_ns.min()))
+        return red
+
+
+@dataclass
+class TrainReduction:
+    """Mergeable summary of a train's echoes, built block by block.
+
+    Holds the received count, the minimum, mean and sum of squared
+    deviations (``m2``) of the RTT, the first and last receive times and
+    the earliest send time of any packet, lost ones included. Blocks
+    combine with the pairwise update of Chan, Golub and LeVeque (The
+    American Statistician 37(3), 1983), so a train of any length reduces
+    in memory bounded by its largest block.
+    """
+
+    received: int = 0
+    rtt_min_ns: float = math.inf
+    rtt_mean_ns: float = 0.0
+    rtt_m2: float = 0.0
+    first_rx_ns: float = math.inf
+    last_rx_ns: float = -math.inf
+    first_tx_ns: float = math.inf
+
+    def fold(self, tx_ns: np.ndarray, rx_ns: np.ndarray, sent_from_ns: float) -> None:
+        """Add one block: the (tx, rx) pairs it received, and the earliest
+        tx of every packet it sent."""
+        self.first_tx_ns = min(self.first_tx_ns, sent_from_ns)
+        n = rx_ns.size
+        if n == 0:
+            return
+        rtt = rx_ns - tx_ns
+        mean = float(rtt.mean())
+        block = TrainReduction(
+            received=n,
+            rtt_min_ns=float(rtt.min()),
+            rtt_mean_ns=mean,
+            first_rx_ns=float(rx_ns.min()),
+            last_rx_ns=float(rx_ns.max()),
+        )
+        rtt -= mean
+        block.rtt_m2 = float(np.dot(rtt, rtt))
+        self.merge(block)
+
+    def merge(self, other: "TrainReduction") -> None:
+        """Combine ``other`` into this reduction."""
+        na, nb = self.received, other.received
+        n = na + nb
+        if nb:
+            delta = other.rtt_mean_ns - self.rtt_mean_ns
+            self.rtt_mean_ns += delta * nb / n
+            self.rtt_m2 += other.rtt_m2 + delta * delta * na * nb / n
+        self.received = n
+        self.rtt_min_ns = min(self.rtt_min_ns, other.rtt_min_ns)
+        self.first_rx_ns = min(self.first_rx_ns, other.first_rx_ns)
+        self.last_rx_ns = max(self.last_rx_ns, other.last_rx_ns)
+        self.first_tx_ns = min(self.first_tx_ns, other.first_tx_ns)
+
 
 @dataclass(frozen=True)
 class TrainStats:
@@ -308,42 +378,34 @@ class TrainStats:
 
 def compute_stats(
     cfg: TrainConfig,
-    echoes: EchoSet,
+    echoes: EchoSet | TrainReduction,
     two_way_propagation_us: float | None = None,
 ) -> TrainStats:
-    """Reduce per-packet echoes to train statistics.
+    """Reduce per-packet echoes (or their reduction) to train statistics.
 
     Order-insensitive: only the (tx, rx) pairs matter. A fully lost train
     yields loss 1.0 with undefined RTT rather than an error.
     """
-    got = echoes.received
-    received = int(got.sum())
+    red = echoes.reduce() if isinstance(echoes, EchoSet) else echoes
+    received = red.received
     if received == 0:
         return TrainStats(cfg.count, 0, None, None, None, None, None,
                           two_way_propagation_us)
-    tx = echoes.tx_ns[got]
-    rx = echoes.rx_ns[got]
-    rtt_ns = rx - tx
-    rtt_us = float(rtt_ns.min()) / 1000.0
-    rtt_mean_us = float(rtt_ns.mean()) / 1000.0
-    jitter_ns = float(rtt_ns.std())
-    first_rx = float(rx.min())
-    last_rx = float(rx.max())
+    first_rx, last_rx = red.first_rx_ns, red.last_rx_ns
     if received > 1 and last_rx > first_rx:
         thr_mbps = (
             8.0 * cfg.ip_payload_bytes * received / (last_rx - first_rx) * 1000.0
         )
     else:
         thr_mbps = None
-    duration_s = (last_rx - float(echoes.tx_ns.min())) / 1e9
     return TrainStats(
         count=cfg.count,
         received=received,
-        rtt_us=rtt_us,
-        rtt_mean_us=rtt_mean_us,
-        jitter_ns=jitter_ns,
+        rtt_us=red.rtt_min_ns / 1000.0,
+        rtt_mean_us=red.rtt_mean_ns / 1000.0,
+        jitter_ns=math.sqrt(red.rtt_m2 / received),
         throughput_mbps=thr_mbps,
-        duration_s=duration_s,
+        duration_s=(last_rx - red.first_tx_ns) / 1e9,
         two_way_propagation_us=two_way_propagation_us,
     )
 
@@ -416,6 +478,12 @@ class SimulatedProbe:
     and traverses the reverse path; each direction applies loss and jitter
     independently. With zero jitter and zero loss the measured RTT is
     exactly twice the one-way delay, up to clock-tick quantization.
+
+    Trains run in blocks of ``CHUNK`` packets folded into one
+    ``TrainReduction``, so memory does not grow with the train length.
+    Block ``c`` of run ``r`` draws from its own stream,
+    ``SeedSequence(entropy=seed, spawn_key=(r, c))``, forward then
+    reverse.
     """
 
     def __init__(self, path: PathModel, seed: int = 0):
@@ -424,35 +492,33 @@ class SimulatedProbe:
         self._runs = 0
 
     def run(self, cfg: TrainConfig) -> TrainStats:
-        # Distinct, reproducible streams per run and per direction.
-        root = np.random.SeedSequence(entropy=self.seed, spawn_key=(self._runs,))
+        run = self._runs
         self._runs += 1
-        fwd_seed, bwd_seed = root.spawn(2)
-
-        n = cfg.count
+        fwd_path, back_path = self.path, self.path.reversed()
         slot = cfg.wire_slot_ns
-        tx_ns = np.rint(np.arange(n, dtype=np.float64) * slot / CLOCK_TICK_NS)
-        tx_ns *= CLOCK_TICK_NS
+        red = TrainReduction()
+        for chunk, start in enumerate(range(0, cfg.count, CHUNK)):
+            tx_ns = np.arange(start, min(start + CHUNK, cfg.count), dtype=np.float64)
+            tx_ns *= slot
+            tx_ns /= CLOCK_TICK_NS
+            np.rint(tx_ns, out=tx_ns)
+            tx_ns *= CLOCK_TICK_NS
 
-        fwd = transmit_train(self.path, tx_ns, np.random.default_rng(fwd_seed))
-        back = transmit_train(
-            self.path.reversed(),
-            fwd.rx_ns[fwd.delivered],
-            np.random.default_rng(bwd_seed),
-        )
-        received = fwd.delivered.copy()
-        received[fwd.delivered] = back.delivered
-        rx_ns = np.zeros(n, dtype=np.float64)
-        rx_ns[received] = back.rx_ns[back.delivered]
-
-        echoes = EchoSet(
-            seq=np.arange(n, dtype=np.int64),
-            tx_ns=tx_ns,
-            rx_ns=rx_ns,
-            received=received,
-        )
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=self.seed, spawn_key=(run, chunk))
+            )
+            sent_from = float(tx_ns[0])
+            fwd = transmit_train(fwd_path, tx_ns, rng)
+            rx_ns = fwd.rx_ns
+            if not fwd.delivered.all():
+                tx_ns, rx_ns = tx_ns[fwd.delivered], rx_ns[fwd.delivered]
+            back = transmit_train(back_path, rx_ns, rng)
+            if back.delivered.all():
+                red.fold(tx_ns, back.rx_ns, sent_from)
+            else:
+                red.fold(tx_ns[back.delivered], back.rx_ns[back.delivered], sent_from)
         two_way_prop = 2.0 * self.path.length_km * self.path.prop_const_us_per_km
-        return compute_stats(cfg, echoes, two_way_propagation_us=two_way_prop)
+        return compute_stats(cfg, red, two_way_propagation_us=two_way_prop)
 
     def expected_rtt_us(self) -> float:
         return 2.0 * one_way_delay_us(self.path)

@@ -167,8 +167,43 @@ class TestRecords:
                        "records", "--tmax", "0.0")
         assert json.loads(out) == []
 
+    def test_broken_scenario_is_not_loaded(self, tmp_path, capsys):
+        _run(capsys, "--out", str(tmp_path), "deploy")
+        broken = tmp_path / "broken.yaml"
+        broken.write_text("topology: [unclosed\n")
+        rc, out = _run(capsys, "--scenario", str(broken), "--json", "records",
+                       "--records", str(tmp_path / "records.jsonl"))
+        assert rc == 0
+        assert [d["circuit_id"] for d in json.loads(out)] == ["circuit-1"]
+
+
+def _usage_error(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
 
 class TestErrors:
+    def test_table1_zero_count(self, capsys):
+        line = _usage_error(capsys, "table1", "--count", "0")
+        assert "error: argument --count" in line
+
+    def test_table1_count_above_header_field(self, capsys):
+        line = _usage_error(capsys, "table1", "--count", str(2**32))
+        assert "error: argument --count" in line
+
+    @pytest.mark.parametrize("trains", ["0", "-1"])
+    def test_table1_nonpositive_trains(self, capsys, trains):
+        line = _usage_error(capsys, "table1", "--trains", trains)
+        assert "error: argument --trains" in line
+
+    def test_measure_zero_count(self, capsys):
+        line = _usage_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")
+        assert "error: argument --count" in line
+
     def test_missing_scenario_is_exit_2(self, tmp_path, capsys):
         rc, out = _run(capsys, "--scenario", str(tmp_path / "nope.yaml"),
                        "--json", "plan")

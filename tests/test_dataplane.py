@@ -1,6 +1,10 @@
 """Dataplane simulator: delay arithmetic, loss/jitter statistics, BER curve."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from metroslice.dataplane import (
     serialization_delay_ns,
     transmit_train,
 )
+import metroslice
 from metroslice.model import Link, Node, NodeKind, Topology
 
 
@@ -129,6 +134,30 @@ class TestTransmitTrain:
         lost = n - int(res.delivered.sum())
         # mean ~ 200, std ~ 14.1; +/- 4 sigma
         assert 140 <= lost <= 260
+
+    def test_binomial_loss_keeps_survival_law(self):
+        # Loss count ~ Binomial(n, p) and lost positions uniform, as with
+        # one uniform draw per packet.
+        p = PathModel((_elem(loss=0.01),), 0.0)
+        n = 100_000
+        sigma = math.sqrt(n * 0.01 * 0.99)
+        counts = []
+        bins = np.zeros(10)
+        for seed in range(20):
+            res = transmit_train(p, np.zeros(n), rng=seed)
+            lost = np.flatnonzero(~res.delivered)
+            assert abs(lost.size - 1000) <= 4 * sigma
+            counts.append(lost.size)
+            bins += np.bincount(lost * 10 // n, minlength=10)
+        assert abs(np.mean(counts) - 1000) <= 4 * sigma / math.sqrt(20)
+        # 20 000 losses over ten deciles: 2000 each, std ~42.
+        assert np.all(np.abs(bins - 2000) <= 200)
+
+    def test_does_not_modify_its_input(self):
+        p = PathModel((_elem(lat=1.0, jit=2.0),), 1.0)
+        tx = np.arange(0.0, 1000.0, 10.0)
+        transmit_train(p, tx, rng=3)
+        np.testing.assert_array_equal(tx, np.arange(0.0, 1000.0, 10.0))
 
     def test_seed_reproducibility(self):
         p = PathModel((_elem(loss=0.01, jit=2.0),), 3.0)
@@ -348,3 +377,12 @@ class TestPathFromTopology:
         rd = element_for_node(t, "roadm-1")
         assert (rd.loss_prob, rd.jitter_std_ns) == (2.0e-7, 2.5)
         assert set(DEFAULT_ELEMENT_PARAMS) >= {NodeKind.PROBE_ENDPOINT, NodeKind.AGG_SWITCH, NodeKind.ROADM}
+
+
+def test_runtime_import_needs_no_scipy():
+    src = str(Path(metroslice.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, metroslice, metroslice.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,12 +1,16 @@
 """Probe trains: BERT patterns, wire codec, statistics, budget decomposition."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metroslice.dataplane import CLOCK_TICK_NS, PathElement, PathModel, one_way_delay_us
 from metroslice.probe import (
+    CHUNK,
     FRAME_OVERHEAD_BYTES,
     HEADER_LEN,
     MAGIC,
@@ -18,6 +22,7 @@ from metroslice.probe import (
     ProbePacket,
     SimulatedProbe,
     TrainConfig,
+    TrainReduction,
     TrainStats,
     bert_payload,
     compute_stats,
@@ -334,3 +339,105 @@ class TestSimulatedProbe:
         # Survival probability is (1 - 0.01)**2.
         expected = 1.0 - 0.99**2
         assert st.loss_rate == pytest.approx(expected, rel=0.25)
+
+
+class TestStreamingKernel:
+    """The simulated train runs in blocks of CHUNK packets."""
+
+    LOSSY = PathModel((PathElement("x", fixed_latency_us=1.3, loss_prob=1e-4,
+                                   jitter_std_ns=4.0),), 2.0)
+
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_chunk_boundaries(self, count):
+        cfg = TrainConfig(count=count)
+        st = SimulatedProbe(self.LOSSY, seed=21).run(cfg)
+        assert 0 <= st.received <= count
+        if st.received:
+            ticks = st.rtt_us * 1000.0 / CLOCK_TICK_NS
+            assert abs(ticks - round(ticks)) < 1e-6
+        assert SimulatedProbe(self.LOSSY, seed=21).run(cfg) == st
+
+    @pytest.mark.parametrize("count", [CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_lossless_train_spans_every_block(self, count):
+        # First and last receive times merge across blocks: a lossless,
+        # jitter-free train measures ceiling * N / (N - 1).
+        path = PathModel(elements=(), length_km=1.0)
+        cfg = TrainConfig(count=count, ip_payload_bytes=1456)
+        st = SimulatedProbe(path, seed=4).run(cfg)
+        assert st.received == count
+        expected = theoretical_ceiling_mbps(1456) * count / (count - 1)
+        assert st.throughput_mbps == pytest.approx(expected, rel=1e-4)
+        assert st.jitter_ns <= CLOCK_TICK_NS
+
+    def test_round_trip_survival(self):
+        # Each direction loses 1%, so 0.99**2 of the train comes back.
+        path = PathModel((PathElement("x", loss_prob=0.01),), 0.0)
+        n = 100_000
+        st = SimulatedProbe(path, seed=8).run(TrainConfig(count=n))
+        p = 0.99**2
+        sigma = (n * p * (1 - p)) ** 0.5
+        assert abs(st.received - n * p) <= 4 * sigma
+
+    def test_memory_does_not_grow_with_count(self):
+        path = PathModel((PathElement("x", loss_prob=1e-6, jitter_std_ns=3.0),), 80.0)
+
+        def peak_mb(count):
+            probe = SimulatedProbe(path, seed=2)
+            tracemalloc.start()
+            try:
+                probe.run(TrainConfig(count=count))
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_mb(1_000_000), peak_mb(4_000_000)
+        assert large <= 16.0
+        assert large <= 1.1 * small
+
+
+_values = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=300
+)
+
+
+class TestTrainReduction:
+    @settings(max_examples=200, deadline=None)
+    @given(_values, st.lists(st.integers(min_value=0, max_value=300), max_size=8))
+    def test_merged_splits_equal_one_shot(self, values, cuts):
+        x = np.array(values)
+        bounds = sorted({0, len(x), *(c for c in cuts if c <= len(x))})
+        red = TrainReduction()
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = TrainReduction()
+            block.fold(np.zeros(hi - lo), x[lo:hi], 0.0)
+            red.merge(block)
+        scale = float(np.abs(x).max())
+        assert red.received == len(x)
+        assert red.rtt_min_ns == float(x.min())
+        assert red.rtt_mean_ns == pytest.approx(float(np.mean(x)), rel=1e-12,
+                                                abs=1e-12 * scale)
+        std = (red.rtt_m2 / red.received) ** 0.5
+        assert std == pytest.approx(float(np.std(x)), rel=1e-12, abs=1e-12 * scale)
+
+    def test_empty_blocks_leave_it_unchanged(self):
+        red = TrainReduction()
+        red.fold(np.zeros(3), np.array([5.0, 7.0, 9.0]), 0.0)
+        before = TrainReduction(**vars(red))
+        red.merge(TrainReduction())
+        red.fold(np.zeros(0), np.zeros(0), 100.0)
+        assert red == before
+
+    def test_echo_set_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        n = 200_000
+        tx = np.arange(n) * 119.8
+        rx = tx + 800_000.0 + rng.normal(0.0, 5.0, n)
+        got = rng.random(n) > 0.01
+        cfg = TrainConfig(count=n)
+        st = compute_stats(cfg, EchoSet(np.arange(n), tx, rx, got))
+        rtt = rx[got] - tx[got]
+        assert st.received == int(got.sum())
+        assert st.rtt_us == float(rtt.min()) / 1000.0
+        assert st.rtt_mean_us == pytest.approx(float(np.mean(rtt)) / 1000.0, rel=1e-12)
+        assert st.jitter_ns == pytest.approx(float(np.std(rtt)), rel=1e-9)
+        assert st.duration_s == pytest.approx((rx[got].max() - tx.min()) / 1e9, rel=1e-12)
