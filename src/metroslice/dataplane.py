@@ -156,6 +156,55 @@ def transmit_train(
     return TransmitResult(rx_ns=rx_ns, delivered=delivered)
 
 
+#: Half-width, in standard deviations, of the jitter law that
+#: ``quantized_delay_pmf`` keeps; the mass beyond it is below 1.6e-23.
+PMF_CUT_SIGMAS = 10.0
+
+#: How close to a half tick a jitter-free delay counts as a tie.
+_HALF_TICK_TOL = 1e-9
+
+
+def quantized_delay_pmf(p: PathModel) -> tuple[int, np.ndarray]:
+    """Law of one traversal's delay in ticks, ``rint((D + J) / tick)``.
+
+    D is the path's one-way delay in ns and J its gaussian jitter, so a
+    packet that ``transmit_train`` sends on tick k arrives on tick k plus
+    this offset, independently of k and of loss (the quantized Gaussian
+    of Widrow and Kollár, *Quantization Noise*, 2008). Returns
+    ``(lo, pmf)``: ``pmf[i]`` is the probability of offset ``lo + i``.
+
+    The Gaussian is cut at ``PMF_CUT_SIGMAS``. A bin above the mean is a
+    difference of survival values and one below it a difference of CDF
+    values, so the tail bins keep their relative precision. Without
+    jitter the offset is ``rint(D / tick)``; a delay on a half tick is
+    split evenly between its two neighbours, as ``rint`` of a tie then
+    follows each packet's floating-point rounding.
+    """
+    mu = one_way_delay_us(p) * 1000.0 / CLOCK_TICK_NS
+    s = p.jitter_std_ns() / CLOCK_TICK_NS
+    if s == 0:
+        lo = math.floor(mu)
+        if abs(mu - lo - 0.5) < _HALF_TICK_TOL:
+            return lo, np.array([0.5, 0.5])
+        return round(mu), np.ones(1)
+    lo = round(mu - PMF_CUT_SIGMAS * s)
+    hi = round(mu + PMF_CUT_SIGMAS * s)
+    # Bin n covers [n - 0.5, n + 0.5). Each edge stores the tail mass on
+    # its own side of the mean: survival above it, CDF below it.
+    edges = [n - 0.5 for n in range(lo, hi + 2)]
+    tail = [0.5 * math.erfc(abs(e - mu) / (s * math.sqrt(2.0))) for e in edges]
+    pmf = np.empty(hi - lo + 1)
+    for i in range(pmf.size):
+        a, b = edges[i], edges[i + 1]
+        if a >= mu:
+            pmf[i] = tail[i] - tail[i + 1]
+        elif b <= mu:
+            pmf[i] = tail[i + 1] - tail[i]
+        else:
+            pmf[i] = 1.0 - tail[i] - tail[i + 1]
+    return lo, pmf
+
+
 # ---------------------------------------------------------------------------
 # Channel quality: SNR ramps and the pre-FEC BER curve
 

@@ -84,6 +84,12 @@ class VimStatus:
         self.mem_idle -= vnf.mem_req
         self.storage_idle -= vnf.storage_req
 
+    def release(self, vnf: VnfDescriptor) -> None:
+        """Give back what ``allocate`` took for ``vnf``."""
+        self.cpu_idle += vnf.cpu_req
+        self.mem_idle += vnf.mem_req
+        self.storage_idle += vnf.storage_req
+
 
 @dataclass
 class Node:

@@ -44,7 +44,8 @@ class OrchestratorError(Exception):
 
 
 class WorkflowError(OrchestratorError):
-    """Provisioning failed; already-created media channels were rolled back."""
+    """Provisioning failed; the media channel and VIM allocations were
+    rolled back."""
 
 
 class IncompleteLog(OrchestratorError):
@@ -155,7 +156,8 @@ def run_wf1(
     req: NsRequest, world: World
 ) -> tuple[PlacementDecision, KpiReport | None, list[WorkflowEvent]]:
     """Instantiate a slice. Blocked requests return a three-event log and
-    no KPI report; provisioning errors roll back created media channels."""
+    no KPI report; a failure after placement rolls back the media channel
+    and the VIM allocations before it raises."""
     timing = world.timing
     events = _EventLog()
     t0 = 0.0
@@ -256,10 +258,17 @@ def run_wf1(
         )
         events.add(t_tp_done, "transponder", "transponders_configured",
                    tp_ids=[a_tp, z_tp])
-    except OpticalError as exc:
+    except Exception as exc:
+        # All or nothing: undo the media channel and the VIM allocations
+        # that place() committed.
         if created_mc is not None:
             world.ols.delete_media_channel(created_mc.mc_id)
-        raise WorkflowError(f"optical provisioning failed: {exc}") from exc
+        vims = {v.vim_id: v for v in world.vims}
+        for vnf, vim_id in zip(req.chain, decision.candidate.vim_ids):
+            vims[vim_id].release(vnf)
+        if isinstance(exc, OpticalError):
+            raise WorkflowError(f"optical provisioning failed: {exc}") from exc
+        raise
 
     t_optical_ready = max(ready_times)
     events.add(t_optical_ready, "transponder", "lasers_ready",

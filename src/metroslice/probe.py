@@ -35,6 +35,7 @@ from .dataplane import (
     LINE_RATE_GBPS,
     PathModel,
     one_way_delay_us,
+    quantized_delay_pmf,
     serialization_delay_ns,
     transmit_train,
 )
@@ -306,6 +307,23 @@ class TrainReduction:
         block.rtt_m2 = float(np.dot(rtt, rtt))
         self.merge(block)
 
+    def fold_histogram(self, rtt_ns: np.ndarray, counts: np.ndarray) -> None:
+        """Add packets known only by their RTT histogram: ``counts[i]``
+        packets of RTT ``rtt_ns[i]``, receive times untracked."""
+        n = int(counts.sum())
+        if n == 0:
+            return
+        got = counts > 0
+        rtt, weight = rtt_ns[got], counts[got].astype(np.float64)
+        mean = float(np.dot(weight, rtt)) / n
+        dev = rtt - mean
+        self.merge(TrainReduction(
+            received=n,
+            rtt_min_ns=float(rtt.min()),
+            rtt_mean_ns=mean,
+            rtt_m2=float(np.dot(weight, dev * dev)),
+        ))
+
     def merge(self, other: "TrainReduction") -> None:
         """Combine ``other`` into this reduction."""
         na, nb = self.received, other.received
@@ -321,7 +339,7 @@ class TrainReduction:
         self.first_tx_ns = min(self.first_tx_ns, other.first_tx_ns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainStats:
     """Aggregate results of one train.
 
@@ -479,46 +497,114 @@ class SimulatedProbe:
     independently. With zero jitter and zero loss the measured RTT is
     exactly twice the one-way delay, up to clock-tick quantization.
 
-    Trains run in blocks of ``CHUNK`` packets folded into one
-    ``TrainReduction``, so memory does not grow with the train length.
-    Block ``c`` of run ``r`` draws from its own stream,
-    ``SeedSequence(entropy=seed, spawn_key=(r, c))``, forward then
-    reverse.
+    Run ``r`` draws from ``SeedSequence(entropy=seed, spawn_key=(r, 0))``.
+    A train of at most ``CHUNK`` packets is simulated packet by packet in
+    one block, forward then reverse. A longer train is simulated packet
+    by packet only at its edges, which alone set the first and last
+    receive times; see ``_long_train``.
     """
 
     def __init__(self, path: PathModel, seed: int = 0):
         self.path = path
         self.seed = seed
         self._runs = 0
+        #: RTT bins (ns) and their probabilities, built for the first long train.
+        self._rtt_law: tuple[np.ndarray, np.ndarray] | None = None
 
     def run(self, cfg: TrainConfig) -> TrainStats:
         run = self._runs
         self._runs += 1
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(run, 0))
+        )
         fwd_path, back_path = self.path, self.path.reversed()
-        slot = cfg.wire_slot_ns
-        red = TrainReduction()
-        for chunk, start in enumerate(range(0, cfg.count, CHUNK)):
-            tx_ns = np.arange(start, min(start + CHUNK, cfg.count), dtype=np.float64)
-            tx_ns *= slot
-            tx_ns /= CLOCK_TICK_NS
-            np.rint(tx_ns, out=tx_ns)
-            tx_ns *= CLOCK_TICK_NS
-
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(run, chunk))
-            )
-            sent_from = float(tx_ns[0])
-            fwd = transmit_train(fwd_path, tx_ns, rng)
-            rx_ns = fwd.rx_ns
-            if not fwd.delivered.all():
-                tx_ns, rx_ns = tx_ns[fwd.delivered], rx_ns[fwd.delivered]
-            back = transmit_train(back_path, rx_ns, rng)
-            if back.delivered.all():
-                red.fold(tx_ns, back.rx_ns, sent_from)
-            else:
-                red.fold(tx_ns[back.delivered], back.rx_ns[back.delivered], sent_from)
+        if cfg.count <= CHUNK:
+            red = TrainReduction()
+            _simulate_block(fwd_path, back_path, cfg.wire_slot_ns, 0, cfg.count,
+                            rng, red)
+        else:
+            red = self._long_train(fwd_path, back_path, cfg, rng)
         two_way_prop = 2.0 * self.path.length_km * self.path.prop_const_us_per_km
         return compute_stats(cfg, red, two_way_propagation_us=two_way_prop)
 
+    def _long_train(self, fwd_path: PathModel, back_path: PathModel,
+                    cfg: TrainConfig, rng: np.random.Generator) -> TrainReduction:
+        """Edge packets one by one, the middle from its exact law.
+
+        On the clock lattice a packet's RTT is ``tick * (a + b)``, with
+        ``a`` and ``b`` the quantized delays of the two legs: iid, and
+        independent of the packet's index and of loss. So the middle of
+        the train only needs its survivor count, binomial, and its RTT
+        histogram, one multinomial draw (Devroye, *Non-Uniform Random
+        Variate Generation*, 1986, ch. XI). The head is simulated in
+        blocks walking inwards until no packet left in the middle could
+        arrive before the earliest receive time seen; the tail likewise
+        for the latest. Blocks start at the packet count that spans the
+        RTT support and double up to ``CHUNK``.
+        """
+        red = TrainReduction()
+        surv = (1.0 - fwd_path.loss_prob()) * (1.0 - back_path.loss_prob())
+        if surv == 0.0:
+            return red
+        if self._rtt_law is None:
+            lo_f, pmf_f = quantized_delay_pmf(fwd_path)
+            lo_b, pmf_b = quantized_delay_pmf(back_path)
+            p_ab = np.convolve(pmf_f, pmf_b)
+            rtt_ns = (lo_f + lo_b + np.arange(p_ab.size)) * CLOCK_TICK_NS
+            self._rtt_law = rtt_ns, p_ab / p_ab.sum()
+        rtt_ns, p_ab = self._rtt_law
+        rtt_lo_ns, rtt_hi_ns = float(rtt_ns[0]), float(rtt_ns[-1])
+        slot = cfg.wire_slot_ns
+
+        def tx_ns(i: int) -> float:
+            return round(i * slot / CLOCK_TICK_NS) * CLOCK_TICK_NS
+
+        first_block = min(math.ceil((rtt_hi_ns - rtt_lo_ns) / slot) + 1, CHUNK)
+        head, tail = 0, cfg.count
+        size = first_block
+        while head < tail:
+            stop = min(head + size, tail)
+            _simulate_block(fwd_path, back_path, slot, head, stop, rng, red)
+            head = stop
+            if red.first_rx_ns <= tx_ns(head) + rtt_lo_ns:
+                break
+            size = min(2 * size, CHUNK)
+        size = first_block
+        while head < tail:
+            start = max(tail - size, head)
+            _simulate_block(fwd_path, back_path, slot, start, tail, rng, red)
+            tail = start
+            if red.last_rx_ns >= tx_ns(tail - 1) + rtt_hi_ns:
+                break
+            size = min(2 * size, CHUNK)
+        if tail > head:
+            survivors = int(rng.binomial(tail - head, surv))
+            if survivors:
+                red.fold_histogram(rtt_ns, rng.multinomial(survivors, p_ab))
+        return red
+
     def expected_rtt_us(self) -> float:
         return 2.0 * one_way_delay_us(self.path)
+
+
+def _simulate_block(fwd_path: PathModel, back_path: PathModel, slot_ns: float,
+                    start: int, stop: int, rng: np.random.Generator,
+                    red: TrainReduction) -> None:
+    """Send packets ``start``..``stop - 1`` of a train forward and back,
+    packet by packet, and fold their echoes into ``red``."""
+    tx_ns = np.arange(start, stop, dtype=np.float64)
+    tx_ns *= slot_ns
+    tx_ns /= CLOCK_TICK_NS
+    np.rint(tx_ns, out=tx_ns)
+    tx_ns *= CLOCK_TICK_NS
+
+    sent_from = float(tx_ns[0])
+    fwd = transmit_train(fwd_path, tx_ns, rng)
+    rx_ns = fwd.rx_ns
+    if not fwd.delivered.all():
+        tx_ns, rx_ns = tx_ns[fwd.delivered], rx_ns[fwd.delivered]
+    back = transmit_train(back_path, rx_ns, rng)
+    if back.delivered.all():
+        red.fold(tx_ns, back.rx_ns, sent_from)
+    else:
+        red.fold(tx_ns[back.delivered], back.rx_ns[back.delivered], sent_from)

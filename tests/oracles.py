@@ -3,8 +3,9 @@
 Deliberately different algorithms and data layouts than the package:
 Floyd-Warshall over a dense matrix instead of per-source Dijkstra,
 exhaustive enumeration instead of the best-first ranking and the
-placement walk. Agreement between the two is therefore evidence, not
-tautology.
+placement walk, every packet of a simulated train instead of the edges
+and a drawn histogram. Agreement between the two is therefore evidence,
+not tautology.
 
 Randomized placement instances use dyadic lengths and latencies (exact
 in binary floating point) so equal costs are bitwise equal and tie
@@ -13,6 +14,9 @@ ordering is well defined in both implementations.
 
 import itertools
 
+import numpy as np
+
+from metroslice.dataplane import CLOCK_TICK_NS, transmit_train
 from metroslice.model import (
     Link,
     Node,
@@ -22,6 +26,7 @@ from metroslice.model import (
     VimStatus,
     VnfDescriptor,
 )
+from metroslice.probe import CHUNK, TrainReduction, compute_stats
 
 INF = float("inf")
 
@@ -196,3 +201,27 @@ def random_placement_instance(rng):
         egress=egress,
     )
     return req, topology, vims
+
+
+def per_packet_train(path, cfg, seed, run=0):
+    """One simulated train with every packet sent forward and back.
+
+    Blocks of ``CHUNK`` packets; block ``c`` draws from
+    ``SeedSequence(entropy=seed, spawn_key=(run, c))``. For a train of
+    at most ``CHUNK`` packets this is exactly ``SimulatedProbe``'s run
+    ``run``; for a longer one it has the same law.
+    """
+    back_path = path.reversed()
+    red = TrainReduction()
+    for block, start in enumerate(range(0, cfg.count, CHUNK)):
+        seq = np.arange(start, min(start + CHUNK, cfg.count), dtype=np.float64)
+        tx = np.rint(seq * cfg.wire_slot_ns / CLOCK_TICK_NS) * CLOCK_TICK_NS
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(run, block))
+        )
+        fwd = transmit_train(path, tx, rng)
+        back = transmit_train(back_path, fwd.rx_ns[fwd.delivered], rng)
+        got = back.delivered
+        red.fold(tx[fwd.delivered][got], back.rx_ns[got], float(tx[0]))
+    two_way_prop = 2.0 * path.length_km * path.prop_const_us_per_km
+    return compute_stats(cfg, red, two_way_propagation_us=two_way_prop)

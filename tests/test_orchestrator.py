@@ -106,6 +106,27 @@ class TestWf1Blocked:
             run_wf1(scenario.request, world)
         assert world.ols.get_active_connections() == []
 
+    @pytest.mark.parametrize("failure", ["no_slot", "one_transponder"])
+    def test_failed_deploy_releases_vims(self, scenario, world, failure):
+        # Placement commits VIM allocations before the optical branch; a
+        # deploy that fails after it must hand every one of them back.
+        if failure == "no_slot":
+            world.slot_floor_n = 10_000
+        else:
+            del world.transponders[sorted(world.transponders)[1]]
+        idle = {v.vim_id: (v.cpu_idle, v.mem_idle, v.storage_idle) for v in world.vims}
+        with pytest.raises(WorkflowError):
+            run_wf1(scenario.request, world)
+        assert {v.vim_id: (v.cpu_idle, v.mem_idle, v.storage_idle)
+                for v in world.vims} == idle
+        assert world.ols.get_active_connections() == []
+        # The request still deploys once the fault is gone.
+        world.slot_floor_n = 0
+        fresh = build_world(scenario)
+        world.transponders, world.sip_of_tp = fresh.transponders, fresh.sip_of_tp
+        decision, report, _ = run_wf1(scenario.request, world)
+        assert decision.placed and report is not None
+
 
 class TestKpiProperties:
     def _world_with(self, scenario, timing):

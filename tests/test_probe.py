@@ -1,6 +1,8 @@
 """Probe trains: BERT patterns, wire codec, statistics, budget decomposition."""
 
+import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metroslice.dataplane import CLOCK_TICK_NS, PathElement, PathModel, one_way_delay_us
+from metroslice.dataplane import (
+    CLOCK_TICK_NS,
+    PathElement,
+    PathModel,
+    one_way_delay_us,
+    path_from_nodes,
+    quantized_delay_pmf,
+    transmit_train,
+)
 from metroslice.probe import (
     CHUNK,
     FRAME_OVERHEAD_BYTES,
     HEADER_LEN,
     MAGIC,
+    MAX_TRAIN_COUNT,
     BertType,
     EchoSet,
     LatencyBudget,
@@ -32,6 +43,7 @@ from metroslice.probe import (
     prbs31_bytes,
     theoretical_ceiling_mbps,
 )
+from oracles import per_packet_train
 
 
 def _prbs31_oracle_bits(nbits):
@@ -441,3 +453,148 @@ class TestTrainReduction:
         assert st.rtt_mean_us == pytest.approx(float(np.mean(rtt)) / 1000.0, rel=1e-12)
         assert st.jitter_ns == pytest.approx(float(np.std(rtt)), rel=1e-9)
         assert st.duration_s == pytest.approx((rx[got].max() - tx.min()) / 1e9, rel=1e-12)
+
+
+class TestQuantizedDelayPmf:
+    """The law of one traversal's delay in ticks, against transmit_train."""
+
+    N = 1_000_000
+
+    def _offsets(self, path, seed):
+        slot = TrainConfig(count=1).wire_slot_ns
+        tx = np.rint(np.arange(self.N) * slot / CLOCK_TICK_NS) * CLOCK_TICK_NS
+        out = transmit_train(path, tx, np.random.default_rng(seed))
+        got = out.delivered
+        return np.rint((out.rx_ns[got] - tx[got]) / CLOCK_TICK_NS).astype(np.int64)
+
+    def _check(self, path, seed):
+        lo, pmf = quantized_delay_pmf(path)
+        assert pmf.min() >= 0.0
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+        offsets = self._offsets(path, seed) - lo
+        assert offsets.min() >= 0 and offsets.max() < pmf.size
+        n = offsets.size
+        counts = np.bincount(offsets, minlength=pmf.size)
+        sd = np.sqrt(n * pmf * (1.0 - pmf))
+        assert np.all(np.abs(counts - n * pmf) <= 4.0 * sd + 1e-9), (counts, n * pmf)
+
+    def test_no_jitter_is_one_bin(self):
+        path = PathModel((PathElement("x", fixed_latency_us=1.234),), 0.3)
+        lo, pmf = quantized_delay_pmf(path)
+        assert lo == round(one_way_delay_us(path) * 1000.0 / CLOCK_TICK_NS)
+        assert pmf.tolist() == [1.0]
+        self._check(path, seed=1)
+
+    def test_no_jitter_on_a_half_tick_splits_the_tie(self):
+        path = PathModel((PathElement("x", fixed_latency_us=2.5 * CLOCK_TICK_NS / 1000),))
+        lo, pmf = quantized_delay_pmf(path)
+        assert (lo, pmf.tolist()) == (2, [0.5, 0.5])
+
+    def test_jittered_delay_on_a_half_tick(self):
+        path = PathModel((PathElement("x", fixed_latency_us=7.5 * CLOCK_TICK_NS / 1000,
+                                      jitter_std_ns=1.2),))
+        lo, pmf = quantized_delay_pmf(path)
+        # The mean sits on the edge between offsets 7 and 8: symmetric law.
+        assert pmf[7 - lo] == pytest.approx(pmf[8 - lo], rel=1e-12)
+        assert pmf == pytest.approx(pmf[::-1], rel=1e-9, abs=1e-300)
+        self._check(path, seed=2)
+
+    @pytest.mark.parametrize("label", ["probe-loopback", "agg-switches", "optical-2m",
+                                       "optical-41km", "optical-80km"])
+    def test_packaged_paths(self, scenario, label):
+        row = next(r for r in scenario.rows if r.label == label)
+        path = path_from_nodes(scenario.topology, row.path_nodes, row.length_km,
+                               overrides=scenario.element_overrides)
+        self._check(path, seed=3)
+
+
+class TestLongTrains:
+    """Trains above CHUNK packets: edge packets simulated, middle drawn."""
+
+    LOSSY = PathModel((PathElement("a", fixed_latency_us=1.3, loss_prob=0.02,
+                                   jitter_std_ns=4.0),
+                       PathElement("b", fixed_latency_us=0.7, jitter_std_ns=3.0)), 2.0)
+    HEAVY = PathModel((PathElement("a", fixed_latency_us=1.3, loss_prob=0.3,
+                                   jitter_std_ns=6.0),), 0.5)
+
+    @pytest.mark.parametrize("path, count, payload", [
+        (LOSSY, CHUNK + 1000, 64),
+        (HEAVY, CHUNK + 1, 1456),
+    ])
+    def test_law_matches_per_packet_kernel(self, path, count, payload):
+        # Two-sample z-test of each statistic's mean over many trains.
+        trains = 80
+        cfg = TrainConfig(count=count, ip_payload_bytes=payload)
+        probe = SimulatedProbe(path, seed=5)
+        fast = [probe.run(cfg) for _ in range(trains)]
+        slow = [per_packet_train(path, cfg, seed=6, run=r) for r in range(trains)]
+        for name in ("received", "rtt_mean_us", "jitter_ns", "throughput_mbps",
+                     "duration_s"):
+            x = np.array([getattr(s, name) for s in fast], dtype=np.float64)
+            y = np.array([getattr(s, name) for s in slow], dtype=np.float64)
+            se = math.sqrt((x.var(ddof=1) + y.var(ddof=1)) / trains)
+            assert abs(x.mean() - y.mean()) <= 4.5 * se, name
+        # First and last receive times come from the walked edges, so every
+        # train's receive span covers nearly its whole send span.
+        for s in fast + slow:
+            span_ns = 8.0 * payload * s.received / s.throughput_mbps * 1000.0
+            assert span_ns > 0.99 * (count - 1) * cfg.wire_slot_ns
+
+    LOSSY2 = PathModel((PathElement("a", fixed_latency_us=0.9, loss_prob=0.05,
+                                    jitter_std_ns=3.0),
+                        PathElement("b", fixed_latency_us=0.4, jitter_std_ns=2.0)), 1.0)
+    PINNED = {
+        # (count, payload): the first two runs of SimulatedProbe(LOSSY2, seed=21)
+        (1, 1456): [
+            TrainStats(1, 1, 12.3969, 12.3969, 0.0, None, 1.23969e-05, 9.798),
+            TrainStats(1, 1, 12.3969, 12.3969, 0.0, None, 1.23969e-05, 9.798),
+        ],
+        (1000, 1456): [
+            TrainStats(1000, 903, 12.3845, 12.39801572535991, 5.0517868180723,
+                       87863.83046973676, 0.0001321096, 9.798),
+            TrainStats(1000, 904, 12.381399999999994, 12.398089933628318,
+                       5.200191282647632, 87947.46768096404, 0.0001321251, 9.798),
+        ],
+        (CHUNK, 64): [
+            TrainStats(65536, 59108, 12.375199999999998, 12.397971689111456,
+                       5.26610704499413, 54457.362513734326, 0.0005681401, 9.798),
+            TrainStats(65536, 59051, 12.375199999999982, 12.398034197558044,
+                       5.26763687013906, 54403.93684819299, 0.000568137, 9.798),
+        ],
+    }
+
+    @pytest.mark.parametrize("count, payload", list(PINNED))
+    def test_short_trains_are_pinned(self, count, payload):
+        # Trains of at most CHUNK packets are simulated packet by packet in
+        # one block, and their values do not change.
+        probe = SimulatedProbe(self.LOSSY2, seed=21)
+        cfg = TrainConfig(count=count, ip_payload_bytes=payload)
+        runs = [probe.run(cfg), probe.run(cfg)]
+        assert runs == self.PINNED[count, payload]
+        assert runs == [per_packet_train(self.LOSSY2, cfg, 21, r) for r in range(2)]
+
+    @pytest.mark.parametrize("count", [10, CHUNK + 1, MAX_TRAIN_COUNT])
+    def test_total_loss(self, count):
+        path = PathModel((PathElement("x", loss_prob=1.0, jitter_std_ns=2.0),), 1.0)
+        st = SimulatedProbe(path, seed=3).run(TrainConfig(count=count))
+        assert (st.received, st.rtt_us, st.throughput_mbps) == (0, None, None)
+
+    def test_longest_train_is_fast_and_small(self):
+        path = PathModel((PathElement("x", fixed_latency_us=12.0, jitter_std_ns=5.0),), 80.0)
+        cfg = TrainConfig(count=MAX_TRAIN_COUNT)
+        t0 = time.perf_counter()
+        st = SimulatedProbe(path, seed=4).run(cfg)
+        assert time.perf_counter() - t0 < 1.0
+        assert st.received == MAX_TRAIN_COUNT
+        ticks = st.rtt_us * 1000.0 / CLOCK_TICK_NS
+        assert abs(ticks - round(ticks)) < 1e-6
+        assert st.rtt_mean_us == pytest.approx(2.0 * one_way_delay_us(path), abs=0.01)
+        expected = theoretical_ceiling_mbps(1456) * st.received / (st.received - 1)
+        assert st.throughput_mbps == pytest.approx(expected, rel=1e-6)
+        tracemalloc.start()
+        try:
+            SimulatedProbe(path, seed=5).run(cfg)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 16.0
