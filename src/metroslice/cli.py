@@ -72,14 +72,25 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _override(obj, **changes):
+    """``obj`` with the options that were given (not None) replaced.
+
+    The dataclass checks the values itself; a rejected one becomes a
+    ConfigError, which ``main`` prints as an ``error:`` line.
+    """
+    changes = {k: v for k, v in changes.items() if v is not None}
+    try:
+        return dataclasses.replace(obj, **changes) if changes else obj
+    except ValueError as exc:
+        raise ConfigError(f"command-line override: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # plan
 
 
 def cmd_plan(args, scenario: Scenario) -> int:
-    req = scenario.request
-    if args.k is not None:
-        req = dataclasses.replace(req, k=args.k)
+    req = _override(scenario.request, k=args.k)
     world = build_world(scenario, seed=args.seed)
     decision = place(req, world.topology, world.vims)
 
@@ -172,9 +183,7 @@ def _num(x: float | None, spec: str) -> str:
 
 
 def cmd_table1(args, scenario: Scenario) -> int:
-    cfg = scenario.probe_cfg
-    if args.count is not None:
-        cfg = dataclasses.replace(cfg, count=args.count)
+    cfg = _override(scenario.probe_cfg, count=args.count)
     trains = args.trains if args.trains is not None else scenario.trains_per_row
     out = _out_dir(args)
 
@@ -253,11 +262,8 @@ def cmd_table1(args, scenario: Scenario) -> int:
 
 
 def cmd_degrade(args, scenario: Scenario) -> int:
-    sc = scenario.degradation
-    if args.ramp is not None:
-        sc = dataclasses.replace(sc, ramp_db_per_s=args.ramp)
-    if args.duration is not None:
-        sc = dataclasses.replace(sc, duration_s=args.duration)
+    sc = _override(scenario.degradation, ramp_db_per_s=args.ramp,
+                   duration_s=args.duration)
     samples = evolve_quality(sc)
     report = detect_soft_failure(samples, scenario.detector)
     out = _out_dir(args)
@@ -337,16 +343,8 @@ _train_count = _int_in(1, MAX_TRAIN_COUNT)
 
 
 def cmd_measure(args, scenario: Scenario) -> int:
-    cfg = scenario.probe_cfg
-    patch = {}
-    if args.count is not None:
-        patch["count"] = args.count
-    if args.payload is not None:
-        patch["ip_payload_bytes"] = args.payload
-    if args.timeout_ms is not None:
-        patch["timeout_ms"] = args.timeout_ms
-    if patch:
-        cfg = dataclasses.replace(cfg, **patch)
+    cfg = _override(scenario.probe_cfg, count=args.count,
+                    ip_payload_bytes=args.payload, timeout_ms=args.timeout_ms)
     try:
         stats = live_measure(cfg, args.dst, bind=args.bind)
     except ProbeTimeout as exc:

@@ -1,26 +1,40 @@
 """Scenario and topology file loading.
 
-Topology files carry exactly these top-level keys:
+The dataclasses are the schema. Each mapping in a file is read into one
+dataclass by walking its fields: a key that is present is type-checked
+(an int is accepted as a float, an enum is read by value, a list becomes
+a list, tuple or frozenset, and ``X | None`` accepts null), a key that is
+absent takes the field's default, and a key is required only when its
+field has no default. ``_KEYS`` names the YAML key wherever it differs
+from the field name. A dataclass's own ``ValueError`` becomes a
+``ConfigError``.
 
-    prop_const_us_per_km: float
+Topology files carry exactly these top-level keys (``?``: optional):
+
+    prop_const_us_per_km?: float
     nodes[]:  {id, kind, fixed_latency_us?, vim?}
     links[]:  {id, endpoints: [a, z], length_km, kind?}
     vims[]:   {vim_id, cpu_idle, mem_idle, storage_idle,
                instantiable_vnf_types[]}
     demand:   {entries[]: {channel_count, per_channel_mbps},
-               ptz_max_rtt_ms}
+               ptz_max_rtt_ms?}
 
 A scenario file references a topology and a slice request file and adds
 timing, probe, optical, dataplane, degradation, and calibration-row
-settings. Parse problems raise ConfigError with the offending file and
-key path in the message.
+settings (see ``Scenario``). Parse problems raise ConfigError with the
+offending file and key path in the message.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import importlib.resources
+import types
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import yaml
@@ -28,21 +42,18 @@ import yaml
 from .dataplane import DegradationScenario, ElementParams
 from .mda import DetectorConfig, MdaController
 from .model import (
-    DemandEntry,
     DemandProfile,
     Link,
-    LinkKind,
     Node,
     NodeKind,
     NsRequest,
     Topology,
     VimStatus,
-    VnfDescriptor,
     validate_topology,
 )
 from .optical import DEFAULT_SLOT_M, OlsController, Sip, Transponder, VirtualClock
 from .orchestrator import TimingConfig, World
-from .probe import BertType, TrainConfig
+from .probe import TrainConfig
 
 
 class ConfigError(Exception):
@@ -68,171 +79,6 @@ def _load_yaml(path: Path) -> dict:
     return data
 
 
-class _Ctx:
-    """Tracks the key path while digging through a parsed document."""
-
-    def __init__(self, path: Path, data: dict):
-        self.file = path
-        self.data = data
-
-    def get(self, mapping, key, expect, where, required=True, default=None):
-        if key not in mapping:
-            if required:
-                raise ConfigError(f"{self.file}: missing key {where}{key}")
-            return default
-        value = mapping[key]
-        if expect is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, expect):
-            raise ConfigError(
-                f"{self.file}: {where}{key}: expected {expect.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        return value
-
-
-def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
-    path = Path(path)
-    ctx = _Ctx(path, _load_yaml(path))
-    data = ctx.data
-
-    vims: dict[str, VimStatus] = {}
-    for i, raw in enumerate(ctx.get(data, "vims", list, "")):
-        where = f"vims[{i}]."
-        try:
-            vim = VimStatus(
-                vim_id=ctx.get(raw, "vim_id", str, where),
-                cpu_idle=ctx.get(raw, "cpu_idle", int, where),
-                mem_idle=ctx.get(raw, "mem_idle", int, where),
-                storage_idle=ctx.get(raw, "storage_idle", int, where),
-                instantiable_vnf_types=frozenset(
-                    ctx.get(raw, "instantiable_vnf_types", list, where)
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: vims[{i}]: {exc}") from exc
-        if vim.vim_id in vims:
-            raise ConfigError(f"{path}: vims[{i}]: duplicate id {vim.vim_id}")
-        vims[vim.vim_id] = vim
-
-    nodes = []
-    for i, raw in enumerate(ctx.get(data, "nodes", list, "")):
-        where = f"nodes[{i}]."
-        kind_raw = ctx.get(raw, "kind", str, where)
-        try:
-            kind = NodeKind(kind_raw)
-        except ValueError:
-            raise ConfigError(
-                f"{path}: nodes[{i}].kind: unknown kind {kind_raw!r}"
-            ) from None
-        vim = None
-        if "vim" in raw:
-            vim_id = ctx.get(raw, "vim", str, where)
-            if vim_id not in vims:
-                raise ConfigError(
-                    f"{path}: nodes[{i}].vim: unknown VIM {vim_id!r}"
-                )
-            vim = vims[vim_id]
-        nodes.append(
-            Node(
-                node_id=ctx.get(raw, "id", str, where),
-                kind=kind,
-                fixed_latency_us=ctx.get(
-                    raw, "fixed_latency_us", float, where,
-                    required=False, default=0.0,
-                ),
-                vim=vim,
-            )
-        )
-
-    links = []
-    for i, raw in enumerate(ctx.get(data, "links", list, "")):
-        where = f"links[{i}]."
-        endpoints = ctx.get(raw, "endpoints", list, where)
-        if len(endpoints) != 2:
-            raise ConfigError(
-                f"{path}: links[{i}].endpoints: need exactly two node ids"
-            )
-        kind_raw = ctx.get(raw, "kind", str, where, required=False,
-                           default=LinkKind.FIBER.value)
-        try:
-            kind = LinkKind(kind_raw)
-        except ValueError:
-            raise ConfigError(
-                f"{path}: links[{i}].kind: unknown kind {kind_raw!r}"
-            ) from None
-        links.append(
-            Link(
-                link_id=ctx.get(raw, "id", str, where),
-                endpoints=(endpoints[0], endpoints[1]),
-                length_km=ctx.get(raw, "length_km", float, where),
-                kind=kind,
-            )
-        )
-
-    demand_raw = ctx.get(data, "demand", dict, "")
-    entries = []
-    for i, raw in enumerate(ctx.get(demand_raw, "entries", list, "demand.")):
-        where = f"demand.entries[{i}]."
-        entries.append(
-            DemandEntry(
-                channel_count=ctx.get(raw, "channel_count", int, where),
-                per_channel_mbps=ctx.get(raw, "per_channel_mbps", float, where),
-            )
-        )
-    try:
-        demand = DemandProfile(
-            entries=entries,
-            ptz_max_rtt_ms=ctx.get(demand_raw, "ptz_max_rtt_ms", float,
-                                   "demand."),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: demand: {exc}") from exc
-
-    topology = Topology(
-        nodes=nodes,
-        links=links,
-        prop_const_us_per_km=ctx.get(data, "prop_const_us_per_km", float, ""),
-    )
-    violations = validate_topology(topology)
-    if violations:
-        summary = "; ".join(f"{v.code}: {v.detail}" for v in violations)
-        raise ConfigError(f"{path}: invalid topology: {summary}")
-    return topology, demand
-
-
-def load_ns_request(path: str | Path) -> NsRequest:
-    path = Path(path)
-    ctx = _Ctx(path, _load_yaml(path))
-    data = ctx.data
-    chain = []
-    for i, raw in enumerate(ctx.get(data, "vnfs", list, "")):
-        where = f"vnfs[{i}]."
-        try:
-            chain.append(
-                VnfDescriptor(
-                    vnf_id=ctx.get(raw, "vnf_id", str, where),
-                    type_tag=ctx.get(raw, "type_tag", str, where),
-                    cpu_req=ctx.get(raw, "cpu_req", int, where),
-                    mem_req=ctx.get(raw, "mem_req", int, where),
-                    storage_req=ctx.get(raw, "storage_req", int, where),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: vnfs[{i}]: {exc}") from exc
-    try:
-        return NsRequest(
-            ns_id=ctx.get(data, "ns_id", str, ""),
-            chain=chain,
-            max_rtt_us=ctx.get(data, "max_rtt_us", float, ""),
-            k=ctx.get(data, "k", int, "", required=False, default=10),
-            ingress=ctx.get(data, "ingress", str, "", required=False),
-            egress=ctx.get(data, "egress", str, "", required=False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class CalibrationRow:
     """One measurement row: an element sequence and a patched fibre length."""
@@ -244,167 +90,226 @@ class CalibrationRow:
 
 @dataclass
 class Scenario:
+    """One loaded scenario file. Each field comes from the YAML key of its
+    name, or from the one ``_KEYS`` gives it."""
+
     topology: Topology
     demand: DemandProfile
     request: NsRequest
-    timing: TimingConfig
-    probe_cfg: TrainConfig
-    trains_per_row: int
-    degradation: DegradationScenario
-    detector: DetectorConfig
-    rows: list[CalibrationRow]
-    element_overrides: dict[str, ElementParams]
     probe_endpoints: tuple[str, str]
-    sip_tunability: tuple[int, int]
-    tp_tunability: tuple[int, int]
-    slot_floor_n: int
-    slot_m: int
-    abstract_ols: bool
-    tx_power_dbm: float
-    seed: int
+    timing: TimingConfig = TimingConfig()
+    probe_cfg: TrainConfig = TrainConfig()
+    trains_per_row: int = 10
+    degradation: DegradationScenario = DegradationScenario()
+    detector: DetectorConfig = DetectorConfig()
+    rows: list[CalibrationRow] = field(default_factory=list)
+    element_overrides: dict[str, ElementParams] = field(default_factory=dict)
+    sip_tunability: tuple[int, int] = (-256, 256)
+    tp_tunability: tuple[int, int] = (-256, 256)
+    slot_floor_n: int = 0
+    slot_m: int = DEFAULT_SLOT_M
+    abstract_ols: bool = False
+    tx_power_dbm: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.trains_per_row < 1:
+            raise ValueError("probe.trains_per_row must be >= 1")
+        if self.slot_m < 1:
+            raise ValueError("optical.slot_m must be >= 1")
+        for key, rng in (("sip_tunability_n", self.sip_tunability),
+                         ("tp_tunability_n", self.tp_tunability)):
+            if len(rng) != 2 or rng[0] > rng[1]:
+                raise ValueError(f"optical.{key}: expected [min, max]")
+
+
+#: YAML key of each field whose key is not its name; a dotted key reaches
+#: into a section. ``None``: no key sets the field.
+_KEYS: dict[tuple[type, str], str | None] = {
+    (Node, "node_id"): "id",
+    (Link, "link_id"): "id",
+    (NsRequest, "chain"): "vnfs",
+    (TrainConfig, "train_id"): None,
+    (CalibrationRow, "path_nodes"): "path",
+    (Scenario, "probe_cfg"): "probe",
+    (Scenario, "trains_per_row"): "probe.trains_per_row",
+    (Scenario, "detector"): "degradation",
+    (Scenario, "rows"): "calibration_rows",
+    (Scenario, "element_overrides"): "dataplane.element_overrides",
+    (Scenario, "sip_tunability"): "optical.sip_tunability_n",
+    (Scenario, "tp_tunability"): "optical.tp_tunability_n",
+    (Scenario, "slot_floor_n"): "optical.slot_floor_n",
+    (Scenario, "slot_m"): "optical.slot_m",
+    (Scenario, "abstract_ols"): "optical.abstract_view",
+    (Scenario, "tx_power_dbm"): "optical.tx_power_dbm",
+}
+
+_ABSENT = object()
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, str, typing.Any, bool], ...]:
+    """(field name, YAML key, type, required) of each field ``cls`` reads."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, key, hints[f.name],
+         f.default is dataclasses.MISSING
+         and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+        if (key := _KEYS.get((cls, f.name), f.name)) is not None
+    )
+
+
+class _Reader:
+    """Reads one file's mappings into dataclasses; ``where`` is the key
+    path of the mapping at hand, empty or ending in a dot."""
+
+    def __init__(self, path: Path):
+        self.file = path
+
+    def get(self, mapping: dict, key: str, tp, where: str,
+            required: bool = True):
+        """``mapping[key]`` as a ``tp``, or ``_ABSENT``; a dotted key walks
+        the sections on its way."""
+        *sections, key = key.split(".")
+        for name in sections:
+            where += name
+            mapping = self.convert(mapping.get(name, {}), dict, where)
+            where += "."
+        if key in mapping:
+            return self.convert(mapping[key], tp, where + key)
+        if required:
+            raise ConfigError(f"{self.file}: missing key {where}{key}")
+        return _ABSENT
+
+    def build(self, cls: type, mapping: dict, where: str, **given):
+        """``cls`` from the keys of ``mapping``; ``given`` fields are set by
+        the caller instead."""
+        kwargs = dict(given)
+        for name, key, tp, required in _schema(cls):
+            if name not in kwargs:
+                value = self.get(mapping, key, tp, where, required)
+                if value is not _ABSENT:
+                    kwargs[name] = value
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            section = where.rstrip(".")
+            prefix = f"{section}: " if section else ""
+            raise ConfigError(f"{self.file}: {prefix}{exc}") from exc
+
+    def convert(self, value, tp, key: str):
+        """Check ``value`` (found at ``key``) against the annotation ``tp``.
+
+        Tuples are homogeneous: every item is read as the first type
+        argument, and the dataclass checks the length.
+        """
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if origin in (typing.Union, types.UnionType):
+            if value is None:
+                return None
+            (tp,) = (a for a in args if a is not type(None))
+            return self.convert(value, tp, key)
+        if dataclasses.is_dataclass(tp):
+            return self.build(tp, self.convert(value, dict, key), key + ".")
+        if origin is dict:
+            return {
+                k: self.convert(v, args[1], f"{key}.{k}")
+                for k, v in self.convert(value, dict, key).items()
+            }
+        if origin in (list, tuple, frozenset):
+            return origin(
+                self.convert(v, args[0], f"{key}[{i}]")
+                for i, v in enumerate(self.convert(value, list, key))
+            )
+        if issubclass(tp, Enum):
+            try:
+                return tp(value)
+            except ValueError:
+                name = key.rpartition(".")[2]
+                raise ConfigError(
+                    f"{self.file}: {key}: unknown {name} {value!r}"
+                ) from None
+        if tp is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, tp) or (
+            isinstance(value, bool) and tp is not bool
+        ):
+            raise ConfigError(
+                f"{self.file}: {key}: expected {tp.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        return value
+
+
+def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
+    path = Path(path)
+    read = _Reader(path)
+    data = _load_yaml(path)
+
+    vims: dict[str, VimStatus] = {}
+    for i, vim in enumerate(read.get(data, "vims", list[VimStatus], "")):
+        if vim.vim_id in vims:
+            raise ConfigError(f"{path}: vims[{i}]: duplicate id {vim.vim_id}")
+        vims[vim.vim_id] = vim
+
+    nodes = []
+    for i, raw in enumerate(read.get(data, "nodes", list[dict], "")):
+        where = f"nodes[{i}]."
+        vim_id = read.get(raw, "vim", str, where, required=False)
+        if vim_id is not _ABSENT and vim_id not in vims:
+            raise ConfigError(f"{path}: nodes[{i}].vim: unknown VIM {vim_id!r}")
+        nodes.append(read.build(Node, raw, where, vim=vims.get(vim_id)))
+
+    topology = read.build(
+        Topology, data, "",
+        nodes=nodes, links=read.get(data, "links", list[Link], ""),
+    )
+    demand = read.get(data, "demand", DemandProfile, "")
+    violations = validate_topology(topology)
+    if violations:
+        summary = "; ".join(f"{v.code}: {v.detail}" for v in violations)
+        raise ConfigError(f"{path}: invalid topology: {summary}")
+    return topology, demand
+
+
+def load_ns_request(path: str | Path) -> NsRequest:
+    path = Path(path)
+    return _Reader(path).build(NsRequest, _load_yaml(path), "")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    ctx = _Ctx(path, _load_yaml(path))
-    data = ctx.data
+    read = _Reader(path)
+    data = _load_yaml(path)
 
-    topo_file = path.parent / ctx.get(data, "topology", str, "")
-    req_file = path.parent / ctx.get(data, "ns_request", str, "")
-    topology, demand = load_topology(topo_file)
-    request = load_ns_request(req_file)
+    topology, demand = load_topology(
+        path.parent / read.get(data, "topology", str, "")
+    )
+    request = load_ns_request(path.parent / read.get(data, "ns_request", str, ""))
+    scenario = read.build(
+        Scenario, data, "", topology=topology, demand=demand, request=request
+    )
 
-    t = ctx.get(data, "timing", dict, "", required=False, default={})
-    try:
-        timing = TimingConfig(
-            vnf_instantiation_s=ctx.get(t, "vnf_instantiation_s", float,
-                                        "timing.", False, 40.0),
-            media_channel_s=ctx.get(t, "media_channel_s", float,
-                                    "timing.", False, 5.0),
-            tp_config_s=ctx.get(t, "tp_config_s", float, "timing.", False, 2.0),
-            laser_warmup_s=ctx.get(t, "laser_warmup_s", float,
-                                   "timing.", False, 125.0),
-            packet_config_s=ctx.get(t, "packet_config_s", float,
-                                    "timing.", False, 2.0),
-            orchestration_overhead_s=ctx.get(
-                t, "orchestration_overhead_s", float, "timing.", False, 3.0),
-            parallel_transponders=ctx.get(
-                t, "parallel_transponders", bool, "timing.", False, True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: timing: {exc}") from exc
-
-    p = ctx.get(data, "probe", dict, "", required=False, default={})
-    bert_raw = ctx.get(p, "bert_type", str, "probe.", False, "Prbs31")
-    try:
-        bert = BertType(bert_raw)
-    except ValueError:
-        raise ConfigError(
-            f"{path}: probe.bert_type: unknown type {bert_raw!r}"
-        ) from None
-    try:
-        probe_cfg = TrainConfig(
-            count=ctx.get(p, "count", int, "probe.", False, 1_000_000),
-            ip_payload_bytes=ctx.get(p, "ip_payload_bytes", int,
-                                     "probe.", False, 1456),
-            vlan_id=ctx.get(p, "vlan_id", int, "probe.", False, 100),
-            bert_type=bert,
-            timeout_ms=ctx.get(p, "timeout_ms", int, "probe.", False, 10_000),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: probe: {exc}") from exc
-    trains_per_row = ctx.get(p, "trains_per_row", int, "probe.", False, 10)
-
-    d = ctx.get(data, "degradation", dict, "", required=False, default={})
-    try:
-        degradation = DegradationScenario(
-            ramp_db_per_s=ctx.get(d, "ramp_db_per_s", float,
-                                  "degradation.", False, 0.25),
-            duration_s=ctx.get(d, "duration_s", float,
-                               "degradation.", False, 100.0),
-            snr0_db=ctx.get(d, "snr0_db", float, "degradation.", False, 23.0),
-            sample_period_s=ctx.get(d, "sample_period_s", float,
-                                    "degradation.", False, 1.0),
-            ramp_start_s=ctx.get(d, "ramp_start_s", float,
-                                 "degradation.", False, 10.0),
-        )
-        detector = DetectorConfig(
-            delta_db=ctx.get(d, "delta_db", float, "degradation.", False, 0.5),
-            consecutive=ctx.get(d, "consecutive", int,
-                                "degradation.", False, 3),
-            fec_limit_ber=ctx.get(d, "fec_limit_ber", float,
-                                  "degradation.", False, 2.0e-2),
-            baseline_window=ctx.get(d, "baseline_window", int,
-                                    "degradation.", False, 10),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: degradation: {exc}") from exc
-
-    dp = ctx.get(data, "dataplane", dict, "", required=False, default={})
-    overrides = {}
-    for node_id, raw in ctx.get(dp, "element_overrides", dict, "dataplane.",
-                                False, {}).items():
-        where = f"dataplane.element_overrides.{node_id}."
-        overrides[node_id] = ElementParams(
-            loss_prob=ctx.get(raw, "loss_prob", float, where, False, 0.0),
-            jitter_std_ns=ctx.get(raw, "jitter_std_ns", float, where,
-                                  False, 0.0),
-        )
-
-    o = ctx.get(data, "optical", dict, "", required=False, default={})
-    sip_tun = ctx.get(o, "sip_tunability_n", list, "optical.",
-                      False, [-256, 256])
-    tp_tun = ctx.get(o, "tp_tunability_n", list, "optical.",
-                     False, [-256, 256])
-    for name, rng in (("sip_tunability_n", sip_tun), ("tp_tunability_n", tp_tun)):
-        if len(rng) != 2 or rng[0] > rng[1]:
-            raise ConfigError(f"{path}: optical.{name}: expected [min, max]")
-
-    rows = []
-    for i, raw in enumerate(ctx.get(data, "calibration_rows", list, "",
-                                    required=False, default=[])):
-        where = f"calibration_rows[{i}]."
-        nodes = ctx.get(raw, "path", list, where)
-        for nid in nodes:
-            if not topology.has_node(nid):
+    known = {n.node_id for n in topology.nodes}
+    for i, row in enumerate(scenario.rows):
+        for nid in row.path_nodes:
+            if nid not in known:
                 raise ConfigError(
                     f"{path}: calibration_rows[{i}].path: unknown node {nid!r}"
                 )
-        rows.append(
-            CalibrationRow(
-                label=ctx.get(raw, "label", str, where),
-                length_km=ctx.get(raw, "length_km", float, where),
-                path_nodes=tuple(nodes),
-            )
-        )
-
-    endpoints = ctx.get(data, "probe_endpoints", list, "")
-    if len(endpoints) != 2 or not all(topology.has_node(e) for e in endpoints):
+    if len(scenario.probe_endpoints) != 2 or not known.issuperset(
+        scenario.probe_endpoints
+    ):
         raise ConfigError(
             f"{path}: probe_endpoints: expected two known node ids"
         )
-
-    return Scenario(
-        topology=topology,
-        demand=demand,
-        request=request,
-        timing=timing,
-        probe_cfg=probe_cfg,
-        trains_per_row=trains_per_row,
-        degradation=degradation,
-        detector=detector,
-        rows=rows,
-        element_overrides=overrides,
-        probe_endpoints=(endpoints[0], endpoints[1]),
-        sip_tunability=(sip_tun[0], sip_tun[1]),
-        tp_tunability=(tp_tun[0], tp_tun[1]),
-        slot_floor_n=ctx.get(o, "slot_floor_n", int, "optical.", False, 0),
-        slot_m=ctx.get(o, "slot_m", int, "optical.", False, DEFAULT_SLOT_M),
-        abstract_ols=ctx.get(o, "abstract_view", bool, "optical.", False,
-                             False),
-        tx_power_dbm=ctx.get(o, "tx_power_dbm", float, "optical.", False, 0.0),
-        seed=ctx.get(data, "seed", int, "", required=False, default=0),
-    )
+    for nid in scenario.element_overrides:
+        if nid not in known:
+            raise ConfigError(
+                f"{path}: dataplane.element_overrides.{nid}: unknown node"
+            )
+    return scenario
 
 
 def build_world(scenario: Scenario, seed: int | None = None) -> World:

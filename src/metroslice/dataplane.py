@@ -227,8 +227,8 @@ class DegradationScenario:
     failure starts developing.
     """
 
-    ramp_db_per_s: float
-    duration_s: float
+    ramp_db_per_s: float = 0.25
+    duration_s: float = 100.0
     snr0_db: float = 23.0
     sample_period_s: float = 1.0
     ramp_start_s: float = 0.0
@@ -290,6 +290,12 @@ DEFAULT_ELEMENT_PARAMS: dict[NodeKind, tuple[float, float]] = {
 class ElementParams:
     loss_prob: float = 0.0
     jitter_std_ns: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.loss_prob <= 1.0:
+            raise ValueError("loss_prob must be in [0, 1]")
+        if self.jitter_std_ns < 0:
+            raise ValueError("jitter_std_ns must be >= 0")
 
 
 def element_for_node(

@@ -60,7 +60,7 @@ class VimStatus:
     cpu_idle: int
     mem_idle: int
     storage_idle: int
-    instantiable_vnf_types: frozenset[str] = frozenset()
+    instantiable_vnf_types: frozenset[str]
 
     def __post_init__(self) -> None:
         if min(self.cpu_idle, self.mem_idle, self.storage_idle) < 0:
@@ -110,6 +110,10 @@ class Link:
     endpoints: tuple[str, str]
     length_km: float
     kind: LinkKind = LinkKind.FIBER
+
+    def __post_init__(self) -> None:
+        if len(self.endpoints) != 2:
+            raise ValueError(f"{self.link_id}: endpoints must be two node ids")
 
 
 @dataclass

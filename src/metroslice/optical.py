@@ -105,14 +105,6 @@ class Sip:
     port: str
     tunability: frozenset[int] = frozenset()
 
-    def to_record(self) -> dict:
-        return {
-            "sip_id": self.sip_id,
-            "node_id": self.node_id,
-            "port": self.port,
-            "tunability": sorted(self.tunability),
-        }
-
 
 class ChannelState(str, Enum):
     PROVISIONED = "Provisioned"
@@ -367,14 +359,6 @@ class StepEvent:
     phase: TransponderPhase
     t_s: float
 
-    def to_record(self) -> dict:
-        return {
-            "step": self.step,
-            "name": self.name,
-            "phase": self.phase.value,
-            "t_s": self.t_s,
-        }
-
 
 @dataclass
 class VirtualClock:
@@ -408,17 +392,6 @@ class Transponder:
             and self.ready_at_s is not None
             and t_s >= self.ready_at_s
         )
-
-    def to_record(self) -> dict:
-        return {
-            "tp_id": self.tp_id,
-            "phase": self.phase.value,
-            "och": self.och.to_record() if self.och else None,
-            "tx_power_dbm": self.tx_power_dbm,
-            "logical_channels": self.logical_channels,
-            "ready_at_s": self.ready_at_s,
-            "steps": [s.to_record() for s in self.step_log],
-        }
 
 
 def configure_transponder(

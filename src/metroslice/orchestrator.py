@@ -125,7 +125,7 @@ class World:
     mda: MdaController
     demand: DemandProfile
     timing: TimingConfig = TimingConfig()
-    probe_cfg: TrainConfig = TrainConfig(count=1_000_000)
+    probe_cfg: TrainConfig = TrainConfig()
     element_overrides: dict[str, ElementParams] = field(default_factory=dict)
     probe_endpoints: tuple[str, str] | None = None
     slot_floor_n: int = 0

@@ -32,7 +32,6 @@ import numpy as np
 
 from .dataplane import (
     CLOCK_TICK_NS,
-    LINE_RATE_GBPS,
     PathModel,
     one_way_delay_us,
     quantized_delay_pmf,
@@ -83,13 +82,12 @@ class BertType(str, Enum):
 class TrainConfig:
     """Everything needed to emit and account one probe train."""
 
-    count: int
+    count: int = 1_000_000
     ip_payload_bytes: int = 1456
     train_id: int = 1
     vlan_id: int = 100
     bert_type: BertType = BertType.PRBS31
     timeout_ms: int = 10_000
-    line_rate_gbps: float = LINE_RATE_GBPS
 
     def __post_init__(self) -> None:
         if not 1 <= self.count <= MAX_TRAIN_COUNT:
@@ -108,9 +106,7 @@ class TrainConfig:
     @property
     def wire_slot_ns(self) -> float:
         """Back-to-back packet spacing at line rate, full frame on the wire."""
-        return serialization_delay_ns(
-            self.ip_payload_bytes + FRAME_OVERHEAD_BYTES, self.line_rate_gbps
-        )
+        return serialization_delay_ns(self.ip_payload_bytes + FRAME_OVERHEAD_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +234,6 @@ class EchoSet:
     tx_ns: np.ndarray
     rx_ns: np.ndarray
     received: np.ndarray
-
-    @classmethod
-    def from_list(cls, echoes) -> "EchoSet":
-        """Build from [(seq, tx_ns, rx_ns | None), ...]."""
-        n = len(echoes)
-        seq = np.empty(n, dtype=np.int64)
-        tx = np.empty(n, dtype=np.float64)
-        rx = np.zeros(n, dtype=np.float64)
-        got = np.zeros(n, dtype=bool)
-        for i, (s, t, r) in enumerate(echoes):
-            seq[i] = s
-            tx[i] = t
-            if r is not None:
-                rx[i] = r
-                got[i] = True
-        return cls(seq, tx, rx, got)
 
     def reduce(self) -> "TrainReduction":
         """The whole set folded as one block."""

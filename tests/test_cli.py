@@ -7,6 +7,7 @@ import shutil
 import pytest
 import yaml
 
+from metroslice import cli
 from metroslice.cli import main
 from metroslice.config import default_scenario_path
 
@@ -199,6 +200,25 @@ class TestErrors:
     def test_table1_nonpositive_trains(self, capsys, trains):
         line = _usage_error(capsys, "table1", "--trains", trains)
         assert "error: argument --trains" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--k", "0"],
+        ["measure", "--dst", "127.0.0.1:9", "--payload", "10"],
+        ["measure", "--dst", "127.0.0.1:9", "--timeout-ms", "0"],
+        ["degrade", "--ramp", "-1"],
+        ["degrade", "--duration", "-1"],
+    ])
+    def test_out_of_range_override(self, tmp_path, capsys, monkeypatch, argv):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("live_measure reached")
+
+        monkeypatch.setattr(cli, "live_measure", no_socket)
+        rc = main(["--out", str(tmp_path), *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_measure_zero_count(self, capsys):
         line = _usage_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")

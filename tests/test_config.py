@@ -14,7 +14,18 @@ from metroslice.config import (
     load_scenario,
     load_topology,
 )
-from metroslice.model import Link, Node, NodeKind, Topology
+from metroslice.dataplane import DegradationScenario
+from metroslice.mda import DetectorConfig
+from metroslice.model import (
+    DEFAULT_PROP_CONST_US_PER_KM,
+    DemandProfile,
+    Link,
+    Node,
+    NodeKind,
+    Topology,
+)
+from metroslice.orchestrator import TimingConfig
+from metroslice.probe import TrainConfig
 
 
 def _minimal_topology_doc():
@@ -56,6 +67,23 @@ class TestLoadTopology:
         assert topology.node("amen").vim.vim_id == "vim-a"
         assert topology.links[0].length_km == 80.0  # int coerced to float
         assert demand.ptz_max_rtt_ms == 10.0
+
+    def test_optional_keys_take_dataclass_defaults(self, tmp_path):
+        doc = _minimal_topology_doc()
+        del doc["prop_const_us_per_km"]
+        del doc["demand"]["ptz_max_rtt_ms"]
+        del doc["nodes"][1]["fixed_latency_us"]
+        topology, demand = load_topology(_write(tmp_path, doc))
+        assert topology.prop_const_us_per_km == DEFAULT_PROP_CONST_US_PER_KM
+        assert demand.ptz_max_rtt_ms == DemandProfile(entries=[]).ptz_max_rtt_ms
+        assert topology.node("roadm-1").fixed_latency_us == 0.0
+
+    def test_vim_types_stay_required(self, tmp_path):
+        doc = _minimal_topology_doc()
+        del doc["vims"][0]["instantiable_vnf_types"]
+        with pytest.raises(ConfigError,
+                           match=r"missing key vims\[0\]\.instantiable_vnf_types"):
+            load_topology(_write(tmp_path, doc))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="file not found"):
@@ -125,11 +153,26 @@ class TestLoadNsRequest:
         }
         req = load_ns_request(_write(tmp_path, doc, "req.yaml"))
         assert req.ns_id == "ns-x" and req.k == 10 and req.ingress is None
+        doc["ingress"], doc["egress"] = None, "amen"
+        req = load_ns_request(_write(tmp_path, doc, "req.yaml"))
+        assert req.ingress is None and req.egress == "amen"
 
     def test_domain_validation_wrapped(self, tmp_path):
         doc = {"ns_id": "ns-x", "max_rtt_us": 500.0, "vnfs": [], "k": 10}
         with pytest.raises(ConfigError, match="non-empty"):
             load_ns_request(_write(tmp_path, doc, "req.yaml"))
+
+    def test_missing_key_in_list_names_full_path(self, tmp_path):
+        doc = {
+            "ns_id": "ns-x",
+            "max_rtt_us": 500.0,
+            "vnfs": [{"vnf_id": "v1", "type_tag": "vms-core",
+                      "mem_req": 2, "storage_req": 3}],
+        }
+        p = _write(tmp_path, doc, "req.yaml")
+        with pytest.raises(ConfigError) as err:
+            load_ns_request(p)
+        assert str(err.value) == f"{p}: missing key vnfs[0].cpu_req"
 
 
 def _scenario_sandbox(tmp_path, mutate=None):
@@ -206,6 +249,42 @@ class TestLoadScenario:
         assert sc.slot_m == 4
         assert sc.detector.baseline_window == 10
         assert sc.rows == []
+        # Every omitted key takes its dataclass default, nothing else.
+        assert sc.timing == TimingConfig()
+        assert sc.probe_cfg == TrainConfig()
+        assert sc.degradation == DegradationScenario()
+        assert sc.detector == DetectorConfig()
+
+    def test_train_id_is_not_a_key(self, tmp_path):
+        def mutate(doc):
+            doc["probe"]["train_id"] = 7
+
+        sc = load_scenario(_scenario_sandbox(tmp_path, mutate))
+        assert sc.probe_cfg.train_id == TrainConfig().train_id
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda doc: doc["probe"].update(trains_per_row=0),
+         r"probe\.trains_per_row must be >= 1"),
+        (lambda doc: doc.update(dataplane={
+            "element_overrides": {"sw-mcen": {"loss_prob": 2.0}}}),
+         r"dataplane\.element_overrides\.sw-mcen: loss_prob"),
+        (lambda doc: doc.update(dataplane={
+            "element_overrides": {"sw-mcen": {"jitter_std_ns": -5}}}),
+         r"dataplane\.element_overrides\.sw-mcen: jitter_std_ns"),
+        (lambda doc: doc["optical"].update(slot_m=0),
+         r"optical\.slot_m must be >= 1"),
+        (lambda doc: doc["optical"].update(sip_tunability_n=["a", "b"]),
+         r"optical\.sip_tunability_n\[0\]: expected int, got str"),
+        (lambda doc: doc.update(dataplane={
+            "element_overrides": {"ghost": {"loss_prob": 0.1}}}),
+         r"dataplane\.element_overrides\.ghost: unknown node"),
+        (lambda doc: doc["probe"].update(count=True),
+         r"probe\.count: expected int, got bool"),
+    ], ids=["trains_per_row", "loss_prob", "jitter_std_ns", "slot_m",
+            "tunability_items", "override_node", "bool_as_int"])
+    def test_rejected_at_load(self, tmp_path, mutate, match):
+        with pytest.raises(ConfigError, match=match):
+            load_scenario(_scenario_sandbox(tmp_path, mutate))
 
 
 class TestBuildWorld:

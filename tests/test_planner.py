@@ -46,8 +46,10 @@ class TestRttGraph:
         # 80 km of fibre and no intermediate elements: 2 * 80 * 4.899 us.
         t = Topology(
             nodes=[
-                Node("a", NodeKind.AMEN, 0.0, vim=VimStatus("va", 1, 1, 1)),
-                Node("b", NodeKind.MCEN, 0.0, vim=VimStatus("vb", 1, 1, 1)),
+                Node("a", NodeKind.AMEN, 0.0,
+                     vim=VimStatus("va", 1, 1, 1, frozenset())),
+                Node("b", NodeKind.MCEN, 0.0,
+                     vim=VimStatus("vb", 1, 1, 1, frozenset())),
             ],
             links=[Link("l", ("a", "b"), 80.0)],
         )

@@ -183,7 +183,19 @@ class TestGenerateTrain:
 
 
 def _echoes(rows):
-    return EchoSet.from_list(rows)
+    """EchoSet from [(seq, tx_ns, rx_ns | None), ...]."""
+    n = len(rows)
+    seq = np.empty(n, dtype=np.int64)
+    tx = np.empty(n, dtype=np.float64)
+    rx = np.zeros(n, dtype=np.float64)
+    got = np.zeros(n, dtype=bool)
+    for i, (s, t, r) in enumerate(rows):
+        seq[i] = s
+        tx[i] = t
+        if r is not None:
+            rx[i] = r
+            got[i] = True
+    return EchoSet(seq, tx, rx, got)
 
 
 class TestComputeStats:
