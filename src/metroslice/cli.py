@@ -39,7 +39,6 @@ from .model import aggregate_bandwidth_mbps
 from .orchestrator import merge_logs, run_wf1, run_wf2
 from .planner import place
 from .probe import (
-    MAX_TRAIN_COUNT,
     NegativeBudget,
     ProbeError,
     ProbeTimeout,
@@ -184,7 +183,7 @@ def _num(x: float | None, spec: str) -> str:
 
 def cmd_table1(args, scenario: Scenario) -> int:
     cfg = _override(scenario.probe_cfg, count=args.count)
-    trains = args.trains if args.trains is not None else scenario.trains_per_row
+    trains = _override(scenario, trains_per_row=args.trains).trains_per_row
     out = _out_dir(args)
 
     rows_out = []
@@ -324,24 +323,6 @@ def _host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """argparse type: an integer in [lo, hi] (no upper bound if hi is None)."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < lo or (hi is not None and value > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
-    return parse
-
-
-_positive_int = _int_in(1)
-_train_count = _int_in(1, MAX_TRAIN_COUNT)
-
-
 def cmd_measure(args, scenario: Scenario) -> int:
     cfg = _override(scenario.probe_cfg, count=args.count,
                     ip_payload_bytes=args.payload, timeout_ms=args.timeout_ms)
@@ -407,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deploy)
 
     p = sub.add_parser("table1", help="simulate the calibration measurements")
-    p.add_argument("--count", type=_train_count, default=None,
+    p.add_argument("--count", type=int, default=None,
                    help="packets per train (default: scenario)")
-    p.add_argument("--trains", type=_positive_int, default=None,
+    p.add_argument("--trains", type=int, default=None,
                    help="trains per row (default: scenario)")
     p.set_defaults(func=cmd_table1)
 
@@ -432,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst", type=_host_port, required=True, metavar="HOST:PORT")
     p.add_argument("--bind", type=_host_port, default=("0.0.0.0", 0),
                    metavar="HOST:PORT")
-    p.add_argument("--count", type=_train_count, default=None)
+    p.add_argument("--count", type=int, default=None)
     p.add_argument("--payload", type=int, default=None,
                    help="IP payload bytes")
     p.add_argument("--timeout-ms", type=int, default=None)

@@ -23,9 +23,9 @@ import numpy as np
 
 from .model import (
     DEFAULT_PROP_CONST_US_PER_KM,
-    LatencyGraph,
     NodeKind,
     Topology,
+    latency_graph,
 )
 
 #: Hardware timestamping granularity: one tick of the 322 MHz capture clock.
@@ -342,9 +342,12 @@ def path_from_topology(
 
     Traversed nodes (endpoints included) contribute their fixed latency,
     loss and jitter; traversed links contribute propagation length.
+    The route comes from the memoised full Dijkstra run from ``src``: the
+    predecessors on the way to ``dst`` are settled before ``dst`` is and
+    never change after, so it is the route a run stopped at ``dst`` finds.
     """
-    g = LatencyGraph(t)
-    dist, pred = g.shortest_paths(src, dst)
+    g = latency_graph(t)
+    dist, pred = g.paths_from(src)
     if dst not in dist:
         raise NoPath(f"{src} -> {dst}")
     nodes = [dst]

@@ -7,6 +7,7 @@ requisite, and the video-surveillance demand profile used for sizing.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -141,6 +142,21 @@ class Topology:
         raise KeyError(vim_id)
 
 
+def geometry(t: Topology) -> tuple:
+    """Everything a :class:`LatencyGraph` reads from a topology, as a
+    hashable value: node ids and fixed latencies, link endpoints and
+    lengths (both in listed order), and the propagation constant.
+
+    Equal geometries give equal graphs. Numbers are taken as floats, so an
+    int and its float build the same graph.
+    """
+    return (
+        tuple((n.node_id, float(n.fixed_latency_us)) for n in t.nodes),
+        tuple((*l.endpoints, float(l.length_km)) for l in t.links),
+        float(t.prop_const_us_per_km),
+    )
+
+
 class LatencyGraph:
     """One-way latency view of a topology for shortest-path queries.
 
@@ -148,25 +164,29 @@ class LatencyGraph:
     on equal delay the first listed wins. Entering node ``b`` over a link
     costs the link's propagation delay plus ``b``'s fixed latency, so a
     path's cost covers its links, its intermediate nodes and its
-    destination, but not its source.
+    destination, but not its source. Built from a topology or from its
+    :func:`geometry`.
     """
 
-    def __init__(self, topology: Topology):
-        self.fixed = {n.node_id: n.fixed_latency_us for n in topology.nodes}
+    def __init__(self, topology: Topology | tuple):
+        if isinstance(topology, Topology):
+            topology = geometry(topology)
+        nodes, links, prop = topology
+        self.fixed = dict(nodes)
         # node -> neighbour -> (latency_us, length_km). Neighbours keep the
         # order their first link was listed in; Dijkstra's tie-breaking
         # depends on it.
         self._adj: dict[str, dict[str, tuple[float, float]]] = {
             nid: {} for nid in self.fixed
         }
-        for l in topology.links:
-            a, z = l.endpoints
-            lat = l.length_km * topology.prop_const_us_per_km
+        for a, z, length_km in links:
+            lat = length_km * prop
             best = self._adj.setdefault(a, {}).get(z)
             if best is not None and lat >= best[0]:
                 continue
-            self._adj[a][z] = (lat, l.length_km)
-            self._adj.setdefault(z, {})[a] = (lat, l.length_km)
+            self._adj[a][z] = (lat, length_km)
+            self._adj.setdefault(z, {})[a] = (lat, length_km)
+        self._runs: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
 
     def length_km(self, a: str, b: str) -> float:
         """Fibre length of the link kept between two adjacent nodes."""
@@ -201,6 +221,35 @@ class LatencyGraph:
                     pred[u] = v
                     heapq.heappush(heap, (alt, next(order), u))
         return dist, pred
+
+    def paths_from(
+        self, source: str
+    ) -> tuple[dict[str, float], dict[str, str]]:
+        """``shortest_paths(source)`` run to completion, memoised per
+        source. The dicts are shared between callers: read them only.
+        """
+        run = self._runs.get(source)
+        if run is None:
+            run = self._runs[source] = self.shortest_paths(source)
+        return run
+
+
+#: Distinct geometries whose graphs :func:`latency_graph` keeps.
+GRAPH_CACHE_SIZE = 8
+
+
+_graph_of = functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)(LatencyGraph)
+
+
+def latency_graph(t: Topology) -> LatencyGraph:
+    """The shared :class:`LatencyGraph` of ``t``'s current geometry.
+
+    Keyed on :func:`geometry`'s value, never on the object, so a topology
+    edited in place gets the graph of its new geometry. The last
+    ``GRAPH_CACHE_SIZE`` geometries are kept, each with the full Dijkstra
+    runs of the sources queried through :meth:`LatencyGraph.paths_from`.
+    """
+    return _graph_of(geometry(t))
 
 
 @dataclass(frozen=True)

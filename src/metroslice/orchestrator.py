@@ -14,7 +14,7 @@ KPI-3: complete slice setup including VNF instantiation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 from .dataplane import ElementParams, PathModel, path_from_topology
 from .mda import MdaController, MeasurementRecord
@@ -26,7 +26,6 @@ from .model import (
     check_ptz_bound,
 )
 from .optical import (
-    DEFAULT_SLOT_M,
     OlsController,
     OpticalError,
     Transponder,
@@ -115,7 +114,12 @@ class KpiReport:
 
 @dataclass
 class World:
-    """Everything the orchestrator acts on."""
+    """Everything the orchestrator acts on.
+
+    ``slot_floor_n``, ``slot_m``, ``tx_power_dbm`` and ``seed`` are
+    required keywords: their defaults live on ``config.Scenario``, and
+    ``config.build_world`` passes them on.
+    """
 
     topology: Topology
     vims: list[VimStatus]
@@ -128,10 +132,11 @@ class World:
     probe_cfg: TrainConfig = TrainConfig()
     element_overrides: dict[str, ElementParams] = field(default_factory=dict)
     probe_endpoints: tuple[str, str] | None = None
-    slot_floor_n: int = 0
-    slot_m: int = DEFAULT_SLOT_M
-    tx_power_dbm: float = 0.0
-    seed: int = 0
+    _: KW_ONLY
+    slot_floor_n: int
+    slot_m: int
+    tx_power_dbm: float
+    seed: int
 
 
 class _EventLog:

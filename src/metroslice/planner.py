@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import LatencyGraph, NsRequest, Topology, VimStatus
+from .model import NsRequest, Topology, VimStatus, latency_graph
 
 log = logging.getLogger(__name__)
 
@@ -81,12 +81,14 @@ def build_rtt_graph(
     One-way latency of a path is the sum of link propagation delays plus
     the fixed latency of every intermediate node; terminal nodes do not
     charge their own fixed latency. Edge weight is twice the one-way
-    minimum.
+    minimum. The per-terminal Dijkstra runs come from the shared
+    :func:`~metroslice.model.latency_graph`, so an unchanged topology pays
+    for them once.
     """
-    g = LatencyGraph(topology)
+    g = latency_graph(topology)
     weights: dict[tuple[str, str], float] = {}
     for i, u in enumerate(terminal_nodes):
-        dist, _ = g.shortest_paths(u)
+        dist, _ = g.paths_from(u)
         for v in terminal_nodes[i + 1:]:
             if v in dist:
                 # The path cost includes the destination's own fixed
@@ -216,6 +218,14 @@ def place(
     vims: list[VimStatus],
 ) -> PlacementDecision:
     """Select and commit a service chain for the request.
+
+    The ``req.k`` cheapest chains are ranked first, and only then walked
+    for the first feasible one (at most one VNF per VIM). Feasibility is
+    not part of the ranking, so when every one of the k cheapest chains
+    reuses a VIM the request is blocked ``NoValidSC``, even if a feasible
+    chain ranks just below the cut. On a ring where every VIM hosts both
+    VNFs of a two-VNF chain, the V co-located chains cost 0 and fill the
+    list, so ``k <= V`` blocks and ``k = V + 1`` places.
 
     On success the chosen VIMs' idle resources are decremented; a blocked
     request leaves every VIM untouched.

@@ -178,28 +178,30 @@ class TestRecords:
         assert [d["circuit_id"] for d in json.loads(out)] == ["circuit-1"]
 
 
-def _usage_error(capsys, *argv) -> str:
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    return err.splitlines()[-1]
+def _config_error(capsys, *argv) -> str:
+    """The one ``error:`` line of a run that must exit 2 on a bad value."""
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 class TestErrors:
     def test_table1_zero_count(self, capsys):
-        line = _usage_error(capsys, "table1", "--count", "0")
-        assert "error: argument --count" in line
+        line = _config_error(capsys, "table1", "--count", "0")
+        assert "count must be in [1, 4294967295]" in line
 
     def test_table1_count_above_header_field(self, capsys):
-        line = _usage_error(capsys, "table1", "--count", str(2**32))
-        assert "error: argument --count" in line
+        line = _config_error(capsys, "table1", "--count", str(2**32))
+        assert "count must be in [1, 4294967295]" in line
 
     @pytest.mark.parametrize("trains", ["0", "-1"])
     def test_table1_nonpositive_trains(self, capsys, trains):
-        line = _usage_error(capsys, "table1", "--trains", trains)
-        assert "error: argument --trains" in line
+        line = _config_error(capsys, "table1", "--trains", trains)
+        assert "probe.trains_per_row must be >= 1" in line
 
     @pytest.mark.parametrize("argv", [
         ["plan", "--k", "0"],
@@ -221,8 +223,8 @@ class TestErrors:
         assert len(captured.err.splitlines()) == 1
 
     def test_measure_zero_count(self, capsys):
-        line = _usage_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")
-        assert "error: argument --count" in line
+        line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")
+        assert "count must be in [1, 4294967295]" in line
 
     def test_missing_scenario_is_exit_2(self, tmp_path, capsys):
         rc, out = _run(capsys, "--scenario", str(tmp_path / "nope.yaml"),

@@ -1,12 +1,16 @@
 """Domain model: resource bookkeeping, topology validation, demand math."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metroslice import model
+from metroslice.dataplane import NoPath, path_from_topology
 from metroslice.model import (
+    GRAPH_CACHE_SIZE,
     DemandEntry,
     DemandProfile,
     LatencyGraph,
@@ -20,8 +24,10 @@ from metroslice.model import (
     VnfDescriptor,
     aggregate_bandwidth_mbps,
     check_ptz_bound,
+    latency_graph,
     validate_topology,
 )
+from metroslice.planner import build_rtt_graph
 
 from oracles import all_pairs_rtt_us
 
@@ -212,6 +218,97 @@ class TestLatencyGraph:
     def test_unknown_source(self):
         with pytest.raises(KeyError):
             LatencyGraph(_clean_topology()).shortest_paths("nowhere")
+
+
+def _fresh_rtt(t, u, v):
+    """RTT weight from a new graph and an uncached Dijkstra run."""
+    g = LatencyGraph(t)
+    dist, _ = g.shortest_paths(u)
+    return 2.0 * (dist[v] - g.fixed[v]) if v in dist else None
+
+
+def _fresh_route(t, src, dst):
+    """Node ids and length of the route a Dijkstra run stopped at ``dst``
+    finds on a new graph; None when unreachable."""
+    g = LatencyGraph(t)
+    dist, pred = g.shortest_paths(src, dst)
+    if dst not in dist:
+        return None
+    nodes = [dst]
+    while nodes[-1] != src:
+        nodes.append(pred[nodes[-1]])
+    nodes.reverse()
+    return nodes, sum(g.length_km(a, b) for a, b in zip(nodes, nodes[1:]))
+
+
+def _route(t, src, dst):
+    p = path_from_topology(t, src, dst)
+    return [e.element_id for e in p.elements], p.length_km
+
+
+class TestLatencyGraphMemo:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dyadic_topologies())
+    def test_memo_equals_a_fresh_graph(self, t):
+        ids = [n.node_id for n in t.nodes]
+        for _ in range(2):  # first through a cold memo, then a warm one
+            rtt = build_rtt_graph(t, ids)
+            for u in ids:
+                for v in ids:
+                    if u != v:
+                        assert rtt.weight_us(u, v) == _fresh_rtt(t, u, v)
+                    want = _fresh_route(t, u, v)
+                    if want is None:
+                        with pytest.raises(NoPath):
+                            path_from_topology(t, u, v)
+                    else:
+                        assert _route(t, u, v) == want
+
+    def test_equal_geometry_shares_one_graph_and_its_runs(self):
+        t = _clean_topology()
+        g = latency_graph(t)
+        assert latency_graph(copy.deepcopy(t)) is g
+        assert g.paths_from("a") is g.paths_from("a")
+        # VIM state is not geometry.
+        t.nodes[0].vim.cpu_idle = 0
+        assert latency_graph(t) is g
+
+    def test_in_place_edits_are_seen(self):
+        t = _clean_topology()
+
+        def check():
+            got = build_rtt_graph(t, ["a", "b"]).weight_us("a", "b")
+            assert got == _fresh_rtt(t, "a", "b")
+            assert _route(t, "a", "b") == _fresh_route(t, "a", "b")
+            return got
+
+        seen = [check()]
+        t.links[0].length_km = 20.0
+        seen.append(check())
+        t.nodes[1].fixed_latency_us = 5.0
+        seen.append(check())
+        t.prop_const_us_per_km = 5.0
+        seen.append(check())
+        assert len(set(seen)) == len(seen)
+        assert seen[-1] == 2.0 * ((20.0 * 5.0 + 5.0) + 10.0 * 5.0)
+        t.links.append(Link("l3", ("a", "b"), 1.0))
+        assert _route(t, "a", "b") == (["a", "b"], 1.0)
+
+    def test_cache_stays_bounded(self):
+        model._graph_of.cache_clear()
+        base = _clean_topology()
+        graphs = []
+        for i in range(GRAPH_CACHE_SIZE + 3):
+            t = copy.deepcopy(base)
+            t.links[0].length_km = 1.0 + i
+            graphs.append(latency_graph(t))
+            graphs[-1].paths_from("a")
+        info = model._graph_of.cache_info()
+        assert info.currsize == GRAPH_CACHE_SIZE
+        assert info.misses == GRAPH_CACHE_SIZE + 3
+        t = copy.deepcopy(base)
+        t.links[0].length_km = 1.0
+        assert latency_graph(t) is not graphs[0]  # the oldest was evicted
 
 
 class TestDemand:

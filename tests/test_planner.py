@@ -293,3 +293,46 @@ class TestPlace:
             assert got_ranked == [
                 (pytest.approx(c, rel=1e-12), ids) for c, ids in want_ranked
             ]
+
+
+def _uniform_ring(n_vims, tags):
+    """n_vims VIM nodes on a 10 km fibre ring, each hosting every tag."""
+    nodes = [
+        Node(f"s{i}", NodeKind.AMEN, 0.25,
+             vim=VimStatus(f"vim-{i}", 64, 65536, 2000, frozenset(tags)))
+        for i in range(n_vims)
+    ]
+    links = [Link(f"f{i}", (f"s{i}", f"s{(i + 1) % n_vims}"), 10.0)
+             for i in range(n_vims)]
+    return Topology(nodes=nodes, links=links)
+
+
+class TestNoValidScAfterTruncation:
+    """Feasibility (one VNF per VIM) is checked after the top-k cut: the
+    request's ``k`` candidates are ranked first, then walked."""
+
+    def _decide(self, k):
+        t = _uniform_ring(10, ("fw", "nat"))
+        vims = [n.vim for n in t.nodes]
+        req = _req([_vnf("v1", tag="fw"), _vnf("v2", tag="nat")], k=k)
+        want = brute_force_place(req, t, vims)
+        return place(req, t, vims), want, vims
+
+    def test_k10_blocks_on_the_ten_colocated_chains(self):
+        decision, want, vims = self._decide(10)
+        assert decision.block_reason is BlockReason.NO_VALID_SC
+        assert want[0] == "NoValidSC"
+        # Every VIM next to itself costs 0, so the ten cheapest chains
+        # are the ten co-located ones, none of them feasible.
+        assert [c.vim_ids for c in decision.ranked] == [
+            (f"vim-{i}", f"vim-{i}") for i in range(10)
+        ]
+        assert {c.cost_us for c in decision.ranked} == {0.0}
+        assert all(v.cpu_idle == 64 for v in vims)
+
+    def test_k11_places_the_eleventh(self):
+        decision, want, _ = self._decide(11)
+        assert decision.placed
+        assert decision.candidate == decision.ranked[10]
+        assert decision.candidate.vim_ids == want[1][1] == ("vim-0", "vim-1")
+        assert decision.candidate.cost_us > 0.0
