@@ -46,6 +46,7 @@ from .probe import (
     latency_budget,
     theoretical_ceiling_mbps,
 )
+from .records import write_json, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -54,21 +55,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def _dump_jsonl(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _override(obj, **changes):
@@ -94,7 +80,7 @@ def cmd_plan(args, scenario: Scenario) -> int:
     decision = place(req, world.topology, world.vims)
 
     if args.json:
-        _print_json(decision.to_record())
+        write_json(decision.to_record())
         return 0 if decision.placed else 1
 
     print(f"request {req.ns_id}: {len(req.chain)} VNFs, "
@@ -120,9 +106,9 @@ def cmd_deploy(args, scenario: Scenario) -> int:
 
     decision, report, ev1 = run_wf1(scenario.request, world)
     if not decision.placed:
-        _dump_jsonl(out / "events.jsonl", (e.to_record() for e in ev1))
+        write_jsonl(out / "events.jsonl", ev1)
         if args.json:
-            _print_json(decision.to_record())
+            write_json(decision.to_record())
         else:
             print(f"placement blocked: {decision.block_reason.value}")
         return 1
@@ -139,7 +125,7 @@ def cmd_deploy(args, scenario: Scenario) -> int:
     kpi["placement"] = decision.candidate.to_record()
     kpi["aggregate_demand_mbps"] = aggregate_bandwidth_mbps(world.demand)
     kpi["commissioning"] = [r.verdict for r in records]
-    _dump_json(out / "kpi.json", kpi)
+    write_json(kpi, out / "kpi.json")
     with open(out / "kpi.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "seconds"])
@@ -149,11 +135,11 @@ def cmd_deploy(args, scenario: Scenario) -> int:
         w.writerow(["setup_excl_transponder", report.excl_transponder_s])
         for name, dt in sorted(report.phases.items()):
             w.writerow([f"phase_{name}", dt])
-    _dump_jsonl(out / "events.jsonl", (e.to_record() for e in events))
-    _dump_jsonl(out / "records.jsonl", (r.to_record() for r in records))
+    write_jsonl(out / "events.jsonl", events)
+    write_jsonl(out / "records.jsonl", records)
 
     if args.json:
-        _print_json(kpi)
+        write_json(kpi)
         return 0
     print(f"placed: {', '.join(decision.candidate.vim_ids)}")
     print(f"KPI-1 optical setup       {report.kpi1_s:8.1f} s")
@@ -220,12 +206,9 @@ def cmd_table1(args, scenario: Scenario) -> int:
     budget_rows = ("probe-loopback", "agg-switches", "optical-2m")
     if all(r in first_stats for r in budget_rows):
         try:
-            b = latency_budget(*(first_stats[r] for r in budget_rows))
-            budget = {
-                "probe_us": b.probe_us,
-                "switches_us": b.switches_us,
-                "optical_us": b.optical_us,
-            }
+            budget = latency_budget(
+                *(first_stats[r] for r in budget_rows)
+            ).to_record()
         except NegativeBudget as exc:
             log.warning("budget decomposition failed: %s", exc)
 
@@ -234,10 +217,11 @@ def cmd_table1(args, scenario: Scenario) -> int:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
         w.writerows(rows_out)
-    _dump_json(out / "budget.json", {"rows": rows_out, "budget": budget})
+    calibration = {"rows": rows_out, "budget": budget}
+    write_json(calibration, out / "budget.json")
 
     if args.json:
-        _print_json({"rows": rows_out, "budget": budget})
+        write_json(calibration)
         return 0
     for r in rows_out:
         print(f"{r['label']:>16}  len {r['length_km']:9.4f} km  "
@@ -272,10 +256,10 @@ def cmd_degrade(args, scenario: Scenario) -> int:
         w.writerow(["t_s", "snr_db", "prefec_ber"])
         for q in samples:
             w.writerow([q.t_s, q.snr_db, q.prefec_ber])
-    _dump_json(out / "degrade.json", report.to_record())
+    write_json(report.to_record(), out / "degrade.json")
 
     if args.json:
-        _print_json(report.to_record())
+        write_json(report.to_record())
         return 0
     if not report.detected:
         print("no degradation detected")
@@ -301,7 +285,7 @@ def cmd_records(args, scenario: Scenario | None) -> int:
         circuit_id=args.circuit, t_min_s=args.tmin, t_max_s=args.tmax
     )
     if args.json:
-        _print_json([r.to_record() for r in found])
+        write_json([r.to_record() for r in found])
         return 0
     for r in found:
         rtt = r.stats.rtt_us
@@ -331,12 +315,12 @@ def cmd_measure(args, scenario: Scenario) -> int:
     except ProbeTimeout as exc:
         partial = exc.stats.to_record() if exc.stats else None
         if args.json:
-            _print_json({"error": str(exc), "partial": partial})
+            write_json({"error": str(exc), "partial": partial})
         else:
             print(f"timeout: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        _print_json(stats.to_record())
+        write_json(stats.to_record())
         return 0
     print(f"{stats.received}/{stats.count} echoed, "
           f"rtt min {stats.rtt_us:.3f} us / mean {stats.rtt_mean_us:.3f} us, "

@@ -1,13 +1,8 @@
 """Scenario and topology file loading.
 
-The dataclasses are the schema. Each mapping in a file is read into one
-dataclass by walking its fields: a key that is present is type-checked
-(an int is accepted as a float, an enum is read by value, a list becomes
-a list, tuple or frozenset, and ``X | None`` accepts null), a key that is
-absent takes the field's default, and a key is required only when its
-field has no default. ``_KEYS`` names the YAML key wherever it differs
-from the field name. A dataclass's own ``ValueError`` becomes a
-``ConfigError``.
+Each mapping in a file is read into one dataclass by ``records.Reader``,
+which walks the dataclass's fields; ``_KEYS`` names the YAML key wherever
+it differs from the field name.
 
 Topology files carry exactly these top-level keys (``?``: optional):
 
@@ -28,13 +23,8 @@ offending file and key path in the message.
 from __future__ import annotations
 
 import copy
-import dataclasses
-import functools
 import importlib.resources
-import types
-import typing
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import yaml
@@ -54,10 +44,7 @@ from .model import (
 from .optical import DEFAULT_SLOT_M, OlsController, Sip, Transponder, VirtualClock
 from .orchestrator import TimingConfig, World
 from .probe import TrainConfig
-
-
-class ConfigError(Exception):
-    pass
+from .records import ABSENT, ConfigError, Reader
 
 
 def default_scenario_path() -> Path:
@@ -144,107 +131,9 @@ _KEYS: dict[tuple[type, str], str | None] = {
     (Scenario, "tx_power_dbm"): "optical.tx_power_dbm",
 }
 
-_ABSENT = object()
-
-
-@functools.cache
-def _schema(cls: type) -> tuple[tuple[str, str, typing.Any, bool], ...]:
-    """(field name, YAML key, type, required) of each field ``cls`` reads."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, key, hints[f.name],
-         f.default is dataclasses.MISSING
-         and f.default_factory is dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
-        if (key := _KEYS.get((cls, f.name), f.name)) is not None
-    )
-
-
-class _Reader:
-    """Reads one file's mappings into dataclasses; ``where`` is the key
-    path of the mapping at hand, empty or ending in a dot."""
-
-    def __init__(self, path: Path):
-        self.file = path
-
-    def get(self, mapping: dict, key: str, tp, where: str,
-            required: bool = True):
-        """``mapping[key]`` as a ``tp``, or ``_ABSENT``; a dotted key walks
-        the sections on its way."""
-        *sections, key = key.split(".")
-        for name in sections:
-            where += name
-            mapping = self.convert(mapping.get(name, {}), dict, where)
-            where += "."
-        if key in mapping:
-            return self.convert(mapping[key], tp, where + key)
-        if required:
-            raise ConfigError(f"{self.file}: missing key {where}{key}")
-        return _ABSENT
-
-    def build(self, cls: type, mapping: dict, where: str, **given):
-        """``cls`` from the keys of ``mapping``; ``given`` fields are set by
-        the caller instead."""
-        kwargs = dict(given)
-        for name, key, tp, required in _schema(cls):
-            if name not in kwargs:
-                value = self.get(mapping, key, tp, where, required)
-                if value is not _ABSENT:
-                    kwargs[name] = value
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            section = where.rstrip(".")
-            prefix = f"{section}: " if section else ""
-            raise ConfigError(f"{self.file}: {prefix}{exc}") from exc
-
-    def convert(self, value, tp, key: str):
-        """Check ``value`` (found at ``key``) against the annotation ``tp``.
-
-        Tuples are homogeneous: every item is read as the first type
-        argument, and the dataclass checks the length.
-        """
-        origin, args = typing.get_origin(tp), typing.get_args(tp)
-        if origin in (typing.Union, types.UnionType):
-            if value is None:
-                return None
-            (tp,) = (a for a in args if a is not type(None))
-            return self.convert(value, tp, key)
-        if dataclasses.is_dataclass(tp):
-            return self.build(tp, self.convert(value, dict, key), key + ".")
-        if origin is dict:
-            return {
-                k: self.convert(v, args[1], f"{key}.{k}")
-                for k, v in self.convert(value, dict, key).items()
-            }
-        if origin in (list, tuple, frozenset):
-            return origin(
-                self.convert(v, args[0], f"{key}[{i}]")
-                for i, v in enumerate(self.convert(value, list, key))
-            )
-        if issubclass(tp, Enum):
-            try:
-                return tp(value)
-            except ValueError:
-                name = key.rpartition(".")[2]
-                raise ConfigError(
-                    f"{self.file}: {key}: unknown {name} {value!r}"
-                ) from None
-        if tp is float and type(value) is int:
-            value = float(value)
-        if not isinstance(value, tp) or (
-            isinstance(value, bool) and tp is not bool
-        ):
-            raise ConfigError(
-                f"{self.file}: {key}: expected {tp.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        return value
-
-
 def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
     path = Path(path)
-    read = _Reader(path)
+    read = Reader(path, _KEYS)
     data = _load_yaml(path)
 
     vims: dict[str, VimStatus] = {}
@@ -257,7 +146,7 @@ def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
     for i, raw in enumerate(read.get(data, "nodes", list[dict], "")):
         where = f"nodes[{i}]."
         vim_id = read.get(raw, "vim", str, where, required=False)
-        if vim_id is not _ABSENT and vim_id not in vims:
+        if vim_id is not ABSENT and vim_id not in vims:
             raise ConfigError(f"{path}: nodes[{i}].vim: unknown VIM {vim_id!r}")
         nodes.append(read.build(Node, raw, where, vim=vims.get(vim_id)))
 
@@ -275,12 +164,12 @@ def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
 
 def load_ns_request(path: str | Path) -> NsRequest:
     path = Path(path)
-    return _Reader(path).build(NsRequest, _load_yaml(path), "")
+    return Reader(path, _KEYS).build(NsRequest, _load_yaml(path), "")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    read = _Reader(path)
+    read = Reader(path, _KEYS)
     data = _load_yaml(path)
 
     topology, demand = load_topology(

@@ -9,7 +9,6 @@ anticipates the pre-FEC BER limit crossing.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 from .dataplane import ChannelQuality
 from .optical import VirtualClock
 from .probe import ProbeTimeout, TrainConfig, TrainStats
+from .records import Record, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -25,7 +25,7 @@ FEC_LIMIT_BER = 2.0e-2
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(Record):
     circuit_id: str
     vlan_id: int
     t_virtual_s: float
@@ -33,29 +33,6 @@ class MeasurementRecord:
     max_rtt_us: float
     verdict: str  # "pass" | "fail"
     reason: str | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "circuit_id": self.circuit_id,
-            "vlan_id": self.vlan_id,
-            "t_virtual_s": self.t_virtual_s,
-            "stats": self.stats.to_record(),
-            "max_rtt_us": self.max_rtt_us,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "MeasurementRecord":
-        return cls(
-            circuit_id=rec["circuit_id"],
-            vlan_id=rec["vlan_id"],
-            t_virtual_s=rec["t_virtual_s"],
-            stats=TrainStats.from_record(rec["stats"]),
-            max_rtt_us=rec["max_rtt_us"],
-            verdict=rec["verdict"],
-            reason=rec.get("reason"),
-        )
 
 
 class MdaController:
@@ -135,20 +112,16 @@ class MdaController:
 
     def export_jsonl(self, path: str | Path) -> int:
         records = self.query_records()
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(json.dumps(r.to_record(), sort_keys=True))
-                fh.write("\n")
+        write_jsonl(path, records)
         return len(records)
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "MdaController":
+        """Read an ``export_jsonl`` file; a malformed line raises
+        ConfigError naming the file, the line and the key."""
         mda = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    mda.append(MeasurementRecord.from_record(json.loads(line)))
+        for record in read_jsonl(path, MeasurementRecord):
+            mda.append(record)
         return mda
 
 
@@ -171,19 +144,11 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class SoftFailureReport:
+class SoftFailureReport(Record):
     detected: bool
     t_detect_s: float | None = None
     t_fec_s: float | None = None
     anticipation_s: float | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "detected": self.detected,
-            "t_detect_s": self.t_detect_s,
-            "t_fec_s": self.t_fec_s,
-            "anticipation_s": self.anticipation_s,
-        }
 
 
 def detect_soft_failure(

@@ -129,9 +129,6 @@ class Topology:
                 return n
         raise KeyError(node_id)
 
-    def has_node(self, node_id: str) -> bool:
-        return any(n.node_id == node_id for n in self.nodes)
-
     def vim_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.vim is not None]
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import LinkKind, NodeKind, Topology
+from .records import Record
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +59,7 @@ class FrequencyOutOfRange(OpticalError):
 
 
 @dataclass(frozen=True)
-class FrequencySlot:
+class FrequencySlot(Record):
     """Flexgrid slot: center = 193.1 THz + n * 6.25 GHz, width = m * 12.5 GHz.
 
     In units of the 6.25 GHz grid the slot occupies [n - m, n + m]; two
@@ -67,6 +68,8 @@ class FrequencySlot:
 
     n: int
     m: int = DEFAULT_SLOT_M
+
+    DERIVED = ("center_thz", "width_ghz")
 
     def __post_init__(self) -> None:
         if self.m <= 0:
@@ -87,14 +90,6 @@ class FrequencySlot:
     def overlaps(self, other: "FrequencySlot") -> bool:
         return abs(self.n - other.n) < self.m + other.m
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "center_thz": self.center_thz,
-            "width_ghz": self.width_ghz,
-        }
-
 
 @dataclass(frozen=True)
 class Sip:
@@ -112,23 +107,13 @@ class ChannelState(str, Enum):
 
 
 @dataclass
-class MediaChannel:
+class MediaChannel(Record):
     mc_id: str
     a_sip: str
     z_sip: str
     slot: FrequencySlot
     route: tuple[str, ...]
     state: ChannelState = ChannelState.PROVISIONED
-
-    def to_record(self) -> dict:
-        return {
-            "mc_id": self.mc_id,
-            "a_sip": self.a_sip,
-            "z_sip": self.z_sip,
-            "slot": self.slot.to_record(),
-            "route": list(self.route),
-            "state": self.state.value,
-        }
 
 
 @dataclass(frozen=True)
@@ -340,8 +325,6 @@ class TransponderPhase(str, Enum):
     ASSIGNED = "Assigned"
 
 
-_PHASE_ORDER = list(TransponderPhase)
-
 #: The five bring-up steps, in order, with the phase each one reaches.
 CONFIG_STEPS: tuple[tuple[str, TransponderPhase], ...] = (
     ("create_line_logical_channels", TransponderPhase.LINE_CHANNELS_CREATED),
@@ -420,9 +403,6 @@ def configure_transponder(
     step_dt = config_duration_s / len(CONFIG_STEPS)
     for i, (name, phase) in enumerate(CONFIG_STEPS, start=1):
         clock.advance(step_dt)
-        prev = _PHASE_ORDER.index(tp.phase)
-        if _PHASE_ORDER.index(phase) <= prev:
-            raise InvalidPhase(f"{tp.tp_id}: phase cannot move backwards")
         tp.phase = phase
         tp.step_log.append(StepEvent(i, name, phase, clock.now_s))
         if phase is TransponderPhase.LINE_CHANNELS_CREATED:
@@ -452,3 +432,11 @@ def configure_transponder(
             ]
     tp.ready_at_s = clock.now_s + laser_warmup_s
     return tp
+
+
+def reset_transponder(tp: Transponder) -> None:
+    """Undo ``configure_transponder``: back to Blank, as built."""
+    tp.phase = TransponderPhase.BLANK
+    tp.och = tp.tx_power_dbm = tp.ready_at_s = None
+    tp.logical_channels = {}
+    tp.step_log = []

@@ -13,8 +13,9 @@ KPI-3: complete slice setup including VNF instantiation.
 
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 
 from .dataplane import ElementParams, PathModel, path_from_topology
 from .mda import MdaController, MeasurementRecord
@@ -31,9 +32,11 @@ from .optical import (
     Transponder,
     VirtualClock,
     configure_transponder,
+    reset_transponder,
 )
 from .planner import PlacementDecision, place
 from .probe import SimulatedProbe, TrainConfig
+from .records import Record
 
 log = logging.getLogger(__name__)
 
@@ -43,8 +46,8 @@ class OrchestratorError(Exception):
 
 
 class WorkflowError(OrchestratorError):
-    """Provisioning failed; the media channel and VIM allocations were
-    rolled back."""
+    """Provisioning failed; the transponders, the media channel and the
+    VIM allocations were rolled back."""
 
 
 class IncompleteLog(OrchestratorError):
@@ -77,39 +80,21 @@ class TimingConfig:
 
 
 @dataclass(frozen=True)
-class WorkflowEvent:
+class WorkflowEvent(Record):
     seq: int
     t_virtual_s: float
     actor: str
     label: str
     detail: dict = field(default_factory=dict)
 
-    def to_record(self) -> dict:
-        return {
-            "seq": self.seq,
-            "t_virtual_s": self.t_virtual_s,
-            "actor": self.actor,
-            "label": self.label,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
-class KpiReport:
+class KpiReport(Record):
     kpi1_s: float
     kpi2_s: float
     kpi3_s: float
     excl_transponder_s: float
     phases: dict
-
-    def to_record(self) -> dict:
-        return {
-            "kpi1_s": self.kpi1_s,
-            "kpi2_s": self.kpi2_s,
-            "kpi3_s": self.kpi3_s,
-            "excl_transponder_s": self.excl_transponder_s,
-            "phases": self.phases,
-        }
 
 
 @dataclass
@@ -150,19 +135,16 @@ class _EventLog:
         # Stable by timestamp: simultaneous events keep insertion order, so
         # the interleaving of parallel branches is reproducible.
         ordered = sorted(self._staged, key=lambda e: e[0])
-        return [
-            WorkflowEvent(seq=i + 1, t_virtual_s=t, actor=actor, label=label,
-                          detail=detail)
-            for i, (t, actor, label, detail) in enumerate(ordered)
-        ]
+        return [WorkflowEvent(seq, *e) for seq, e in enumerate(ordered, start=1)]
 
 
 def run_wf1(
     req: NsRequest, world: World
 ) -> tuple[PlacementDecision, KpiReport | None, list[WorkflowEvent]]:
     """Instantiate a slice. Blocked requests return a three-event log and
-    no KPI report; a failure after placement rolls back the media channel
-    and the VIM allocations before it raises."""
+    no KPI report; a failure after placement rolls back the transponders
+    it configured, the media channel and the VIM allocations before it
+    raises."""
     timing = world.timing
     events = _EventLog()
     t0 = 0.0
@@ -208,6 +190,7 @@ def run_wf1(
 
     t_optical_start = t_packet_done
     created_mc = None
+    configured = []
     try:
         sips, view = world.ols.get_context()
         events.add(
@@ -253,6 +236,7 @@ def run_wf1(
                 config_duration_s=timing.tp_config_s,
                 laser_warmup_s=timing.laser_warmup_s,
             )
+            configured.append(tp)
             ready_times.append(tp.ready_at_s)
             if not timing.parallel_transponders:
                 t_tp_cursor = clock.now_s
@@ -264,8 +248,10 @@ def run_wf1(
         events.add(t_tp_done, "transponder", "transponders_configured",
                    tp_ids=[a_tp, z_tp])
     except Exception as exc:
-        # All or nothing: undo the media channel and the VIM allocations
-        # that place() committed.
+        # All or nothing: undo the transponders, the media channel and the
+        # VIM allocations that place() committed.
+        for tp in configured:
+            reset_transponder(tp)
         if created_mc is not None:
             world.ols.delete_media_channel(created_mc.mc_id)
         vims = {v.vim_id: v for v in world.vims}
@@ -412,13 +398,7 @@ def run_wf2(
 
 def merge_logs(*logs: list[WorkflowEvent]) -> list[WorkflowEvent]:
     """Concatenate workflow logs into one consistently numbered sequence."""
-    merged = []
-    seq = 0
-    for events in logs:
-        for e in events:
-            seq += 1
-            merged.append(
-                WorkflowEvent(seq=seq, t_virtual_s=e.t_virtual_s,
-                              actor=e.actor, label=e.label, detail=e.detail)
-            )
-    return merged
+    return [
+        replace(e, seq=seq)
+        for seq, e in enumerate(itertools.chain(*logs), start=1)
+    ]

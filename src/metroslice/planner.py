@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import NsRequest, Topology, VimStatus, latency_graph
+from .records import Record
 
 log = logging.getLogger(__name__)
 
@@ -28,32 +29,25 @@ class BlockReason(str, Enum):
 
 
 @dataclass(frozen=True)
-class ServiceChainCandidate:
+class ServiceChainCandidate(Record):
     """One assignment of the chain's VNFs to VIMs, with its RTT cost."""
 
     vim_ids: tuple[str, ...]
     cost_us: float
 
-    def to_record(self) -> dict:
-        return {"vim_ids": list(self.vim_ids), "cost_us": self.cost_us}
-
 
 @dataclass(frozen=True)
-class PlacementDecision:
+class PlacementDecision(Record):
     candidate: ServiceChainCandidate | None
     block_reason: BlockReason | None
     ranked: tuple[ServiceChainCandidate, ...] = ()
 
+    DERIVED = ("placed",)
+    OMITTED = ("ranked",)
+
     @property
     def placed(self) -> bool:
         return self.candidate is not None
-
-    def to_record(self) -> dict:
-        return {
-            "placed": self.placed,
-            "candidate": self.candidate.to_record() if self.candidate else None,
-            "block_reason": self.block_reason.value if self.block_reason else None,
-        }
 
 
 class RttGraph:

@@ -38,6 +38,7 @@ from .dataplane import (
     serialization_delay_ns,
     transmit_train,
 )
+from .records import Record
 
 MAGIC = 0x4D485052
 VERSION = 1
@@ -320,7 +321,7 @@ class TrainReduction:
 
 
 @dataclass(frozen=True, slots=True)
-class TrainStats:
+class TrainStats(Record):
     """Aggregate results of one train.
 
     ``rtt_us`` is the minimum over the train (robust to jitter);
@@ -338,6 +339,12 @@ class TrainStats:
     duration_s: float | None
     two_way_propagation_us: float | None = None
 
+    DERIVED = ("loss_rate",)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.received <= self.count or self.count < 1:
+            raise ValueError(f"count {self.count}, received {self.received}")
+
     @property
     def lost(self) -> int:
         return self.count - self.received
@@ -345,33 +352,6 @@ class TrainStats:
     @property
     def loss_rate(self) -> float:
         return self.lost / self.count
-
-    def to_record(self) -> dict:
-        return {
-            "count": self.count,
-            "received": self.received,
-            "loss_rate": self.loss_rate,
-            "rtt_us": self.rtt_us,
-            "rtt_mean_us": self.rtt_mean_us,
-            "jitter_ns": self.jitter_ns,
-            "throughput_mbps": self.throughput_mbps,
-            "duration_s": self.duration_s,
-            "two_way_propagation_us": self.two_way_propagation_us,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "TrainStats":
-        fields = {k: rec.get(k) for k in (
-            "count",
-            "received",
-            "rtt_us",
-            "rtt_mean_us",
-            "jitter_ns",
-            "throughput_mbps",
-            "duration_s",
-            "two_way_propagation_us",
-        )}
-        return cls(**fields)
 
 
 def compute_stats(
@@ -424,7 +404,7 @@ def theoretical_ceiling_mbps(ip_payload_bytes: int) -> float:
 
 
 @dataclass(frozen=True)
-class LatencyBudget:
+class LatencyBudget(Record):
     """Two-way fixed-latency contributions, in microseconds."""
 
     probe_us: float

@@ -226,6 +226,27 @@ class TestErrors:
         line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")
         assert "count must be in [1, 4294967295]" in line
 
+    @pytest.mark.parametrize("edit, argv, message", [
+        (lambda r: r.pop("vlan_id"), [], "missing key vlan_id"),
+        (None, [], "invalid JSON"),
+        (lambda r: r.update(t_virtual_s="x"), [], "t_virtual_s: expected float, got str"),
+        (lambda r: r.update(t_virtual_s="x"), ["--tmin", "0"], "t_virtual_s: expected float"),
+        (lambda r: r["stats"].update(count=0, received=0), [], "stats: count 0, received 0"),
+    ], ids=["missing-key", "not-json", "bad-type", "bad-type-tmin", "zero-count"])
+    def test_malformed_records_file(self, tmp_path, capsys, edit, argv, message):
+        # The second line is the bad one; the error names the file and line.
+        _run(capsys, "--out", str(tmp_path), "deploy")
+        path = tmp_path / "records.jsonl"
+        good = path.read_text()
+        bad = "{not json"
+        if edit is not None:
+            rec = json.loads(good)
+            edit(rec)
+            bad = json.dumps(rec)
+        path.write_text(good + bad + "\n")
+        line = _config_error(capsys, "records", "--records", str(path), *argv)
+        assert line.startswith(f"error: {path}:2: {message}")
+
     def test_missing_scenario_is_exit_2(self, tmp_path, capsys):
         rc, out = _run(capsys, "--scenario", str(tmp_path / "nope.yaml"),
                        "--json", "plan")

@@ -1,5 +1,6 @@
 """MDA controller: measurement store, verdicts, soft-failure detection."""
 
+import json
 import math
 
 import pytest
@@ -11,10 +12,14 @@ from metroslice.mda import (
     DetectorConfig,
     MdaController,
     MeasurementRecord,
+    SoftFailureReport,
     detect_soft_failure,
 )
-from metroslice.optical import VirtualClock
-from metroslice.probe import ProbeTimeout, TrainConfig, TrainStats
+from metroslice.optical import ChannelState, FrequencySlot, MediaChannel, VirtualClock
+from metroslice.orchestrator import KpiReport, WorkflowEvent
+from metroslice.planner import BlockReason, PlacementDecision, ServiceChainCandidate
+from metroslice.probe import LatencyBudget, ProbeTimeout, TrainConfig, TrainStats
+from metroslice.records import ConfigError
 
 
 def _stats(rtt=100.0, duration=0.5, received=1000, count=1000):
@@ -105,6 +110,63 @@ class TestMeasureCircuit:
         assert all(b > a for a, b in zip(times, times[1:]))
 
 
+_CAND = ServiceChainCandidate(("vim-amen", "vim-mcen"), 798.2156768000001)
+_FULL = TrainStats(1000, 999, 799.0219000000001, 799.055685749586, 7.184151033901722,
+                   97196.25881112232, 0.12063893660000001, 783.8556768)
+_MEASURED = MeasurementRecord("circuit-1", 100, 137.1206389366, _FULL, 750.0, "fail",
+                              "rtt 799.022 us exceeds 750.000 us")
+
+#: A fixed instance of each record class, with the JSON the package wrote
+#: for it before the classes shared one codec (for ``LatencyBudget``, the
+#: ``budget`` entry of ``budget.json``).
+RECORDS = [
+    (FrequencySlot(-3, 2),
+     '{"center_thz": 193.08124999999998, "m": 2, "n": -3, "width_ghz": 25.0}'),
+    (MediaChannel("mc-0007", "sip-a", "sip-z", FrequencySlot(5), ("l-ab", "l-bc"),
+                  ChannelState.DELETED),
+     '{"a_sip": "sip-a", "mc_id": "mc-0007", "route": ["l-ab", "l-bc"], "slot": '
+     '{"center_thz": 193.13125, "m": 4, "n": 5, "width_ghz": 50.0}, '
+     '"state": "Deleted", "z_sip": "sip-z"}'),
+    (_CAND, '{"cost_us": 798.2156768000001, "vim_ids": ["vim-amen", "vim-mcen"]}'),
+    (PlacementDecision(_CAND, None),
+     '{"block_reason": null, "candidate": {"cost_us": 798.2156768000001, '
+     '"vim_ids": ["vim-amen", "vim-mcen"]}, "placed": true}'),
+    (PlacementDecision(None, BlockReason.RTT_EXCEEDED, ranked=(_CAND,)),
+     '{"block_reason": "RttExceeded", "candidate": null, "placed": false}'),
+    (_FULL,
+     '{"count": 1000, "duration_s": 0.12063893660000001, "jitter_ns": 7.184151033901722, '
+     '"loss_rate": 0.001, "received": 999, "rtt_mean_us": 799.055685749586, '
+     '"rtt_us": 799.0219000000001, "throughput_mbps": 97196.25881112232, '
+     '"two_way_propagation_us": 783.8556768}'),
+    (TrainStats(10, 0, None, None, None, None, None),
+     '{"count": 10, "duration_s": null, "jitter_ns": null, "loss_rate": 1.0, '
+     '"received": 0, "rtt_mean_us": null, "rtt_us": null, "throughput_mbps": null, '
+     '"two_way_propagation_us": null}'),
+    (_MEASURED,
+     '{"circuit_id": "circuit-1", "max_rtt_us": 750.0, '
+     '"reason": "rtt 799.022 us exceeds 750.000 us", "stats": {"count": 1000, '
+     '"duration_s": 0.12063893660000001, "jitter_ns": 7.184151033901722, '
+     '"loss_rate": 0.001, "received": 999, "rtt_mean_us": 799.055685749586, '
+     '"rtt_us": 799.0219000000001, "throughput_mbps": 97196.25881112232, '
+     '"two_way_propagation_us": 783.8556768}, "t_virtual_s": 137.1206389366, '
+     '"verdict": "fail", "vlan_id": 100}'),
+    (SoftFailureReport(True, 212.0, 268.37651477928224, 56.37651477928224),
+     '{"anticipation_s": 56.37651477928224, "detected": true, "t_detect_s": 212.0, '
+     '"t_fec_s": 268.3765147792822}'),
+    (SoftFailureReport(False),
+     '{"anticipation_s": null, "detected": false, "t_detect_s": null, "t_fec_s": null}'),
+    (WorkflowEvent(4, 3.0, "nfvo", "m04_vnf_instantiation_dispatch",
+                   {"vims": ["vim-amen", "vim-mcen"]}),
+     '{"actor": "nfvo", "detail": {"vims": ["vim-amen", "vim-mcen"]}, '
+     '"label": "m04_vnf_instantiation_dispatch", "seq": 4, "t_virtual_s": 3.0}'),
+    (KpiReport(132.0, 134.0, 137.0, 50.0, {"laser_warmup": 125.0, "media_channel": 5.0}),
+     '{"excl_transponder_s": 50.0, "kpi1_s": 132.0, "kpi2_s": 134.0, "kpi3_s": 137.0, '
+     '"phases": {"laser_warmup": 125.0, "media_channel": 5.0}}'),
+    (LatencyBudget(1.25, 0.5000000000000001, 3.0),
+     '{"optical_us": 3.0, "probe_us": 1.25, "switches_us": 0.5000000000000001}'),
+]
+
+
 class TestStore:
     def _seed(self, mda):
         for i, (cid, t) in enumerate([("mc-1", 1.0), ("mc-2", 2.0), ("mc-1", 3.0)]):
@@ -128,6 +190,20 @@ class TestStore:
         assert mda.export_jsonl(path) == 3
         again = MdaController.load_jsonl(path)
         assert again.query_records() == mda.query_records()
+        # Every record class reads back what it wrote; derived keys are
+        # ignored on the way in, omitted fields take their defaults.
+        for obj, text in RECORDS:
+            back = type(obj).from_record(json.loads(text))
+            assert json.dumps(back.to_record(), sort_keys=True) == text
+        with pytest.raises(ConfigError, match="record: stats.received: expected int"):
+            MeasurementRecord.from_record(
+                {**_MEASURED.to_record(), "stats": {"count": 1, "received": 1.0}}
+            )
+
+    @pytest.mark.parametrize("obj, text", RECORDS,
+                             ids=[type(obj).__name__ for obj, _ in RECORDS])
+    def test_record_schema(self, obj, text):
+        assert json.dumps(obj.to_record(), sort_keys=True) == text
 
 
 class TestDetectorConfig:

@@ -106,6 +106,19 @@ class TestWf1Blocked:
             run_wf1(scenario.request, world)
         assert world.ols.get_active_connections() == []
 
+    def test_failed_deploy_hands_back_transponders(self, scenario, world):
+        # tp-a comes up before tp-z fails to tune: the rollback must return
+        # tp-a to Blank, or the next deploy fails on it with InvalidPhase.
+        tp_z = world.transponders["tp-z"]
+        world.transponders["tp-z"] = Transponder("tp-z", tunable_n=frozenset({999}))
+        with pytest.raises(WorkflowError):
+            run_wf1(scenario.request, world)
+        tp_a = world.transponders["tp-a"]
+        assert tp_a == Transponder("tp-a", tunable_n=tp_a.tunable_n)
+        world.transponders["tp-z"] = tp_z
+        decision, report, _ = run_wf1(scenario.request, world)
+        assert decision.placed and report is not None
+
     @pytest.mark.parametrize("failure", ["no_slot", "one_transponder"])
     def test_failed_deploy_releases_vims(self, scenario, world, failure):
         # Placement commits VIM allocations before the optical branch; a
