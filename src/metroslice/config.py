@@ -16,8 +16,9 @@ Topology files carry exactly these top-level keys (``?``: optional):
 
 A scenario file references a topology and a slice request file and adds
 timing, probe, optical, dataplane, degradation, and calibration-row
-settings (see ``Scenario``). Parse problems raise ConfigError with the
-offending file and key path in the message.
+settings (see ``Scenario``). Parse problems, including a key that no
+field reads, raise ConfigError with the offending file and key path in
+the message.
 """
 
 from __future__ import annotations
@@ -155,6 +156,7 @@ def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
         nodes=nodes, links=read.get(data, "links", list[Link], ""),
     )
     demand = read.get(data, "demand", DemandProfile, "")
+    read.reject_unread()
     violations = validate_topology(topology)
     if violations:
         summary = "; ".join(f"{v.code}: {v.detail}" for v in violations)
@@ -164,7 +166,10 @@ def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
 
 def load_ns_request(path: str | Path) -> NsRequest:
     path = Path(path)
-    return Reader(path, _KEYS).build(NsRequest, _load_yaml(path), "")
+    read = Reader(path, _KEYS)
+    request = read.build(NsRequest, _load_yaml(path), "")
+    read.reject_unread()
+    return request
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -179,6 +184,7 @@ def load_scenario(path: str | Path) -> Scenario:
     scenario = read.build(
         Scenario, data, "", topology=topology, demand=demand, request=request
     )
+    read.reject_unread()
 
     known = {n.node_id for n in topology.nodes}
     for i, row in enumerate(scenario.rows):

@@ -17,7 +17,7 @@ Timestamps are quantized to the capture clock tick (322 MHz, 3.1 ns).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -234,6 +234,9 @@ class DegradationScenario:
     ramp_start_s: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.ramp_db_per_s < 0:
             raise ValueError("ramp_db_per_s must be >= 0")
         if self.sample_period_s <= 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -178,11 +179,7 @@ class OlsController:
         return sips, view
 
     def get_active_connections(self) -> list[MediaChannel]:
-        active = [
-            c for c in self._channels.values()
-            if c.state is ChannelState.PROVISIONED
-        ]
-        return sorted(active, key=lambda c: c.mc_id)
+        return sorted(self._provisioned(), key=lambda c: c.mc_id)
 
     def create_media_channel(
         self,
@@ -203,7 +200,11 @@ class OlsController:
         sz = self._sip(z_sip)
         route = self._route(sa.node_id, sz.node_id)
         if slot is not None:
-            self._check_tunability(sa, sz, slot.n)
+            for s in (sa, sz):
+                if not _tunes(s, slot.n):
+                    raise SlotOutOfTunability(
+                        f"{s.sip_id} cannot tune to n={slot.n}"
+                    )
             clash = self._first_collision(route, slot)
             if clash is not None:
                 raise SpectrumCollision(
@@ -264,26 +265,18 @@ class OlsController:
             raise NoRoute(f"{a_node} -> {z_node}")
         return best[z_node]
 
-    def _occupancy(self, link_id: str) -> list[tuple[FrequencySlot, str]]:
-        out = []
-        for c in self._channels.values():
-            if c.state is ChannelState.PROVISIONED and link_id in c.route:
-                out.append((c.slot, c.mc_id))
-        return out
+    def _provisioned(self) -> Iterator[MediaChannel]:
+        return (c for c in self._channels.values()
+                if c.state is ChannelState.PROVISIONED)
 
     def _first_collision(
         self, route: tuple[str, ...], slot: FrequencySlot
     ) -> str | None:
         for link_id in route:
-            for other, mc_id in self._occupancy(link_id):
-                if slot.overlaps(other):
-                    return mc_id
+            for c in self._provisioned():
+                if link_id in c.route and slot.overlaps(c.slot):
+                    return c.mc_id
         return None
-
-    def _check_tunability(self, sa: Sip, sz: Sip, n: int) -> None:
-        for s in (sa, sz):
-            if s.tunability and n not in s.tunability:
-                raise SlotOutOfTunability(f"{s.sip_id} cannot tune to n={n}")
 
     def _first_fit(
         self,
@@ -293,23 +286,28 @@ class OlsController:
         floor_n: int,
         m: int,
     ) -> FrequencySlot:
-        if sa.tunability and sz.tunability:
-            candidates = sorted(
-                n for n in sa.tunability & sz.tunability if n >= floor_n
-            )
-        elif sa.tunability or sz.tunability:
-            tun = sa.tunability or sz.tunability
-            candidates = sorted(n for n in tun if n >= floor_n)
-        else:
-            # Untunable-constrained SIPs: scan the grid upward from the floor.
-            candidates = range(floor_n, floor_n + 4096)
-        for n in candidates:
-            slot = FrequencySlot(n=n, m=m)
-            if self._first_collision(route, slot) is None:
-                return slot
+        # The answer is in a tunable SIP's set. With two untunable SIPs it
+        # is the floor or, when n - 1 collides and n does not, the right
+        # edge of a channel sharing a route link, so one always exists.
+        candidates = {floor_n, *sa.tunability, *sz.tunability}
+        candidates.update(
+            c.slot.n + c.slot.m + m
+            for c in self._provisioned()
+            if any(link_id in c.route for link_id in route)
+        )
+        for n in sorted(candidates):
+            if n >= floor_n and _tunes(sa, n) and _tunes(sz, n):
+                slot = FrequencySlot(n=n, m=m)
+                if self._first_collision(route, slot) is None:
+                    return slot
         raise SpectrumCollision(
             f"no free slot of width m={m} at or above n={floor_n}"
         )
+
+
+def _tunes(sip: Sip, n: int) -> bool:
+    """An empty tunability set accepts any n."""
+    return not sip.tunability or n in sip.tunability
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import KW_ONLY, dataclass, field, replace
 
 from .dataplane import ElementParams, PathModel, path_from_topology
@@ -75,8 +76,8 @@ class TimingConfig:
             "packet_config_s",
             "orchestration_overhead_s",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

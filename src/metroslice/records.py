@@ -2,14 +2,15 @@
 
 The dataclasses are the schema. A mapping is read into one dataclass by
 walking its fields: a key that is present is type-checked (an int is
-accepted as a float, an enum is read by value, a list becomes a list,
-tuple or frozenset, and ``X | None`` accepts null), a key that is absent
-takes the field's default, and a key is required only when its field has
-no default. A dataclass's own ``ValueError`` becomes a ``ConfigError``.
-Scenario files and records share this reader; only ``config`` renames
-keys. A ``Record`` is written by the reverse walk, planned once per class:
-an enum becomes its value, a tuple or list a list, and a nested record
-recurses.
+accepted as a float, a float must be finite, an enum is read by value, a
+list becomes a list, tuple or frozenset, and ``X | None`` accepts null),
+a key that is absent takes the field's default, and a key is required
+only when its field has no default. A key that no field reads is an
+error, except a record's ``DERIVED`` keys. A dataclass's own
+``ValueError`` becomes a ``ConfigError``. Scenario files and records
+share this reader; only ``config`` renames keys. A ``Record`` is written
+by the reverse walk, planned once per class: an enum becomes its value,
+a tuple or list a list, and a nested record recurses.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import operator
 import sys
 import types
@@ -53,7 +55,10 @@ class Record:
         """The record ``mapping`` holds; ``source`` names it in errors."""
         if not isinstance(mapping, dict):
             raise ConfigError(f"{source}: expected a mapping")
-        return Reader(source).build(cls, mapping, "")
+        read = Reader(source)
+        record = read.build(cls, mapping, "")
+        read.reject_unread()
+        return record
 
 
 @functools.cache
@@ -95,11 +100,25 @@ def _encoder(tp) -> typing.Callable | None:
 class Reader:
     """Reads one source's mappings into dataclasses, under the renames
     ``keys`` (see ``config._KEYS``); ``where`` is the key path of the
-    mapping at hand, empty or ending in a dot."""
+    mapping at hand, empty or ending in a dot. It remembers the keys it
+    looked up in each mapping, so a section that several fields read
+    accepts the key of any of them."""
 
     def __init__(self, source, keys: dict | None = None):
         self.source = source
         self.keys = keys or {}
+        self._looked_up: dict[int, tuple[dict, str, set]] = {}
+
+    def _look_up(self, mapping: dict, where: str, key: str) -> None:
+        # The entry holds the mapping, so its id is not reused.
+        self._looked_up.setdefault(id(mapping), (mapping, where, set()))[2].add(key)
+
+    def reject_unread(self) -> None:
+        """Raise on a key of a mapping read so far that was never looked up."""
+        for mapping, where, looked_up in self._looked_up.values():
+            for key in mapping:
+                if key not in looked_up:
+                    raise ConfigError(f"{self.source}: unknown key {where}{key}")
 
     def get(self, mapping: dict, key: str, tp, where: str,
             required: bool = True):
@@ -107,9 +126,11 @@ class Reader:
         the sections on its way."""
         *sections, key = key.split(".")
         for name in sections:
+            self._look_up(mapping, where, name)
             where += name
             mapping = self.convert(mapping.get(name, {}), dict, where)
             where += "."
+        self._look_up(mapping, where, key)
         if key in mapping:
             return self.convert(mapping[key], tp, where + key)
         if required:
@@ -120,6 +141,8 @@ class Reader:
         """``cls`` from the keys of ``mapping``; ``given`` fields are set by
         the caller instead."""
         kwargs = dict(given)
+        for name in getattr(cls, "DERIVED", ()):
+            self._look_up(mapping, where, name)
         for name, tp, required in _fields(cls):
             key = self.keys.get((cls, name), name)
             if key is not None and name not in kwargs:
@@ -173,6 +196,10 @@ class Reader:
             raise ConfigError(
                 f"{self.source}: {key}: expected {tp.__name__}, "
                 f"got {type(value).__name__}"
+            )
+        if tp is float and not math.isfinite(value):
+            raise ConfigError(
+                f"{self.source}: {key}: expected a finite float, got {value}"
             )
         return value
 

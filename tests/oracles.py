@@ -4,8 +4,9 @@ Deliberately different algorithms and data layouts than the package:
 Floyd-Warshall over a dense matrix instead of per-source Dijkstra,
 exhaustive enumeration instead of the best-first ranking and the
 placement walk, every packet of a simulated train instead of the edges
-and a drawn histogram. Agreement between the two is therefore evidence,
-not tautology.
+and a drawn histogram, a scan of every grid point over occupied
+intervals instead of first-fit's candidate set. Agreement between the
+two is therefore evidence, not tautology.
 
 Randomized placement instances use dyadic lengths and latencies (exact
 in binary floating point) so equal costs are bitwise equal and tie
@@ -225,3 +226,26 @@ def per_packet_train(path, cfg, seed, run=0):
         red.fold(tx[fwd.delivered][got], back.rx_ns[got], float(tx[0]))
     two_way_prop = 2.0 * path.length_km * path.prop_const_us_per_km
     return compute_stats(cfg, red, two_way_propagation_us=two_way_prop)
+
+
+def first_fit_n(live, route, tunabilities, floor_n, m):
+    """Lowest free centre n >= floor_n for a width-``m`` slot, or None.
+
+    ``live`` holds (route, n, m) per provisioned channel. A slot is free
+    when its interval [n - m, n + m] shares at most an endpoint with the
+    interval of every live channel that has a link on ``route``, and n
+    lies in every non-empty set of ``tunabilities``. Every grid point is
+    tried from the floor up to the last one that any interval or set
+    could still block.
+    """
+    links = set(route)
+    occupied = [(c_n - c_m, c_n + c_m) for c_route, c_n, c_m in live
+                if links & set(c_route)]
+    sets = [t for t in tunabilities if t]
+    top = max([floor_n] + [hi + m for _, hi in occupied] + [max(t) for t in sets])
+    for n in range(floor_n, top + 1):
+        if all(n in t for t in sets) and all(
+            min(hi, n + m) <= max(lo, n - m) for lo, hi in occupied
+        ):
+            return n
+    return None

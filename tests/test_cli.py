@@ -222,6 +222,28 @@ class TestErrors:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--duration", "nan"], "duration_s must be finite"),
+        (["--duration", "inf"], "duration_s must be finite"),
+        (["--ramp", "nan"], "ramp_db_per_s must be finite"),
+    ], ids=["duration-nan", "duration-inf", "ramp-nan"])
+    def test_degrade_non_finite_override(self, tmp_path, capsys, argv, message):
+        line = _config_error(capsys, "--out", str(tmp_path), "degrade", *argv)
+        assert message in line
+
+    def test_non_finite_scenario_value(self, tmp_path, capsys):
+        src = default_scenario_path().parent
+        for name in ("topology.yaml", "ns_request.yaml"):
+            shutil.copy(src / name, tmp_path / name)
+        text = (src / "scenario.yaml").read_text()
+        assert "laser_warmup_s: 125.0" in text
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text.replace("laser_warmup_s: 125.0", "laser_warmup_s: .nan"))
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path), "deploy")
+        assert "timing.laser_warmup_s: expected a finite float, got nan" in line
+        assert not (tmp_path / "kpi.json").exists()
+
     def test_measure_zero_count(self, capsys):
         line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")
         assert "count must be in [1, 4294967295]" in line
@@ -232,7 +254,11 @@ class TestErrors:
         (lambda r: r.update(t_virtual_s="x"), [], "t_virtual_s: expected float, got str"),
         (lambda r: r.update(t_virtual_s="x"), ["--tmin", "0"], "t_virtual_s: expected float"),
         (lambda r: r["stats"].update(count=0, received=0), [], "stats: count 0, received 0"),
-    ], ids=["missing-key", "not-json", "bad-type", "bad-type-tmin", "zero-count"])
+        (lambda r: r.update(t_virtual_s=float("nan")), [],
+         "t_virtual_s: expected a finite float, got nan"),
+        (lambda r: r.update(t_virtul_s=1.0), [], "unknown key t_virtul_s"),
+    ], ids=["missing-key", "not-json", "bad-type", "bad-type-tmin", "zero-count",
+            "nan", "unknown-key"])
     def test_malformed_records_file(self, tmp_path, capsys, edit, argv, message):
         # The second line is the bad one; the error names the file and line.
         _run(capsys, "--out", str(tmp_path), "deploy")

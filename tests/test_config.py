@@ -140,6 +140,20 @@ class TestLoadTopology:
         with pytest.raises(ConfigError, match="two node ids"):
             load_topology(_write(tmp_path, doc))
 
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda doc: doc.update(prop_const=5.0), "prop_const"),
+        (lambda doc: doc["nodes"][1].update(vimm="vim-a"), r"nodes\[1\]\.vimm"),
+        (lambda doc: doc["links"][0].update(length=80), r"links\[0\]\.length"),
+        (lambda doc: doc["vims"][0].update(gpu_idle=1), r"vims\[0\]\.gpu_idle"),
+        (lambda doc: doc["demand"]["entries"][0].update(mbps=1.0),
+         r"demand\.entries\[0\]\.mbps"),
+    ], ids=["top_level", "node", "link", "vim", "demand_entry"])
+    def test_unknown_key_names_key_path(self, tmp_path, mutate, key):
+        doc = _minimal_topology_doc()
+        mutate(doc)
+        with pytest.raises(ConfigError, match=f"unknown key {key}$"):
+            load_topology(_write(tmp_path, doc))
+
 
 class TestLoadNsRequest:
     def test_valid(self, tmp_path):
@@ -173,6 +187,18 @@ class TestLoadNsRequest:
         with pytest.raises(ConfigError) as err:
             load_ns_request(p)
         assert str(err.value) == f"{p}: missing key vnfs[0].cpu_req"
+
+    def test_unknown_key_names_key_path(self, tmp_path):
+        doc = {
+            "ns_id": "ns-x",
+            "max_rtt_us": 500.0,
+            "vnfs": [{"vnf_id": "v1", "type_tag": "vms-core", "cpu_req": 1,
+                      "mem_req": 2, "storage_req": 3, "gpu_req": 1}],
+        }
+        p = _write(tmp_path, doc, "req.yaml")
+        with pytest.raises(ConfigError) as err:
+            load_ns_request(p)
+        assert str(err.value) == f"{p}: unknown key vnfs[0].gpu_req"
 
 
 def _scenario_sandbox(tmp_path, mutate=None):
@@ -259,8 +285,8 @@ class TestLoadScenario:
         def mutate(doc):
             doc["probe"]["train_id"] = 7
 
-        sc = load_scenario(_scenario_sandbox(tmp_path, mutate))
-        assert sc.probe_cfg.train_id == TrainConfig().train_id
+        with pytest.raises(ConfigError, match=r"unknown key probe\.train_id"):
+            load_scenario(_scenario_sandbox(tmp_path, mutate))
 
     @pytest.mark.parametrize("mutate, match", [
         (lambda doc: doc["probe"].update(trains_per_row=0),
@@ -280,8 +306,21 @@ class TestLoadScenario:
          r"dataplane\.element_overrides\.ghost: unknown node"),
         (lambda doc: doc["probe"].update(count=True),
          r"probe\.count: expected int, got bool"),
+        (lambda doc: doc["timing"].update(laser_warmup_s=float("nan")),
+         r"timing\.laser_warmup_s: expected a finite float, got nan"),
+        (lambda doc: doc["degradation"].update(duration_s=float("inf")),
+         r"degradation\.duration_s: expected a finite float, got inf"),
+        (lambda doc: doc.update(seeed=5), r"scenario\.yaml: unknown key seeed$"),
+        (lambda doc: doc["optical"].update(slot_mm=4),
+         r"unknown key optical\.slot_mm$"),
+        (lambda doc: doc["calibration_rows"][0].update(lenght_km=1.0),
+         r"unknown key calibration_rows\[0\]\.lenght_km$"),
+        (lambda doc: doc.update(dataplane={
+            "element_overrides": {"sw-mcen": {"loss_prob": 0.1, "los_prob": 0.1}}}),
+         r"unknown key dataplane\.element_overrides\.sw-mcen\.los_prob$"),
     ], ids=["trains_per_row", "loss_prob", "jitter_std_ns", "slot_m",
-            "tunability_items", "override_node", "bool_as_int"])
+            "tunability_items", "override_node", "bool_as_int", "nan",
+            "inf", "top_level_key", "section_key", "row_key", "override_key"])
     def test_rejected_at_load(self, tmp_path, mutate, match):
         with pytest.raises(ConfigError, match=match):
             load_scenario(_scenario_sandbox(tmp_path, mutate))

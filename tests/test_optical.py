@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from metroslice.model import Link, LinkKind, Node, NodeKind, Topology
 from metroslice.optical import (
     CONFIG_STEPS,
+    ChannelState,
     FrequencySlot,
     FrequencyOutOfRange,
     InvalidPhase,
@@ -22,6 +26,7 @@ from metroslice.optical import (
     VirtualClock,
     configure_transponder,
 )
+from oracles import first_fit_n
 
 
 class TestFrequencySlot:
@@ -112,6 +117,14 @@ class TestOlsProvisioning:
         assert ols.create_media_channel("sip-1", "sip-2").slot.n == 0
         with pytest.raises(SpectrumCollision):
             ols.create_media_channel("sip-1", "sip-2")
+
+    def test_untunable_first_fit_has_no_slot_bound(self):
+        # 520 channels of m=4 fill n = -4 .. 4156 on f-12; the next
+        # untunable first-fit lands right against the last one.
+        ols = _ring_controller()
+        for k in range(520):
+            ols.create_media_channel("sip-1", "sip-2", slot=FrequencySlot(8 * k))
+        assert ols.create_media_channel("sip-1", "sip-2").slot.n == 4160
 
     def test_delete_frees_spectrum(self, world):
         mc = world.ols.create_media_channel("sip-a", "sip-z")
@@ -207,6 +220,114 @@ class TestOlsProvisioning:
                 iv = sorted(s.interval for s in slots)
                 for (lo1, hi1), (lo2, hi2) in zip(iv, iv[1:]):
                     assert hi1 <= lo2, "overlapping slots on one link"
+
+
+#: A ring r0..r3 with the chord r0-r2. Each ROADM has an untunable SIP
+#: u<i> and a tunable SIP t<i>; the two tunable sets meet at 0, 12, 24,
+#: so a tunable first-fit can run out of slots.
+MACHINE_TUNABILITY = (frozenset(range(-8, 40, 4)), frozenset(range(-6, 30, 3)))
+
+
+def _machine_controller():
+    nodes = [Node(f"r{i}", NodeKind.ROADM) for i in range(4)]
+    links = [Link(f"f-{i}{(i + 1) % 4}", (f"r{i}", f"r{(i + 1) % 4}"), 10.0)
+             for i in range(4)]
+    links.append(Link("f-02", ("r0", "r2"), 10.0))
+    sips = []
+    for i in range(4):
+        sips.append(Sip(f"u{i}", f"r{i}", "p1"))
+        sips.append(Sip(f"t{i}", f"r{i}", "p2", MACHINE_TUNABILITY[i % 2]))
+    return OlsController(Topology(nodes=nodes, links=links), sips)
+
+
+class OlsMachine(RuleBasedStateMachine):
+    """Create and delete channels against a model of the live set; every
+    first-fit must match ``oracles.first_fit_n``."""
+
+    def __init__(self):
+        super().__init__()
+        self.ols = _machine_controller()
+        self.live = {}  # mc_id -> (route, n, m)
+        self.dead = ["mc-9999"]
+
+    def _endpoints(self, a, a_tunable, z, z_tunable):
+        a_id, z_id = f"{'t' if a_tunable else 'u'}{a}", f"{'t' if z_tunable else 'u'}{z}"
+        tunabilities = tuple(MACHINE_TUNABILITY[i % 2] if tunable else frozenset()
+                             for i, tunable in ((a, a_tunable), (z, z_tunable)))
+        return a_id, z_id, self.ols._route(f"r{a}", f"r{z}"), tunabilities
+
+    def _record(self, mc, route, n, m):
+        assert (mc.route, mc.slot, mc.state) == (
+            route, FrequencySlot(n, m), ChannelState.PROVISIONED)
+        self.live[mc.mc_id] = (route, n, m)
+
+    @rule(a=st.integers(0, 3), z=st.integers(0, 3),
+          tunable=st.sampled_from([(True, True), (True, False),
+                                   (False, True), (False, False)]),
+          m=st.sampled_from([1, 2, 4]), floor=st.integers(-12, 40))
+    def first_fit(self, a, z, tunable, m, floor):
+        a_id, z_id, route, tunabilities = self._endpoints(a, tunable[0], z, tunable[1])
+        n = first_fit_n(self.live.values(), route, tunabilities, floor, m)
+        if n is None:
+            assert any(tunable)
+            with pytest.raises(SpectrumCollision):
+                self.ols.create_media_channel(a_id, z_id, floor_n=floor, m=m)
+        else:
+            mc = self.ols.create_media_channel(a_id, z_id, floor_n=floor, m=m)
+            self._record(mc, route, n, m)
+
+    @rule(a=st.integers(0, 3), z=st.integers(0, 3), a_tunable=st.booleans(),
+          z_tunable=st.booleans(), n=st.integers(-12, 48),
+          m=st.sampled_from([1, 2, 4]))
+    def explicit(self, a, z, a_tunable, z_tunable, n, m):
+        a_id, z_id, route, tunabilities = self._endpoints(a, a_tunable, z, z_tunable)
+        slot = FrequencySlot(n, m)
+        if any(t and n not in t for t in tunabilities):
+            with pytest.raises(SlotOutOfTunability):
+                self.ols.create_media_channel(a_id, z_id, slot=slot)
+        elif first_fit_n(self.live.values(), route, (), n, m) != n:
+            with pytest.raises(SpectrumCollision):
+                self.ols.create_media_channel(a_id, z_id, slot=slot)
+        else:
+            self._record(self.ols.create_media_channel(a_id, z_id, slot=slot),
+                         route, n, m)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def delete_live(self, data):
+        mc_id = data.draw(st.sampled_from(sorted(self.live)))
+        mc = self.ols.delete_media_channel(mc_id)
+        assert mc.mc_id == mc_id and mc.state is ChannelState.DELETED
+        del self.live[mc_id]
+        self.dead.append(mc_id)
+
+    @rule(data=st.data())
+    def delete_dead(self, data):
+        with pytest.raises(UnknownChannel):
+            self.ols.delete_media_channel(data.draw(st.sampled_from(self.dead)))
+
+    @invariant()
+    def active_connections_are_the_live_set(self):
+        active = self.ols.get_active_connections()
+        assert [mc.mc_id for mc in active] == sorted(self.live)
+        assert {mc.mc_id: (mc.route, mc.slot.n, mc.slot.m) for mc in active} == self.live
+
+    @invariant()
+    def slots_on_each_link_are_disjoint(self):
+        by_link = {}
+        for mc in self.ols.get_active_connections():
+            for link in mc.route:
+                by_link.setdefault(link, []).append(mc.slot.interval)
+        for intervals in by_link.values():
+            intervals.sort()
+            for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+                assert hi <= lo
+
+
+OlsMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True
+)
+TestOlsMachine = OlsMachine.TestCase
 
 
 class TestTransponder:
