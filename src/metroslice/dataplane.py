@@ -133,7 +133,7 @@ def transmit_train(
     tx + one-way delay + gaussian jitter, quantized to the capture clock
     tick. Jitter is drawn in single precision, which is ample for a
     few-ns value quantized to a 3.1 ns tick and the cheapest normal draw
-    NumPy offers.
+    NumPy offers. Without jitter, tick k arrives on tick k + rint(D / tick).
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -144,14 +144,19 @@ def transmit_train(
     lost = int(rng.binomial(n, loss)) if loss > 0 else 0
     if lost:
         delivered[rng.choice(n, size=lost, replace=False)] = False
-    rx_ns = tx_ns + one_way_delay_us(p) * 1000.0
     sigma = p.jitter_std_ns()
     if sigma > 0:
+        rx_ns = tx_ns + one_way_delay_us(p) * 1000.0
         jitter = rng.standard_normal(n, dtype=np.float32)
         jitter *= sigma
         rx_ns += jitter
-    rx_ns /= tick_ns
-    np.rint(rx_ns, out=rx_ns)
+        rx_ns /= tick_ns
+        np.rint(rx_ns, out=rx_ns)
+    else:
+        # tx - k * tick is exactly 0 on the lattice: one rounding of D / tick.
+        k = np.rint(tx_ns / tick_ns)
+        mu = one_way_delay_us(p) * 1000.0 / tick_ns
+        rx_ns = k + np.rint((tx_ns - k * tick_ns) / tick_ns + mu)
     rx_ns *= tick_ns
     return TransmitResult(rx_ns=rx_ns, delivered=delivered)
 
@@ -159,9 +164,6 @@ def transmit_train(
 #: Half-width, in standard deviations, of the jitter law that
 #: ``quantized_delay_pmf`` keeps; the mass beyond it is below 1.6e-23.
 PMF_CUT_SIGMAS = 10.0
-
-#: How close to a half tick a jitter-free delay counts as a tie.
-_HALF_TICK_TOL = 1e-9
 
 
 def quantized_delay_pmf(p: PathModel) -> tuple[int, np.ndarray]:
@@ -176,16 +178,12 @@ def quantized_delay_pmf(p: PathModel) -> tuple[int, np.ndarray]:
     The Gaussian is cut at ``PMF_CUT_SIGMAS``. A bin above the mean is a
     difference of survival values and one below it a difference of CDF
     values, so the tail bins keep their relative precision. Without
-    jitter the offset is ``rint(D / tick)``; a delay on a half tick is
-    split evenly between its two neighbours, as ``rint`` of a tie then
-    follows each packet's floating-point rounding.
+    jitter the offset is ``rint(D / tick)``, ties to even, as in
+    ``transmit_train``.
     """
     mu = one_way_delay_us(p) * 1000.0 / CLOCK_TICK_NS
     s = p.jitter_std_ns() / CLOCK_TICK_NS
     if s == 0:
-        lo = math.floor(mu)
-        if abs(mu - lo - 0.5) < _HALF_TICK_TOL:
-            return lo, np.array([0.5, 0.5])
         return round(mu), np.ones(1)
     lo = round(mu - PMF_CUT_SIGMAS * s)
     hi = round(mu + PMF_CUT_SIGMAS * s)
@@ -233,6 +231,9 @@ class DegradationScenario:
     sample_period_s: float = 1.0
     ramp_start_s: float = 0.0
 
+    #: Longest series ``evolve_quality`` may materialise.
+    MAX_SAMPLES = 10**6
+
     def __post_init__(self) -> None:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
@@ -243,6 +244,9 @@ class DegradationScenario:
             raise ValueError("sample_period_s must be > 0")
         if self.duration_s < 0 or self.ramp_start_s < 0:
             raise ValueError("durations must be >= 0")
+        if self.duration_s / self.sample_period_s + 0.5 > self.MAX_SAMPLES:
+            raise ValueError(
+                f"duration_s / sample_period_s gives over {self.MAX_SAMPLES} samples")
 
 
 #: ``math.erfc`` over arrays; the series it serves are a few thousand

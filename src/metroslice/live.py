@@ -1,9 +1,10 @@
 """Live UDP probe: sender and reflector for real-network smoke tests.
 
-The reflector echoes every valid probe datagram back to its source. The
-sender emits a full train, stamps receive times with the local monotonic
-clock, and reuses the tx timestamp embedded in the echoed header, so no
-clock synchronization is needed for RTT.
+The reflector echoes probe datagrams from one reused buffer (TWAMP-Light,
+RFC 5357 Appendix I). Each echo carries the sender's monotonic send stamp
+back, so RTT needs no clock sync. Echoes fold into the simulated probe's
+``TrainReduction`` per ``probe.CHUNK`` block, with one bit per packet so a
+duplicate (RFC 5560) counts once; short and foreign datagrams are ignored.
 """
 
 from __future__ import annotations
@@ -12,20 +13,24 @@ import logging
 import socket
 import threading
 import time
+from array import array
 
 import numpy as np
 
 from .probe import (
-    EchoSet,
+    CHUNK,
     HEADER_LEN,
     HEADER_STRUCT,
     MAGIC,
+    VERSION,
     ProbeError,
+    ProbePacket,
     ProbeTimeout,
     TrainConfig,
+    TrainReduction,
     TrainStats,
+    bert_payload,
     compute_stats,
-    generate_train,
 )
 
 log = logging.getLogger(__name__)
@@ -61,18 +66,17 @@ def live_reflect(
     sock.settimeout(0.2)
     if ready is not None:
         ready.set()
+    view = memoryview(bytearray(65535))
     reflected = 0
     try:
         while not (stop is not None and stop.is_set()):
             try:
-                data, addr = sock.recvfrom(65535)
+                nbytes, addr = sock.recvfrom_into(view)
             except socket.timeout:
                 continue
-            if len(data) < HEADER_LEN:
+            if nbytes < HEADER_LEN or HEADER_STRUCT.unpack_from(view)[0] != MAGIC:
                 continue
-            if HEADER_STRUCT.unpack_from(data)[0] != MAGIC:
-                continue
-            sock.sendto(data, addr)
+            sock.sendto(view[:nbytes], addr)
             reflected += 1
             if max_packets is not None and reflected >= max_packets:
                 break
@@ -92,70 +96,60 @@ def live_measure(
     Raises ProbeTimeout (with the partial statistics attached) if the
     train does not complete within cfg.timeout_ms.
     """
-    sock = _bound_socket(bind)
-    sock.settimeout(0.05)
-
     n = cfg.count
-    rx_ns = np.zeros(n, dtype=np.float64)
-    tx_ns = np.zeros(n, dtype=np.float64)
-    received = np.zeros(n, dtype=bool)
-    deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+    payload = bert_payload(cfg.bert_type, cfg.bert_payload_len)
+    wire = bytearray(ProbePacket(cfg.train_id, 0, n, cfg.vlan_id, 0,
+                                 payload=payload).encode())
+    buf = bytearray(65535)
+    seen = bytearray((n + 7) // 8)
+    echoes = array("Q")  # (tx, rx) pairs not yet folded
+    red = TrainReduction()
     pending = n
 
-    def drain(block: bool) -> int:
-        nonlocal pending
-        got = 0
-        while pending > 0:
-            try:
-                if not block:
-                    sock.setblocking(False)
-                data = sock.recv(65535)
-            except (BlockingIOError, socket.timeout):
-                break
-            finally:
-                sock.settimeout(0.05)
-            now = time.monotonic_ns()
-            if len(data) < HEADER_LEN:
-                continue
-            magic, _v, _f, _vlan, train_id, seq, _c, _tx = HEADER_STRUCT.unpack_from(
-                data
-            )
-            if magic != MAGIC or train_id != cfg.train_id or seq >= n:
-                continue
-            if not received[seq]:
-                received[seq] = True
-                rx_ns[seq] = now
-                pending -= 1
-                got += 1
-        return got
+    def fold() -> None:
+        block = np.array(echoes, dtype=np.float64)
+        red.fold(block[0::2], block[1::2], first_tx)
+        del echoes[:]
 
-    try:
-        for pkt in generate_train(cfg):
+    def drain(timeout: float) -> None:
+        nonlocal pending
+        sock.settimeout(timeout)
+        while pending:
+            try:
+                nbytes = sock.recv_into(buf)
+            except (BlockingIOError, socket.timeout):
+                return
             now = time.monotonic_ns()
-            wire = pkt.encode()
-            # Rewrite the tx timestamp with the wall send time.
-            wire = wire[:20] + now.to_bytes(8, "big") + wire[HEADER_LEN:]
-            tx_ns[pkt.seq] = now
+            magic, _v, _f, _vlan, train_id, seq, _c, tx = HEADER_STRUCT.unpack_from(buf)
+            if (nbytes < HEADER_LEN or magic != MAGIC or train_id != cfg.train_id
+                    or seq >= n or seen[seq >> 3] >> (seq & 7) & 1):
+                continue
+            seen[seq >> 3] |= 1 << (seq & 7)
+            pending -= 1
+            echoes.extend((tx, now))
+            if len(echoes) == 2 * CHUNK:
+                fold()
+
+    sock = _bound_socket(bind)
+    deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+    try:
+        now = first_tx = time.monotonic_ns()
+        for seq in range(n):
+            HEADER_STRUCT.pack_into(wire, 0, MAGIC, VERSION, 0, cfg.vlan_id,
+                                    cfg.train_id, seq, n, now)
             sock.sendto(wire, dst)
-            if pkt.seq % _PACE_EVERY == _PACE_EVERY - 1:
+            if seq % _PACE_EVERY == _PACE_EVERY - 1:
                 time.sleep(_PACE_SLEEP_S)
-                drain(block=False)
-        while pending > 0 and time.monotonic() < deadline:
-            drain(block=True)
+                drain(0.0)
+            now = time.monotonic_ns()
+        while pending and time.monotonic() < deadline:
+            drain(0.05)
     finally:
         sock.close()
 
-    echoes = EchoSet(
-        seq=np.arange(n, dtype=np.int64),
-        tx_ns=tx_ns,
-        rx_ns=rx_ns,
-        received=received,
-    )
-    stats = compute_stats(cfg, echoes, two_way_propagation_us=0.0)
-    if pending > 0:
-        raise ProbeTimeout(
-            f"train incomplete after {cfg.timeout_ms} ms: "
-            f"{stats.received}/{cfg.count} echoed",
-            stats=stats,
-        )
+    fold()
+    stats = compute_stats(cfg, red, two_way_propagation_us=0.0)
+    if pending:
+        raise ProbeTimeout(f"train incomplete after {cfg.timeout_ms} ms: "
+                           f"{stats.received}/{cfg.count} echoed", stats=stats)
     return stats

@@ -226,7 +226,8 @@ class TestErrors:
         (["--duration", "nan"], "duration_s must be finite"),
         (["--duration", "inf"], "duration_s must be finite"),
         (["--ramp", "nan"], "ramp_db_per_s must be finite"),
-    ], ids=["duration-nan", "duration-inf", "ramp-nan"])
+        (["--duration", "1e9"], "duration_s / sample_period_s gives over 1000000 samples"),
+    ], ids=["duration-nan", "duration-inf", "ramp-nan", "duration-too-long"])
     def test_degrade_non_finite_override(self, tmp_path, capsys, argv, message):
         line = _config_error(capsys, "--out", str(tmp_path), "degrade", *argv)
         assert message in line

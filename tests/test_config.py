@@ -310,6 +310,8 @@ class TestLoadScenario:
          r"timing\.laser_warmup_s: expected a finite float, got nan"),
         (lambda doc: doc["degradation"].update(duration_s=float("inf")),
          r"degradation\.duration_s: expected a finite float, got inf"),
+        (lambda doc: doc["degradation"].update(duration_s=1e9),
+         r"degradation: duration_s / sample_period_s gives over 1000000 samples$"),
         (lambda doc: doc.update(seeed=5), r"scenario\.yaml: unknown key seeed$"),
         (lambda doc: doc["optical"].update(slot_mm=4),
          r"unknown key optical\.slot_mm$"),
@@ -320,7 +322,8 @@ class TestLoadScenario:
          r"unknown key dataplane\.element_overrides\.sw-mcen\.los_prob$"),
     ], ids=["trains_per_row", "loss_prob", "jitter_std_ns", "slot_m",
             "tunability_items", "override_node", "bool_as_int", "nan",
-            "inf", "top_level_key", "section_key", "row_key", "override_key"])
+            "inf", "series_too_long", "top_level_key", "section_key", "row_key",
+            "override_key"])
     def test_rejected_at_load(self, tmp_path, mutate, match):
         with pytest.raises(ConfigError, match=match):
             load_scenario(_scenario_sandbox(tmp_path, mutate))

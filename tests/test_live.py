@@ -2,11 +2,21 @@
 
 import socket
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from metroslice import live
 from metroslice.live import PortBindFailure, live_measure, live_reflect
-from metroslice.probe import MAGIC, ProbeTimeout, TrainConfig
+from metroslice.probe import (
+    HEADER_STRUCT,
+    MAGIC,
+    ProbeTimeout,
+    TrainConfig,
+    TrainReduction,
+    compute_stats,
+)
 
 
 def _free_port():
@@ -55,6 +65,38 @@ class TestLoopback:
         assert stats.jitter_ns >= 0.0
         assert result["count"] == 1000
 
+    def test_echoes_fold_block_by_block(self, monkeypatch):
+        # With 100-echo blocks a 1000-packet train folds ten full blocks
+        # and an empty tail, and reduces as one fold of every pair would.
+        blocks = []
+        fold = TrainReduction.fold
+
+        def spy(red, tx, rx, sent_from):
+            blocks.append((tx.copy(), rx.copy()))
+            fold(red, tx, rx, sent_from)
+
+        monkeypatch.setattr(live, "CHUNK", 100)
+        monkeypatch.setattr(TrainReduction, "fold", spy)
+        cfg = TrainConfig(count=1000, ip_payload_bytes=256, timeout_ms=10_000)
+        port = _free_port()
+        thread, stop, _ = _reflector(port, max_packets=1000)
+        try:
+            stats = live_measure(cfg, dst=("127.0.0.1", port))
+        finally:
+            stop.set()
+            thread.join(5.0)
+        assert [tx.size for tx, _ in blocks] == [100] * 10 + [0]
+        tx = np.concatenate([tx for tx, _ in blocks])
+        rx = np.concatenate([rx for _, rx in blocks])
+        assert np.unique(tx).size == 1000
+        whole = TrainReduction()
+        fold(whole, tx, rx, float(tx.min()))
+        ref = compute_stats(cfg, whole, two_way_propagation_us=0.0)
+        assert (stats.received, stats.rtt_us, stats.duration_s) == (
+            ref.received, ref.rtt_us, ref.duration_s)
+        assert stats.rtt_mean_us == pytest.approx(ref.rtt_mean_us, rel=1e-12)
+        assert stats.jitter_ns == pytest.approx(ref.jitter_ns, rel=1e-9)
+
     def test_single_packet_has_zero_jitter(self):
         port = _free_port()
         thread, stop, _ = _reflector(port, max_packets=1)
@@ -87,6 +129,74 @@ class TestLoopback:
             thread.join(5.0)
         assert stats.received == 3
         assert result["count"] == 3
+
+    def test_duplicate_and_foreign_echoes_count_once(self):
+        # Every probe is echoed twice, and the first one also draws a short
+        # datagram, one of another train and one past the train's end. All
+        # but the first echo carry a send stamp far in the future, so any
+        # of them counted shows as a negative RTT.
+        count = 500
+        port = _free_port()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+        sock.bind(("127.0.0.1", port))
+        sock.settimeout(0.2)
+        stop = threading.Event()
+
+        def stamped(data, **changes):
+            magic, ver, flags, vlan, train_id, seq, n, _ = HEADER_STRUCT.unpack_from(data)
+            head = dict(train_id=train_id, seq=seq, tx=2**63) | changes
+            out = bytearray(data)
+            HEADER_STRUCT.pack_into(out, 0, magic, ver, flags, vlan, head["train_id"],
+                                    head["seq"], n, head["tx"])
+            return out
+
+        def run():
+            first = True
+            while not stop.is_set():
+                try:
+                    data, addr = sock.recvfrom(65535)
+                except socket.timeout:
+                    continue
+                if first:
+                    sock.sendto(data[:10], addr)
+                    sock.sendto(stamped(data, train_id=9, seq=count - 1), addr)
+                    sock.sendto(stamped(data, seq=count), addr)
+                    first = False
+                sock.sendto(data, addr)
+                sock.sendto(stamped(data), addr)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            stats = live_measure(
+                TrainConfig(count=count, ip_payload_bytes=128, train_id=8,
+                            timeout_ms=10_000),
+                dst=("127.0.0.1", port),
+            )
+        finally:
+            stop.set()
+            thread.join(5.0)
+            sock.close()
+        assert not thread.is_alive()
+        assert stats.received == count
+        assert stats.loss_rate == 0.0
+        assert stats.rtt_us > 0.0
+
+    def test_sender_memory_is_bounded(self):
+        # 20 000 packets to a port nobody reads: the sender holds one bit
+        # per packet and one receive buffer, not per-packet arrays.
+        port = _free_port()
+        cfg = TrainConfig(count=20_000, ip_payload_bytes=64, timeout_ms=100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProbeTimeout) as exc:
+                live_measure(cfg, dst=("127.0.0.1", port))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.stats.received == 0
+        assert peak < 256 * 1024
 
     def test_no_reflector_times_out_with_partial(self):
         port = _free_port()  # nobody listening on it

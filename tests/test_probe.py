@@ -497,10 +497,12 @@ class TestQuantizedDelayPmf:
         assert pmf.tolist() == [1.0]
         self._check(path, seed=1)
 
-    def test_no_jitter_on_a_half_tick_splits_the_tie(self):
+    def test_no_jitter_on_a_half_tick_is_one_bin(self):
+        # The tie goes to even, for every packet alike.
         path = PathModel((PathElement("x", fixed_latency_us=2.5 * CLOCK_TICK_NS / 1000),))
         lo, pmf = quantized_delay_pmf(path)
-        assert (lo, pmf.tolist()) == (2, [0.5, 0.5])
+        assert (lo, pmf.tolist()) == (2, [1.0])
+        self._check(path, seed=4)
 
     def test_jittered_delay_on_a_half_tick(self):
         path = PathModel((PathElement("x", fixed_latency_us=7.5 * CLOCK_TICK_NS / 1000,
