@@ -5,11 +5,21 @@ RFC 5357 Appendix I). Each echo carries the sender's monotonic send stamp
 back, so RTT needs no clock sync. Echoes fold into the simulated probe's
 ``TrainReduction`` per ``probe.CHUNK`` block, with one bit per packet so a
 duplicate (RFC 5560) counts once; short and foreign datagrams are ignored.
+
+The echoes clock the sender (Jacobson, SIGCOMM 1988): it keeps at most
+``_WINDOW`` packets beyond the newest echo in flight, so a loopback RTT
+includes at most that much self-queueing. The window counts from the
+newest echo, not from the missing ones, so a lost packet never stalls the
+train. At ``timeout_ms`` the sender stops, sent or not, and reports the
+partial train. Both ends read without blocking (``MSG_DONTWAIT``) from
+sockets that have no timeout, and wait in ``select`` only when there is
+nothing to read, so no receive or send pays for a ``poll``.
 """
 
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import threading
 import time
@@ -36,8 +46,7 @@ from .probe import (
 log = logging.getLogger(__name__)
 
 _RCVBUF = 1 << 22
-_PACE_EVERY = 64
-_PACE_SLEEP_S = 0.0002
+_WINDOW = 64  # packets in flight beyond the newest echo
 
 
 class PortBindFailure(ProbeError):
@@ -63,7 +72,6 @@ def live_reflect(
 ) -> int:
     """Echo probe datagrams until stopped. Returns the reflected count."""
     sock = _bound_socket(bind)
-    sock.settimeout(0.2)
     if ready is not None:
         ready.set()
     view = memoryview(bytearray(65535))
@@ -71,8 +79,9 @@ def live_reflect(
     try:
         while not (stop is not None and stop.is_set()):
             try:
-                nbytes, addr = sock.recvfrom_into(view)
-            except socket.timeout:
+                nbytes, addr = sock.recvfrom_into(view, 0, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                select.select([sock], [], [], 0.2)  # idle: check ``stop``
                 continue
             if nbytes < HEADER_LEN or HEADER_STRUCT.unpack_from(view)[0] != MAGIC:
                 continue
@@ -94,7 +103,8 @@ def live_measure(
     """Send one train to a reflector and account the echoes.
 
     Raises ProbeTimeout (with the partial statistics attached) if the
-    train does not complete within cfg.timeout_ms.
+    train does not complete within cfg.timeout_ms. The sender stops at
+    that deadline, so unsent packets count as lost against cfg.count.
     """
     n = cfg.count
     payload = bert_payload(cfg.bert_type, cfg.bert_payload_len)
@@ -105,45 +115,60 @@ def live_measure(
     echoes = array("Q")  # (tx, rx) pairs not yet folded
     red = TrainReduction()
     pending = n
+    top = -1  # highest seq echoed so far
 
     def fold() -> None:
         block = np.array(echoes, dtype=np.float64)
         red.fold(block[0::2], block[1::2], first_tx)
         del echoes[:]
 
-    def drain(timeout: float) -> None:
-        nonlocal pending
-        sock.settimeout(timeout)
+    def drain(deadline: int, floor: int) -> bool:
+        """Fold every queued echo, then wait for more while ``top < floor``.
+
+        Returns False once the monotonic ``deadline`` (ns) passes: a
+        datagram, counted or not, stamped at or after it, or no datagram
+        before it.
+        """
+        nonlocal pending, top
         while pending:
             try:
-                nbytes = sock.recv_into(buf)
-            except (BlockingIOError, socket.timeout):
-                return
+                nbytes = sock.recv_into(buf, 0, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                if top >= floor:
+                    return True
+                left = deadline - time.monotonic_ns()
+                if left <= 0 or not select.select([sock], [], [], left / 1e9)[0]:
+                    return False
+                continue
             now = time.monotonic_ns()
+            if now >= deadline:
+                return False
             magic, _v, _f, _vlan, train_id, seq, _c, tx = HEADER_STRUCT.unpack_from(buf)
             if (nbytes < HEADER_LEN or magic != MAGIC or train_id != cfg.train_id
                     or seq >= n or seen[seq >> 3] >> (seq & 7) & 1):
                 continue
             seen[seq >> 3] |= 1 << (seq & 7)
             pending -= 1
+            if seq > top:
+                top = seq
             echoes.extend((tx, now))
             if len(echoes) == 2 * CHUNK:
                 fold()
+        return True
 
     sock = _bound_socket(bind)
-    deadline = time.monotonic() + cfg.timeout_ms / 1000.0
     try:
         now = first_tx = time.monotonic_ns()
+        deadline = now + cfg.timeout_ms * 1_000_000
         for seq in range(n):
             HEADER_STRUCT.pack_into(wire, 0, MAGIC, VERSION, 0, cfg.vlan_id,
                                     cfg.train_id, seq, n, now)
             sock.sendto(wire, dst)
-            if seq % _PACE_EVERY == _PACE_EVERY - 1:
-                time.sleep(_PACE_SLEEP_S)
-                drain(0.0)
+            if seq - top >= _WINDOW and not drain(deadline, seq - _WINDOW + 1):
+                break
             now = time.monotonic_ns()
-        while pending and time.monotonic() < deadline:
-            drain(0.05)
+        else:
+            drain(deadline, n)  # top < n always: wait for every echo
     finally:
         sock.close()
 

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from metroslice.live import PortBindFailure, live_measure, live_reflect
 from metroslice.probe import (
     HEADER_STRUCT,
     MAGIC,
+    VERSION,
     ProbeTimeout,
     TrainConfig,
     TrainReduction,
@@ -197,6 +199,95 @@ class TestLoopback:
             tracemalloc.stop()
         assert exc.value.stats.received == 0
         assert peak < 256 * 1024
+
+    def test_window_bounds_packets_in_flight(self):
+        # A peer that never echoes receives one window of the train, not
+        # the whole of it, and the partial stats still count every packet.
+        port = _free_port()
+        sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sink.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+        sink.bind(("127.0.0.1", port))
+        try:
+            with pytest.raises(ProbeTimeout) as exc:
+                live_measure(TrainConfig(count=20_000, ip_payload_bytes=64, timeout_ms=100),
+                             dst=("127.0.0.1", port))
+            queued = 0
+            while True:
+                try:
+                    sink.recv(65535, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    break
+                queued += 1
+        finally:
+            sink.close()
+        assert queued == live._WINDOW
+        assert (exc.value.stats.count, exc.value.stats.received) == (20_000, 0)
+
+    def test_lost_packets_do_not_stall_the_train(self):
+        # The reflector drops every 100th probe. The window counts from the
+        # newest echo, so the rest of the train still goes out and returns.
+        port = _free_port()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+        sock.bind(("127.0.0.1", port))
+        sock.settimeout(0.2)
+        stop = threading.Event()
+
+        def run():
+            probes = 0
+            while not stop.is_set():
+                try:
+                    data, addr = sock.recvfrom(65535)
+                except socket.timeout:
+                    continue
+                probes += 1
+                if probes % 100:
+                    sock.sendto(data, addr)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ProbeTimeout) as exc:
+                live_measure(TrainConfig(count=5000, ip_payload_bytes=64, timeout_ms=2000),
+                             dst=("127.0.0.1", port))
+        finally:
+            stop.set()
+            thread.join(5.0)
+            sock.close()
+        assert not thread.is_alive()
+        assert exc.value.stats.received == 4950
+
+    def test_foreign_trickle_does_not_hold_past_deadline(self):
+        # One datagram of another train every 10 ms reaches the sender's
+        # port for up to 3 s. A train to a dead port still ends at its
+        # timeout_ms, not when the trickle stops.
+        port, dead = _free_port(), _free_port()
+        foreign = bytearray(64)
+        HEADER_STRUCT.pack_into(foreign, 0, MAGIC, VERSION, 0, 100, 99, 0, 10, 0)
+        stop = threading.Event()
+
+        def trickle():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+                end = time.monotonic() + 3.0
+                while not stop.is_set() and time.monotonic() < end:
+                    s.sendto(foreign, ("127.0.0.1", port))
+                    stop.wait(0.01)
+
+        thread = threading.Thread(target=trickle, daemon=True)
+        thread.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(ProbeTimeout) as exc:
+                live_measure(TrainConfig(count=10, ip_payload_bytes=128, train_id=1,
+                                         timeout_ms=300),
+                             dst=("127.0.0.1", dead), bind=("127.0.0.1", port))
+            elapsed = time.monotonic() - t0
+        finally:
+            stop.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        assert elapsed < 1.0
+        assert exc.value.stats.received == 0
 
     def test_no_reflector_times_out_with_partial(self):
         port = _free_port()  # nobody listening on it
