@@ -336,3 +336,154 @@ class TestNoValidScAfterTruncation:
         assert decision.candidate == decision.ranked[10]
         assert decision.candidate.vim_ids == want[1][1] == ("vim-0", "vim-1")
         assert decision.candidate.cost_us > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Placements pinned from the ranking as it was before the lazy rewrite.
+
+_HOSTED_ON = {
+    "fw": {0, 1, 2, 3}, "nat": {0, 1, 2, 3}, "lb": {0, 1, 2, 3},
+    "dpi": {0, 1, 2}, "cache": {0, 2}, "ids": {1, 3},
+    "vms-core": {0}, "video-analytics": {2},
+}
+
+
+def _metro_ring(seed):
+    """12 ROADMs on a ring plus four chords, one VIM site per ROADM.
+
+    Fibre lengths are drawn from ``seed``; each site hosts the VNF types
+    of its shuffled pattern index, as in the benchmark's slice churn.
+    Capacities are large enough that placing never changes eligibility.
+    """
+    rng = random.Random(seed)
+    nodes, links = [], []
+    pattern = rng.sample(range(12), 12)
+    for i in range(12):
+        tags = frozenset(t for t, res in _HOSTED_ON.items() if pattern[i] % 4 in res)
+        vim = VimStatus(f"vim-{i:02d}", 10**6, 10**9, 10**6, tags)
+        kind = NodeKind.MCEN if i % 4 == 0 else NodeKind.AMEN
+        nodes.append(Node(f"roadm-{i:02d}", NodeKind.ROADM, 3.275))
+        nodes.append(Node(f"site-{i:02d}", kind, 0.0, vim))
+        links.append(Link(f"pat-{i:02d}", (f"site-{i:02d}", f"roadm-{i:02d}"), 0.0005))
+        j = (i + 1) % 12
+        links.append(Link(f"fib-{i:02d}-{j:02d}", (f"roadm-{i:02d}", f"roadm-{j:02d}"),
+                          rng.uniform(10.0, 60.0)))
+    chords = set()
+    while len(chords) < 4:
+        a, b = sorted(rng.sample(range(12), 2))
+        if (b - a) % 12 not in (1, 11):
+            chords.add((a, b))
+    for a, b in sorted(chords):
+        links.append(Link(f"fib-{a:02d}-{b:02d}", (f"roadm-{a:02d}", f"roadm-{b:02d}"),
+                          rng.uniform(40.0, 90.0)))
+    return Topology(nodes=nodes, links=links)
+
+
+def _pinned_chains():
+    """36 VNF type chains, 12 each of length 2-4, the all-hosted ones first."""
+    rng = random.Random(11)
+    chains = []
+    for length in (2, 3, 4):
+        chains.append(("fw", "nat", "lb", "dpi")[:length])
+        while len(chains) % 12:
+            c = tuple(rng.sample(sorted(_HOSTED_ON), length))
+            if c not in chains:
+                chains.append(c)
+    return chains
+
+
+def _decision_text(decision):
+    """Block reason, chosen VIMs and every ranked chain, costs as hex."""
+    lines = [decision.block_reason.value if decision.block_reason else "placed"]
+    if decision.candidate is not None:
+        lines.append(" ".join(decision.candidate.vim_ids))
+    lines += [f"{c.cost_us.hex()} {' '.join(c.vim_ids)}" for c in decision.ranked]
+    return "\n".join(lines)
+
+
+def _pinned_placements(ring_seed, access):
+    """Text of every decision over the pinned chains on one ring, by chain.
+
+    ``access`` puts the ingress and egress on two ROADMs, nodes without
+    a VIM; the RTT requisite rotates over 400, 2000 and 10000 us.
+    """
+    topology = _metro_ring(ring_seed)
+    vims = [n.vim for n in topology.vim_nodes()]
+    ingress, egress = ("roadm-02", "roadm-09") if access else (None, None)
+    out = []
+    for c, types in enumerate(_pinned_chains()):
+        chain = [_vnf(f"vnf-{j}-{t}", tag=t, cpu=1, mem=1, sto=1)
+                 for j, t in enumerate(types)]
+        texts = []
+        for k in (1, 10, 11, 25):
+            req = _req(chain, max_rtt=(400.0, 2000.0, 10000.0)[c % 3], k=k,
+                       ingress=ingress, egress=egress)
+            texts.append(f"k={k}\n" + _decision_text(place(req, topology, vims)))
+        out.append("\n".join(texts))
+    return out
+
+
+#: sha256 (first 16 hex digits) of each chain's decision text, per ring
+#: seed and access mode; taken from the eager ranking that every
+#: prefix's children were pushed by.
+_PINNED = {
+    (301, False): [
+        "6917ed87e5a070f1", "091531187f6d65b4", "7942594d25d93863", "fec9729b6c8198fe",
+        "ae610cb9c8efc7b5", "7a73deeefb7ae47d", "ae610cb9c8efc7b5", "3721de0d149d1e01",
+        "2bf4f45b2c0c925f", "6917ed87e5a070f1", "cce47f9f978a3a9a", "26661dd8b02c78d9",
+        "c23034c3410ba4f1", "0605806461eeefa7", "ac338d4fba138465", "c88a70f95bfbfea1",
+        "4a12120d0f31592d", "c88f0718c1624eef", "71cbbee563092a73", "e989565d0efb18b3",
+        "77c351118dd4f991", "9a991e7a66deb751", "30709f567f379fda", "021290af32a18506",
+        "ac4959e590d8ae7c", "81ea0e495a427140", "5e5ce55f50e3dd5a", "eb8d347f42e503cd",
+        "c44c65ad5e3576ad", "b5c00e6c1f411450", "42123297475ae3da", "270fc207f0afbd4c",
+        "b90ea5ed5757d62c", "281223b7222aee5e", "24ce0a680514cad2", "1a35c0955a56fa29",
+    ],
+    (301, True): [
+        "da0925df525eb2ef", "95f7f7afd05017d2", "e7f4b91f10446828", "b89b1b10443ebe54",
+        "37b281a0b6ae37c1", "f2b59dea508e4584", "37bde14ad35df7ed", "cf734ec220c1d04a",
+        "9ea180e9b66c3bdb", "da0925df525eb2ef", "5be454d72b0deb3d", "8221d211e54f13ef",
+        "a8d659a14cd688c5", "e4c16d611d5723a5", "ca04073dd5954693", "da649aeeab22e7fe",
+        "e7629cf2a1b1dada", "39cd8d6ab009d9d8", "6f1112b2d237d36c", "90d88b38a2345b46",
+        "82f0b6fc6abb0697", "d68dc7e502a296ae", "905cc7bce1967851", "ea88803a61a049af",
+        "a2c95a181893a279", "0a03c2a73fd75e9d", "4f01d9ebff16496a", "aa65c3e8e27d8438",
+        "b623304d8c7b0e15", "a77106f6946d2419", "27c67c91a5d33511", "c6a694d1f0ff83e8",
+        "754423b18420910e", "8d3f7f8dd3479e42", "e7c27422b35b5afd", "ee009845be6d0751",
+    ],
+    (302, False): [
+        "e6bbcd2336a2428e", "4dc5d797b8b295c4", "269163d94f962a72", "d76e3ae731c43dfc",
+        "0bdf4c9f02506bb5", "ec4e66e2eafbabfc", "0bdf4c9f02506bb5", "5a2e21aaddfcf28b",
+        "f1f0adc44be87082", "e6bbcd2336a2428e", "a86c8f27195c0c83", "0463f6dbcc6df53f",
+        "bd1b57c20e468ed2", "8f72c64cc0e1800a", "d42ed3a4ee3105de", "61697967889e4a62",
+        "48bb6081f5c41993", "3c56aa297e494ecb", "d486f8cfa2ad2e1c", "b1f1a97ffafb576d",
+        "2996331c5a7d2880", "728426a7c3e778c5", "57325bcb8830bdb2", "4d0f296d7a6fcd10",
+        "247090980cda6f4b", "24a9782ef3209b14", "f5210d77684175e3", "2c6ba704ce39f1ec",
+        "118d214ba216d0ea", "92b2b4c7c34ecf79", "b5bf2b8d6c3be7aa", "8f438936d6e25a06",
+        "54df7298379f51c5", "f649a3bd6a0cc73a", "23d743fd92dfb410", "eaa3f503015ecda0",
+    ],
+    (302, True): [
+        "7b28023d905b9248", "b881ec25310fe4f0", "fbf0dba915923b4c", "32e5199abffbffd1",
+        "4a689b1e0165e077", "32dcfd2de202e47d", "c27f5c7df2fc68a0", "f1b71932b703027c",
+        "a6fb74d970226463", "7b28023d905b9248", "1fe714fff2fea34b", "2e8a38ea7cf145a3",
+        "6df5d71c1a632c8e", "a0b41973b1b94c87", "7735726d82a0c62a", "0a50cfc37933ddaa",
+        "173eafa586a16464", "f95de02ab5b7b19a", "3800e537356a8995", "2f82bbf4b380ad5a",
+        "b409495ad882acb8", "f19e1a4a402c5db2", "e110fcb2cb433896", "96d76fa3e18b24eb",
+        "6911134e83cc44de", "00b877252a3e5675", "3711ec043c90ea0f", "af59d9a1b91c6f4f",
+        "89aacc60cf8ec8af", "617affa7c1731ea4", "745bb52b4dcd3cd5", "ebe508cb22b2e9cb",
+        "071f4e5ed9d292ea", "1afc269ebdca1738", "8c6449719b6311dd", "d5963044d52f084f",
+    ],
+}
+
+
+class TestPinnedPlacements:
+    @pytest.mark.parametrize("access", [False, True], ids=["no-access", "access"])
+    @pytest.mark.parametrize("ring_seed", [301, 302])
+    def test_decisions_unchanged(self, ring_seed, access):
+        import hashlib
+
+        texts = _pinned_placements(ring_seed, access)
+        got = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts]
+        want = _PINNED[ring_seed, access]
+        changed = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert not changed, "decisions changed:\n\n" + "\n\n".join(
+            f"chain {i} {_pinned_chains()[i]}:\n{texts[i]}" for i in changed[:3])
+        assert len(got) == len(want) == 36
