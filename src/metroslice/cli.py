@@ -36,7 +36,7 @@ from .dataplane import evolve_quality, path_from_nodes
 from .live import live_measure, live_reflect
 from .mda import MdaController, detect_soft_failure
 from .model import aggregate_bandwidth_mbps
-from .orchestrator import merge_logs, run_wf1, run_wf2
+from .orchestrator import WorkflowError, merge_logs, run_wf1, run_wf2
 from .planner import place
 from .probe import (
     NegativeBudget,
@@ -424,11 +424,20 @@ def main(argv: list[str] | None = None) -> int:
             scenario = load_scenario(args.scenario or default_scenario_path())
         return args.func(args, scenario)
     except (ConfigError, ProbeError, OSError) as exc:
-        if args.json:
-            print(json.dumps({"error": str(exc)}, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        _error(args, exc)
         return 2
+    except WorkflowError as exc:
+        # Provisioning failed and was rolled back: a refusal, like a
+        # blocked placement, not a bad input.
+        _error(args, exc)
+        return 1
+
+
+def _error(args, exc: Exception) -> None:
+    if args.json:
+        print(json.dumps({"error": str(exc)}, sort_keys=True))
+    else:
+        print(f"error: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

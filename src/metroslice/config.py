@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,10 +55,14 @@ def default_scenario_path() -> Path:
     )
 
 
+#: libyaml's parser when PyYAML was built with it, else the pure-Python one.
+_SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def _load_yaml(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_SafeLoader)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
     except yaml.YAMLError as exc:
@@ -188,6 +193,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
     known = {n.node_id for n in topology.nodes}
     for i, row in enumerate(scenario.rows):
+        if not (math.isfinite(row.length_km) and row.length_km >= 0):
+            raise ConfigError(
+                f"{path}: calibration_rows[{i}].length_km: expected a finite "
+                f"length >= 0, got {row.length_km}"
+            )
         for nid in row.path_nodes:
             if nid not in known:
                 raise ConfigError(

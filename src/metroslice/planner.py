@@ -6,6 +6,13 @@ candidate that is feasible (at most one VNF of a slice per VIM). A
 request is blocked when no VIM is eligible for some VNF, when no
 candidate is feasible, or when the cheapest feasible candidate exceeds
 the slice's RTT requisite.
+
+RTT weights are computed once per topology geometry: they sit in rows
+keyed by node id next to the shared
+:func:`~metroslice.model.latency_graph`, and leave with it. A ranking
+call reads each (layer, option) row of leg weights with one gather, and
+expands chain prefixes lazily: a popped prefix pushes only its cheapest
+child and its own next sibling.
 """
 
 from __future__ import annotations
@@ -13,13 +20,17 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, itemgetter
 
-from .model import NsRequest, Topology, VimStatus, latency_graph
+from .model import LatencyGraph, NsRequest, Topology, VimStatus, latency_graph
 from .records import Record
 
 log = logging.getLogger(__name__)
+
+_INF = math.inf
 
 
 class BlockReason(str, Enum):
@@ -65,6 +76,96 @@ class RttGraph:
             return 0.0
         return self._w.get((u, v), self._w.get((v, u)))
 
+    def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
+        """Per ``u``, its weight to each of ``vs``; ``math.inf`` where
+        unreachable."""
+        return [
+            tuple(_INF if w is None else w for w in (self.weight_us(u, v) for v in vs))
+            for u in us
+        ]
+
+
+def _gather(keys: list[str]):
+    """``row -> tuple(row[k] for k in keys)``, as one C-level call."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda row: (row[key],)
+    return itemgetter(*keys)
+
+
+def _rtt_from(g: LatencyGraph, s: str, t: str) -> float:
+    """Round trip between two distinct nodes, from the Dijkstra run of ``s``.
+
+    The path cost includes the destination's own fixed latency; refund it
+    to leave links + intermediate nodes.
+    """
+    dist, _ = g.paths_from(s)
+    return 2.0 * (dist[t] - g.fixed[t]) if t in dist else _INF
+
+
+#: Weight rows of each geometry's shared graph, keyed by node id:
+#: ``(by_id, by_other)``. ``by_id[u][v]`` comes from the run of the
+#: smaller id of u and v, ``by_other[u][v]`` from the run of v. Keyed
+#: weakly, so a geometry's rows leave with its graph's LRU entry.
+_rows_of: weakref.WeakKeyDictionary[LatencyGraph, tuple[dict, dict]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+class _TopologyRtt(RttGraph):
+    """What :func:`build_rtt_graph` returns: weights between listed
+    terminals, read from the rows memoised for the topology's geometry."""
+
+    def __init__(self, g: LatencyGraph, terminals: list[str]):
+        self._g = g
+        self._pos: dict[str, int] = {}
+        for i, t in enumerate(terminals):
+            self._pos.setdefault(t, i)
+        # Among terminals listed in ascending id order from the start, the
+        # first listed of a pair is also the smaller id; the rest of the
+        # list follows all of them.
+        n = 1
+        while n < len(terminals) and terminals[n - 1] < terminals[n]:
+            n += 1
+        self._head = frozenset(terminals[:n])
+        self._tail = frozenset(terminals[n:]) - self._head
+        self._rows = _rows_of.get(g) or _rows_of.setdefault(g, ({}, {}))
+
+    def weight_us(self, u: str, v: str) -> float | None:
+        if u == v:
+            return 0.0
+        pos = self._pos
+        if u not in pos or v not in pos:
+            return None
+        if pos[v] < pos[u]:
+            u, v = v, u
+        w = _rtt_from(self._g, u, v)
+        return None if w == _INF else w
+
+    def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
+        by_id, by_other = self._rows
+        if self._head.issuperset(vs) and self._head.issuperset(us):
+            memo = by_id
+        elif self._head.issuperset(vs) and self._tail.issuperset(us):
+            memo = by_other
+        else:
+            return super().legs(us, vs)
+        get = _gather(vs)
+        out = []
+        for u in us:
+            row = memo.get(u)
+            if row is None:
+                row = memo[u] = {}
+            try:
+                out.append(get(row))
+            except KeyError:
+                for v in vs:
+                    if v not in row:
+                        s, t = (v, u) if memo is by_other or v < u else (u, v)
+                        row[v] = 0.0 if s == t else _rtt_from(self._g, s, t)
+                out.append(get(row))
+        return out
+
 
 def build_rtt_graph(
     topology: Topology,
@@ -75,21 +176,17 @@ def build_rtt_graph(
     One-way latency of a path is the sum of link propagation delays plus
     the fixed latency of every intermediate node; terminal nodes do not
     charge their own fixed latency. Edge weight is twice the one-way
-    minimum. The per-terminal Dijkstra runs come from the shared
+    minimum, taken from the Dijkstra run of whichever terminal of the
+    pair is listed first. The runs, and the weights read from them, are
+    memoised per geometry next to the shared
     :func:`~metroslice.model.latency_graph`, so an unchanged topology pays
-    for them once.
+    for each once. Raises ``KeyError`` for a terminal that is not a node.
     """
     g = latency_graph(topology)
-    weights: dict[tuple[str, str], float] = {}
-    for i, u in enumerate(terminal_nodes):
-        dist, _ = g.paths_from(u)
-        for v in terminal_nodes[i + 1:]:
-            if v in dist:
-                # The path cost includes the destination's own fixed
-                # latency; refund it to leave links + intermediate nodes.
-                one_way = dist[v] - g.fixed[v]
-                weights[(u, v)] = 2.0 * one_way
-    return RttGraph(weights)
+    for t in terminal_nodes:
+        if t not in g.fixed:
+            raise KeyError(t)
+    return _TopologyRtt(g, terminal_nodes)
 
 
 def filter_vims(
@@ -131,62 +228,98 @@ def rank_service_chains(
     Best-first search over the layered chain (Lawler 1972; Eppstein
     1998): a backward pass finds the cheapest completion from each VIM of
     each layer, and a heap of chain prefixes keyed on prefix cost plus
-    that bound yields complete chains in (nearly) ascending cost. The
-    search stops once the heap minimum exceeds the k-th cheapest complete
-    chain by more than rounding, so ties at the cut are all kept. The
-    result equals sorting every combination, because weights are
-    non-negative and each kept chain's cost is the same left-to-right sum.
+    that bound yields complete chains in (nearly) ascending cost. Leg
+    weights are read as one row per (layer, option), shared by layers
+    with the same options, ``math.inf`` where unreachable.
+
+    Expansion is lazy. The children of an option are ordered by leg plus
+    bound; a popped prefix pushes only its cheapest child, found by the
+    bound, and its own next sibling in its parent's order. The second
+    sibling is one masked minimum, and an option's children are sorted
+    only when a third is asked for. Heap work so grows with the pops, not
+    with pops times the layer width.
+
+    The search stops once the heap minimum exceeds the k-th cheapest
+    complete chain by more than rounding, so ties at the cut are all
+    kept. The result equals sorting every combination, because weights
+    are non-negative and each kept chain's cost is the same left-to-right
+    sum.
     """
     opts = [eligibility[vnf.vnf_id] for vnf in req.chain]
-    if any(not layer for layer in opts):
+    if not all(opts):
         return []
     nodes = [[vim_node[v] for v in layer] for layer in opts]
     last = len(opts) - 1
 
     # legs[i][j][m]: weight from option j of layer i to option m of layer
-    # i + 1, None when unreachable.
-    legs = [
-        [[graph.weight_us(a, b) for b in nodes[i + 1]] for a in nodes[i]]
-        for i in range(last)
-    ]
-    exit_w = [
-        0.0 if egress is None else graph.weight_us(a, egress) for a in nodes[-1]
-    ]
+    # i + 1.
+    shared: dict[tuple, list[tuple[float, ...]]] = {}
+    legs = []
+    for a, b in zip(nodes, nodes[1:]):
+        key = (tuple(a), tuple(b))
+        if key not in shared:
+            shared[key] = graph.legs(a, b)
+        legs.append(shared[key])
     # bounds[i][j]: cheapest completion from option j of layer i, egress
-    # leg included.
-    bounds = [[math.inf if w is None else w for w in exit_w]]
+    # leg included; bounds[last] is the egress leg alone.
+    width = len(nodes[-1])
+    bounds = [[0.0] * width if egress is None else graph.legs([egress], nodes[-1])[0]]
     for i in reversed(range(last)):
         after = bounds[0]
-        bounds.insert(0, [
-            min((w + h for w, h in zip(row, after) if w is not None),
-                default=math.inf)
-            for row in legs[i]
-        ])
+        bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
 
-    # Entries are (key, vim_ids, option index, exact prefix cost); vim_ids
-    # are unique, so the last two never take part in a comparison.
-    heap = []
-    for j, vim in enumerate(opts[0]):
-        prefix = 0.0
-        if ingress is not None:
-            w = graph.weight_us(ingress, nodes[0][j])
-            if w is None:
-                continue
-            prefix += w
-        if bounds[0][j] < math.inf:
-            heap.append((prefix + bounds[0][j], (vim,), j, prefix))
+    # (layer, option) -> (leg + bound of each child, the children's order
+    # as far as it is known).
+    kids: dict[tuple[int, int], tuple[list[float], list[int]]] = {}
+
+    def child(i: int, j: int, r: int) -> int | None:
+        """Index in layer i + 1 of the r-th child of option j of layer i,
+        by (leg + bound, index); None past the last that can complete."""
+        state = kids.get((i, j))
+        if state is None:
+            sums = list(map(add, legs[i][j], bounds[i + 1]))
+            state = kids[i, j] = (sums, [sums.index(bounds[i][j])])
+        sums, order = state
+        if r == len(order) == 1:
+            rest = sums.copy()
+            rest[order[0]] = _INF
+            second = min(rest)
+            if second < _INF:
+                order.append(rest.index(second))
+        elif r == len(order) < len(sums):
+            order[:] = sorted(range(len(sums)), key=sums.__getitem__)
+        if r < len(order) and sums[order[r]] < _INF:
+            return order[r]
+        return None
+
+    # Entries are (key, vim_ids, option index, exact prefix cost, and the
+    # parent's option index, exact prefix cost and this entry's rank among
+    # its children); vim_ids are unique, so only the first two are ever
+    # compared. Roots have no parent: all of them start in the heap.
+    entry = [0.0] * len(nodes[0]) if ingress is None else graph.legs([ingress], nodes[0])[0]
+    heap = [
+        (w + b, (vim,), j, w, None, 0.0, 0)
+        for j, (vim, w, b) in enumerate(zip(opts[0], entry, bounds[0]))
+        if w + b < _INF
+    ]
     heapq.heapify(heap)
 
     done: list[tuple[float, tuple[str, ...]]] = []
     kth = []  # max-heap (negated) of the k cheapest complete costs
-    limit = math.inf
+    limit = _INF
     while heap:
-        key, ids, j, prefix = heapq.heappop(heap)
+        key, ids, j, prefix, pj, pprefix, r = heapq.heappop(heap)
         if key > limit:
             break
         i = len(ids) - 1
+        if pj is not None:
+            m = child(i - 1, pj, r + 1)
+            if m is not None:
+                step = pprefix + legs[i - 1][pj][m]
+                heapq.heappush(heap, (step + bounds[i][m], ids[:-1] + (opts[i][m],),
+                                      m, step, pj, pprefix, r + 1))
         if i == last:
-            cost = prefix if egress is None else prefix + exit_w[j]
+            cost = prefix if egress is None else prefix + bounds[last][j]
             done.append((cost, ids))
             if len(kth) < req.k:
                 heapq.heappush(kth, -cost)
@@ -195,13 +328,10 @@ def rank_service_chains(
             if len(kth) == req.k:
                 limit = -kth[0] * (1.0 + _KEY_SLACK)
             continue
-        for m, w in enumerate(legs[i][j]):
-            if w is None or bounds[i + 1][m] == math.inf:
-                continue
-            step = prefix + w
-            heapq.heappush(
-                heap, (step + bounds[i + 1][m], ids + (opts[i + 1][m],), m, step)
-            )
+        m = child(i, j, 0)
+        step = prefix + legs[i][j][m]
+        heapq.heappush(heap, (step + bounds[i + 1][m], ids + (opts[i + 1][m],),
+                              m, step, j, prefix, 0))
     done.sort()
     return [ServiceChainCandidate(vim_ids=ids, cost_us=c) for c, ids in done[: req.k]]
 
@@ -231,7 +361,10 @@ def place(
         return PlacementDecision(None, BlockReason.NO_ELIGIBLE_VIM)
 
     useful_vims = sorted({v for opts in eligibility.values() for v in opts})
-    vim_node = {v: topology.node_for_vim(v).node_id for v in useful_vims}
+    # One pass over the nodes; reversed, so the first node listed for a
+    # VIM wins, as in Topology.node_for_vim.
+    node_of = {n.vim.vim_id: n.node_id for n in reversed(topology.nodes) if n.vim}
+    vim_node = {v: node_of[v] for v in useful_vims}
     terminals = sorted(set(vim_node.values()))
     for extra in (req.ingress, req.egress):
         if extra is not None and extra not in terminals:

@@ -178,6 +178,19 @@ class TestRecords:
         assert [d["circuit_id"] for d in json.loads(out)] == ["circuit-1"]
 
 
+def _scenario_copy(tmp_path, old, new):
+    """The packaged scenario files in ``tmp_path``, with ``old`` replaced
+    by ``new`` once in the scenario file."""
+    src = default_scenario_path().parent
+    for name in ("topology.yaml", "ns_request.yaml"):
+        shutil.copy(src / name, tmp_path / name)
+    text = (src / "scenario.yaml").read_text()
+    assert old in text
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
 def _config_error(capsys, *argv) -> str:
     """The one ``error:`` line of a run that must exit 2 on a bad value."""
     rc = main(list(argv))
@@ -244,6 +257,26 @@ class TestErrors:
                              "--out", str(tmp_path), "deploy")
         assert "timing.laser_warmup_s: expected a finite float, got nan" in line
         assert not (tmp_path / "kpi.json").exists()
+
+    def test_slot_floor_past_tunability_is_exit_1(self, tmp_path, capsys):
+        # WF1 finds no slot above n=300 in the packaged +-256 tunability,
+        # rolls back and raises WorkflowError: one error line, exit 1.
+        path = _scenario_copy(tmp_path, "slot_floor_n: 0", "slot_floor_n: 300")
+        rc = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "deploy"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "out" / "kpi.json").exists()
+
+    @pytest.mark.parametrize("length", ["-1", ".nan", ".inf"])
+    def test_bad_calibration_length(self, tmp_path, capsys, length):
+        path = _scenario_copy(tmp_path, "length_km: 0.002", f"length_km: {length}")
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path), "table1")
+        assert "calibration_rows[0].length_km" in line
+        assert not (tmp_path / "table1.csv").exists()
 
     def test_measure_zero_count(self, capsys):
         line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")

@@ -487,3 +487,100 @@ class TestPinnedPlacements:
         assert not changed, "decisions changed:\n\n" + "\n\n".join(
             f"chain {i} {_pinned_chains()[i]}:\n{texts[i]}" for i in changed[:3])
         assert len(got) == len(want) == 36
+
+
+def _wide_ring(per_site, seed=40):
+    """40 VIMs hosting every tag, ``per_site`` of them on each site of a
+    ring with chords, plus two sites without a VIM for access legs.
+    Lengths are not dyadic, so sums in another order round differently."""
+    rng = random.Random(seed)
+    n_site = 40 // per_site
+    vims = [VimStatus(f"vim-{i:02d}", 64, 65536, 2000, frozenset({"x"}))
+            for i in range(40)]
+    nodes = [Node(f"s{i:02d}", NodeKind.AMEN, 0.25, vim=vims[i * per_site])
+             for i in range(n_site)]
+    nodes += [Node("edge-in", NodeKind.AGG_SWITCH, 0.315),
+              Node("edge-out", NodeKind.AGG_SWITCH, 0.315)]
+    links = [Link(f"f{i}", (f"s{i:02d}", f"s{(i + 1) % n_site:02d}"),
+                  rng.uniform(5.0, 40.0)) for i in range(n_site)]
+    links += [Link(f"c{i}", tuple(f"s{j:02d}" for j in rng.sample(range(n_site), 2)),
+                   rng.uniform(20.0, 80.0)) for i in range(4)]
+    links += [Link("a-in", ("edge-in", "s03"), 0.5), Link("a-out", ("edge-out", "s07"), 0.5)]
+    vim_node = {v.vim_id: f"s{i // per_site:02d}" for i, v in enumerate(vims)}
+    return Topology(nodes=nodes, links=links), vim_node
+
+
+class TestWideRanking:
+    """Every chain of three VNFs over 40 VIMs (64 000 of them), ranked
+    against the exhaustive sort, bitwise, on weights from the memoised
+    rows. With no access legs, the co-located chains tie at cost 0, 40
+    or 160 of them, so the cut falls deep in equal-cost sibling lists."""
+
+    @pytest.mark.parametrize("per_site, access", [
+        (1, (None, None)), (2, (None, None)),
+        (1, ("edge-in", "edge-out")), (2, ("s05", "s01")),
+    ], ids=["40-sites", "20-sites", "40-sites-edge-access", "20-sites-vim-access"])
+    def test_bitwise_equal_to_exhaustive(self, per_site, access):
+        topology, vim_node = _wide_ring(per_site)
+        ingress, egress = access
+        terminals = sorted(set(vim_node.values()))
+        terminals += [x for x in access if x is not None and x not in terminals]
+        graph = build_rtt_graph(topology, terminals)
+        chain = [_vnf(f"v{i}", tag="x") for i in range(3)]
+        eligibility = {vnf.vnf_id: sorted(vim_node) for vnf in chain}
+        want = exhaustive_rank(_req(chain, k=200), graph, eligibility, vim_node,
+                               ingress, egress)
+        for k in (1, 10, 25, 200):
+            got = rank_service_chains(_req(chain, k=k), graph, eligibility,
+                                      vim_node, ingress, egress)
+            assert [(c.cost_us.hex(), c.vim_ids) for c in got] == [
+                (cost.hex(), ids) for cost, ids in want[:k]
+            ]
+        if ingress is None:
+            zero = [ids for cost, ids in want if cost == 0.0]
+            assert len(zero) == min(200, 40 * per_site ** 2)
+
+
+class TestRowMemo:
+    """Leg weights are memoised per topology geometry, next to the shared
+    latency graph, and leave with it."""
+
+    def _req(self):
+        return _req([_vnf("v1", tag="fw", cpu=1), _vnf("v2", tag="nat", cpu=1)], k=40)
+
+    def test_in_place_edit_changes_costs(self):
+        t = _uniform_ring(6, ("fw", "nat"))
+        vims = [n.vim for n in t.nodes]
+        before = place(self._req(), t, vims).ranked
+        t.links[0].length_km = 20.0
+        after = place(self._req(), t, vims).ranked
+        assert before != after
+        _, _, want = brute_force_place(self._req(), t, vims)
+        assert [(c.cost_us, c.vim_ids) for c in after] == [
+            (pytest.approx(c, rel=1e-12), ids) for c, ids in want
+        ]
+
+    def test_rows_leave_with_the_graph_cache(self):
+        import gc
+        import weakref
+
+        from metroslice import planner
+        from metroslice.model import GRAPH_CACHE_SIZE, latency_graph
+
+        t = _uniform_ring(5, ("fw", "nat"))
+        vims = [n.vim for n in t.nodes]
+        place(self._req(), t, vims)
+        first = weakref.ref(latency_graph(t))
+        assert first() in planner._rows_of
+        for i in range(GRAPH_CACHE_SIZE):
+            t.links[0].length_km = 11.0 + i
+            place(self._req(), t, vims)
+        gc.collect()
+        assert first() is None
+        assert len(planner._rows_of) <= GRAPH_CACHE_SIZE
+        # Graphs that no placement read hold no rows.
+        for i in range(GRAPH_CACHE_SIZE):
+            t.links[0].length_km = 31.0 + i
+            latency_graph(t)
+        gc.collect()
+        assert len(planner._rows_of) == 0
