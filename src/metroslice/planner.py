@@ -268,34 +268,34 @@ def rank_service_chains(
         after = bounds[0]
         bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
 
-    # (layer, option) -> (leg + bound of each child, the children's order
-    # as far as it is known).
-    kids: dict[tuple[int, int], tuple[list[float], list[int]]] = {}
+    # kids[i][j]: the children of option j of layer i, as their leg plus
+    # bound each and their order by (leg + bound, index) as far as known.
+    kids: list[dict[int, tuple[list[float], list[int]]]] = [{} for _ in range(last)]
 
-    def child(i: int, j: int, r: int) -> int | None:
-        """Index in layer i + 1 of the r-th child of option j of layer i,
-        by (leg + bound, index); None past the last that can complete."""
-        state = kids.get((i, j))
-        if state is None:
-            sums = list(map(add, legs[i][j], bounds[i + 1]))
-            state = kids[i, j] = (sums, [sums.index(bounds[i][j])])
-        sums, order = state
-        if r == len(order) == 1:
+    def children(i: int, j: int) -> tuple[list[float], list[int]]:
+        """Start kids[i][j] with the cheapest child, the one the bound
+        came from."""
+        sums = list(map(add, legs[i][j], bounds[i + 1]))
+        got = kids[i][j] = (sums, [sums.index(bounds[i][j])])
+        return got
+
+    def sibling(i: int, j: int, r: int) -> int | None:
+        """Index in layer i + 1 of the r-th child (r >= 1) of option j of
+        layer i; None past the last that can complete."""
+        sums, order = kids[i][j]
+        n = len(order)
+        if r == n == 1:
             rest = sums.copy()
             rest[order[0]] = _INF
             second = min(rest)
             if second < _INF:
                 order.append(rest.index(second))
-        elif r == len(order) < len(sums):
+        elif r == n < len(sums):
             order[:] = sorted(range(len(sums)), key=sums.__getitem__)
         if r < len(order) and sums[order[r]] < _INF:
             return order[r]
         return None
 
-    # Entries are (key, vim_ids, option index, exact prefix cost, and the
-    # parent's option index, exact prefix cost and this entry's rank among
-    # its children); vim_ids are unique, so only the first two are ever
-    # compared. Roots have no parent: all of them start in the heap.
     entry = [0.0] * len(nodes[0]) if ingress is None else graph.legs([ingress], nodes[0])[0]
     heap = [
         (w + b, (vim,), j, w, None, 0.0, 0)
@@ -303,35 +303,38 @@ def rank_service_chains(
         if w + b < _INF
     ]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
 
     done: list[tuple[float, tuple[str, ...]]] = []
     kth = []  # max-heap (negated) of the k cheapest complete costs
+    k = req.k
     limit = _INF
     while heap:
-        key, ids, j, prefix, pj, pprefix, r = heapq.heappop(heap)
+        key, ids, j, prefix, pj, pprefix, r = pop(heap)
         if key > limit:
             break
         i = len(ids) - 1
         if pj is not None:
-            m = child(i - 1, pj, r + 1)
+            m = sibling(i - 1, pj, r + 1)
             if m is not None:
                 step = pprefix + legs[i - 1][pj][m]
-                heapq.heappush(heap, (step + bounds[i][m], ids[:-1] + (opts[i][m],),
-                                      m, step, pj, pprefix, r + 1))
+                push(heap, (step + bounds[i][m], ids[:-1] + (opts[i][m],),
+                            m, step, pj, pprefix, r + 1))
         if i == last:
             cost = prefix if egress is None else prefix + bounds[last][j]
             done.append((cost, ids))
-            if len(kth) < req.k:
-                heapq.heappush(kth, -cost)
+            if len(kth) < k:
+                push(kth, -cost)
+                if len(kth) == k:
+                    limit = -kth[0] * (1.0 + _KEY_SLACK)
             elif cost < -kth[0]:
                 heapq.heapreplace(kth, -cost)
-            if len(kth) == req.k:
                 limit = -kth[0] * (1.0 + _KEY_SLACK)
             continue
-        m = child(i, j, 0)
+        m = (kids[i].get(j) or children(i, j))[1][0]
         step = prefix + legs[i][j][m]
-        heapq.heappush(heap, (step + bounds[i + 1][m], ids + (opts[i + 1][m],),
-                              m, step, j, prefix, 0))
+        push(heap, (step + bounds[i + 1][m], ids + (opts[i + 1][m],),
+                    m, step, j, prefix, 0))
     done.sort()
     return [ServiceChainCandidate(vim_ids=ids, cost_us=c) for c, ids in done[: req.k]]
 
