@@ -144,9 +144,11 @@ class _TopologyRtt(RttGraph):
 
     def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
         by_id, by_other = self._rows
-        if self._head.issuperset(vs) and self._head.issuperset(us):
+        if not self._head.issuperset(vs):
+            return super().legs(us, vs)
+        if self._head.issuperset(us):
             memo = by_id
-        elif self._head.issuperset(vs) and self._tail.issuperset(us):
+        elif self._tail.issuperset(us):
             memo = by_other
         else:
             return super().legs(us, vs)
@@ -262,8 +264,9 @@ def rank_service_chains(
         legs.append(shared[key])
     # bounds[i][j]: cheapest completion from option j of layer i, egress
     # leg included; bounds[last] is the egress leg alone.
-    width = len(nodes[-1])
-    bounds = [[0.0] * width if egress is None else graph.legs([egress], nodes[-1])[0]]
+    bounds = [
+        [0.0] * len(nodes[-1]) if egress is None else graph.legs([egress], nodes[-1])[0]
+    ]
     for i in reversed(range(last)):
         after = bounds[0]
         bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
@@ -296,7 +299,13 @@ def rank_service_chains(
             return order[r]
         return None
 
-    entry = [0.0] * len(nodes[0]) if ingress is None else graph.legs([ingress], nodes[0])[0]
+    # Entries are (key, vim_ids, option index, exact prefix cost, and the
+    # parent's option index and exact prefix cost and this entry's rank
+    # among the parent's children); vim_ids are unique, so only the first
+    # two are ever compared. Roots have no parent: all start in the heap.
+    entry = (
+        [0.0] * len(nodes[0]) if ingress is None else graph.legs([ingress], nodes[0])[0]
+    )
     heap = [
         (w + b, (vim,), j, w, None, 0.0, 0)
         for j, (vim, w, b) in enumerate(zip(opts[0], entry, bounds[0]))
@@ -307,7 +316,6 @@ def rank_service_chains(
 
     done: list[tuple[float, tuple[str, ...]]] = []
     kth = []  # max-heap (negated) of the k cheapest complete costs
-    k = req.k
     limit = _INF
     while heap:
         key, ids, j, prefix, pj, pprefix, r = pop(heap)
@@ -323,12 +331,11 @@ def rank_service_chains(
         if i == last:
             cost = prefix if egress is None else prefix + bounds[last][j]
             done.append((cost, ids))
-            if len(kth) < k:
-                push(kth, -cost)
-                if len(kth) == k:
-                    limit = -kth[0] * (1.0 + _KEY_SLACK)
+            if len(kth) < req.k:
+                heapq.heappush(kth, -cost)
             elif cost < -kth[0]:
                 heapq.heapreplace(kth, -cost)
+            if len(kth) == req.k:
                 limit = -kth[0] * (1.0 + _KEY_SLACK)
             continue
         m = (kids[i].get(j) or children(i, j))[1][0]

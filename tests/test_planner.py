@@ -545,17 +545,17 @@ class TestRowMemo:
     """Leg weights are memoised per topology geometry, next to the shared
     latency graph, and leave with it."""
 
-    def _req(self):
+    def _request(self):
         return _req([_vnf("v1", tag="fw", cpu=1), _vnf("v2", tag="nat", cpu=1)], k=40)
 
     def test_in_place_edit_changes_costs(self):
         t = _uniform_ring(6, ("fw", "nat"))
         vims = [n.vim for n in t.nodes]
-        before = place(self._req(), t, vims).ranked
+        before = place(self._request(), t, vims).ranked
         t.links[0].length_km = 20.0
-        after = place(self._req(), t, vims).ranked
+        after = place(self._request(), t, vims).ranked
         assert before != after
-        _, _, want = brute_force_place(self._req(), t, vims)
+        _, _, want = brute_force_place(self._request(), t, vims)
         assert [(c.cost_us, c.vim_ids) for c in after] == [
             (pytest.approx(c, rel=1e-12), ids) for c, ids in want
         ]
@@ -569,12 +569,12 @@ class TestRowMemo:
 
         t = _uniform_ring(5, ("fw", "nat"))
         vims = [n.vim for n in t.nodes]
-        place(self._req(), t, vims)
+        place(self._request(), t, vims)
         first = weakref.ref(latency_graph(t))
         assert first() in planner._rows_of
         for i in range(GRAPH_CACHE_SIZE):
             t.links[0].length_km = 11.0 + i
-            place(self._req(), t, vims)
+            place(self._request(), t, vims)
         gc.collect()
         assert first() is None
         assert len(planner._rows_of) <= GRAPH_CACHE_SIZE
