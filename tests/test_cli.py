@@ -275,7 +275,9 @@ class TestErrors:
         path = _scenario_copy(tmp_path, "length_km: 0.002", f"length_km: {length}")
         line = _config_error(capsys, "--scenario", str(path),
                              "--out", str(tmp_path), "table1")
-        assert "calibration_rows[0].length_km" in line
+        # A negative length fails the row's own check, a non-finite one
+        # the float check; both name the row and the key.
+        assert "calibration_rows[0]" in line and "length_km" in line
         assert not (tmp_path / "table1.csv").exists()
 
     def test_measure_zero_count(self, capsys):

@@ -1,5 +1,6 @@
 """Latency-aware placement: RTT graph, ranking, and the placement walk."""
 
+import hashlib
 import random
 
 import pytest
@@ -424,8 +425,8 @@ def _pinned_placements(ring_seed, access):
 
 
 #: sha256 (first 16 hex digits) of each chain's decision text, per ring
-#: seed and access mode; taken from the eager ranking that every
-#: prefix's children were pushed by.
+#: seed and access mode. Recorded with the eager ranking, in which every
+#: popped prefix pushed all of its children; the lazy one must match it.
 _PINNED = {
     (301, False): [
         "6917ed87e5a070f1", "091531187f6d65b4", "7942594d25d93863", "fec9729b6c8198fe",
@@ -478,8 +479,6 @@ class TestPinnedPlacements:
     @pytest.mark.parametrize("access", [False, True], ids=["no-access", "access"])
     @pytest.mark.parametrize("ring_seed", [301, 302])
     def test_decisions_unchanged(self, ring_seed, access):
-        import hashlib
-
         texts = _pinned_placements(ring_seed, access)
         got = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts]
         want = _PINNED[ring_seed, access]
