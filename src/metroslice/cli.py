@@ -254,8 +254,7 @@ def cmd_degrade(args, scenario: Scenario) -> int:
     with open(out / "degrade.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "snr_db", "prefec_ber"])
-        for q in samples:
-            w.writerow([q.t_s, q.snr_db, q.prefec_ber])
+        w.writerows(zip(samples.t_s, samples.snr_db, samples.prefec_ber))
     write_json(report.to_record(), out / "degrade.json")
 
     if args.json:

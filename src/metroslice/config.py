@@ -30,7 +30,7 @@ from pathlib import Path
 
 import yaml
 
-from .dataplane import DegradationScenario, ElementParams
+from .dataplane import MAX_DELAY_US, DegradationScenario, ElementParams
 from .mda import DetectorConfig, MdaController
 from .model import (
     DemandProfile,
@@ -140,6 +140,10 @@ _KEYS: dict[tuple[type, str], str | None] = {
     (Scenario, "tx_power_dbm"): "optical.tx_power_dbm",
 }
 
+_TOO_LONG = (f"delays sum past {MAX_DELAY_US:.4g} us, "
+             "more clock ticks than a float64 counts exactly")
+
+
 def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
     path = Path(path)
     read = Reader(path, _KEYS)
@@ -169,6 +173,17 @@ def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
     if violations:
         summary = "; ".join(f"{v.code}: {v.detail}" for v in violations)
         raise ConfigError(f"{path}: invalid topology: {summary}")
+    # A route visits each node and link at most once, so its delay is at
+    # most the sum of them all.
+    total = 0.0
+    delays = [(f"nodes[{i}].fixed_latency_us", n.fixed_latency_us)
+              for i, n in enumerate(topology.nodes)]
+    delays += [(f"links[{i}].length_km", l.length_km * topology.prop_const_us_per_km)
+               for i, l in enumerate(topology.links)]
+    for key, delay_us in delays:
+        total += delay_us
+        if total > MAX_DELAY_US:
+            raise ConfigError(f"{path}: {key}: {_TOO_LONG}")
     return topology, demand
 
 
@@ -188,19 +203,32 @@ def load_scenario(path: str | Path) -> Scenario:
     topology, demand = load_topology(
         path.parent / read.get(data, "topology", str, "")
     )
-    request = load_ns_request(path.parent / read.get(data, "ns_request", str, ""))
+    request_path = path.parent / read.get(data, "ns_request", str, "")
+    request = load_ns_request(request_path)
     scenario = read.build(
         Scenario, data, "", topology=topology, demand=demand, request=request
     )
     read.reject_unread()
 
-    known = {n.node_id for n in topology.nodes}
+    latency = {n.node_id: n.fixed_latency_us for n in topology.nodes}
+    known = set(latency)
+    for key in ("ingress", "egress"):
+        nid = getattr(request, key)
+        if nid is not None and nid not in known:
+            raise ConfigError(f"{request_path}: {key}: unknown node {nid!r}")
     for i, row in enumerate(scenario.rows):
         for nid in row.path_nodes:
             if nid not in known:
                 raise ConfigError(
                     f"{path}: calibration_rows[{i}].path: unknown node {nid!r}"
                 )
+        # A row may list a node more than once, so it is checked apart.
+        fixed = sum(latency[nid] for nid in row.path_nodes)
+        if fixed > MAX_DELAY_US:
+            raise ConfigError(f"{path}: calibration_rows[{i}].path: {_TOO_LONG}")
+        if fixed + row.length_km * topology.prop_const_us_per_km > MAX_DELAY_US:
+            raise ConfigError(
+                f"{path}: calibration_rows[{i}].length_km: {_TOO_LONG}")
     if len(scenario.probe_endpoints) != 2 or not known.issuperset(
         scenario.probe_endpoints
     ):

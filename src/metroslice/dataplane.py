@@ -17,7 +17,7 @@ Timestamps are quantized to the capture clock tick (322 MHz, 3.1 ns).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,11 @@ CLOCK_TICK_NS = 3.1
 
 #: Interface line rate used throughout the testbed.
 LINE_RATE_GBPS = 100.0
+
+#: Longest one-way delay a path may have, in us: 2**53 capture-clock
+#: ticks, the most a float64 counts exactly. The simulated probe counts
+#: delays in ticks, and far past this bound the counts overflow.
+MAX_DELAY_US = 2**53 * CLOCK_TICK_NS / 1000.0
 
 
 class DataplaneError(Exception):
@@ -208,12 +213,23 @@ def quantized_delay_pmf(p: PathModel) -> tuple[int, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ChannelQuality:
-    """One monitoring sample of the optical channel."""
+class QualitySeries:
+    """Monitoring samples of the optical channel, one list per quantity.
 
-    t_s: float
-    snr_db: float
-    prefec_ber: float
+    Sample ``i`` is taken at ``t_s[i]`` and reads ``snr_db[i]`` and
+    ``prefec_ber[i]``; the three lists have equal length.
+    """
+
+    t_s: list[float]
+    snr_db: list[float]
+    prefec_ber: list[float]
+
+    def __post_init__(self) -> None:
+        if not len(self.t_s) == len(self.snr_db) == len(self.prefec_ber):
+            raise ValueError("t_s, snr_db and prefec_ber must have equal length")
+
+    def __len__(self) -> int:
+        return len(self.t_s)
 
 
 @dataclass(frozen=True)
@@ -249,22 +265,21 @@ class DegradationScenario:
                 f"duration_s / sample_period_s gives over {self.MAX_SAMPLES} samples")
 
 
-#: ``math.erfc`` over arrays; the series it serves are a few thousand
-#: samples long, so a per-element call costs less than importing scipy.
-_erfc = np.vectorize(math.erfc, otypes=[np.float64])
-
-
 def ber_from_snr_db(snr_db):
     """Pre-FEC bit error rate of the coherent channel at a given SNR.
 
     ber = 0.5 * erfc(sqrt(snr_lin / 2)), snr_lin = 10 ** (snr_db / 10).
-    Vectorized; output lies in [0, 0.5] and decreases with SNR.
+    Vectorized; output lies in [0, 0.5] and decreases with SNR. The
+    series it serves are a few thousand samples long, so ``math.erfc``
+    mapped over Python floats costs less than importing scipy.
     """
     snr_lin = np.power(10.0, np.asarray(snr_db, dtype=np.float64) / 10.0)
-    return 0.5 * _erfc(np.sqrt(snr_lin / 2.0))
+    x = np.sqrt(snr_lin / 2.0)
+    erfc = np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size)
+    return 0.5 * erfc.reshape(x.shape)
 
 
-def evolve_quality(s: DegradationScenario) -> list[ChannelQuality]:
+def evolve_quality(s: DegradationScenario) -> QualitySeries:
     """Sample the SNR ramp at the scenario's monitoring period.
 
     snr(t) = snr0 for t < ramp_start, then decreases linearly at
@@ -272,11 +287,7 @@ def evolve_quality(s: DegradationScenario) -> list[ChannelQuality]:
     """
     t = np.arange(0.0, s.duration_s + s.sample_period_s / 2, s.sample_period_s)
     snr = s.snr0_db - s.ramp_db_per_s * np.maximum(0.0, t - s.ramp_start_s)
-    ber = ber_from_snr_db(snr)
-    return [
-        ChannelQuality(float(ti), float(si), float(bi))
-        for ti, si, bi in zip(t, snr, ber)
-    ]
+    return QualitySeries(t.tolist(), snr.tolist(), ber_from_snr_db(snr).tolist())
 
 
 # ---------------------------------------------------------------------------

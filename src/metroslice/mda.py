@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataplane import ChannelQuality
+from .dataplane import QualitySeries
 from .optical import VirtualClock
 from .probe import ProbeTimeout, TrainConfig, TrainStats
 from .records import Record, read_jsonl, write_jsonl
@@ -152,7 +152,7 @@ class SoftFailureReport(Record):
 
 
 def detect_soft_failure(
-    series: list[ChannelQuality],
+    series: QualitySeries,
     cfg: DetectorConfig = DetectorConfig(),
 ) -> SoftFailureReport:
     """Flag a developing degradation and anticipate the FEC limit.
@@ -163,36 +163,34 @@ def detect_soft_failure(
     interpolates linearly between the samples bracketing the limit; the
     anticipation is the gap between the two.
     """
-    if len(series) < cfg.baseline_window:
+    t, snr, ber = series.t_s, series.snr_db, series.prefec_ber
+    if len(snr) < cfg.baseline_window:
         return SoftFailureReport(detected=False)
-    baseline = (
-        sum(q.snr_db for q in series[: cfg.baseline_window]) / cfg.baseline_window
-    )
+    baseline = sum(snr[: cfg.baseline_window]) / cfg.baseline_window
     threshold = baseline - cfg.delta_db
 
     t_detect = None
     run = 0
-    for i, q in enumerate(series):
-        if q.snr_db < threshold:
+    for i, x in enumerate(snr):
+        if x < threshold:
             run += 1
             if run == cfg.consecutive:
-                t_detect = series[i - cfg.consecutive + 1].t_s
+                t_detect = t[i - cfg.consecutive + 1]
                 break
         else:
             run = 0
     if t_detect is None:
         return SoftFailureReport(detected=False)
 
+    limit = cfg.fec_limit_ber
     t_fec = None
-    for prev, cur in zip(series, series[1:]):
-        if prev.prefec_ber < cfg.fec_limit_ber <= cur.prefec_ber:
-            frac = (cfg.fec_limit_ber - prev.prefec_ber) / (
-                cur.prefec_ber - prev.prefec_ber
-            )
-            t_fec = prev.t_s + frac * (cur.t_s - prev.t_s)
+    for i, (prev, cur) in enumerate(zip(ber, ber[1:])):
+        if prev < limit <= cur:
+            frac = (limit - prev) / (cur - prev)
+            t_fec = t[i] + frac * (t[i + 1] - t[i])
             break
-    if t_fec is None and series and series[0].prefec_ber >= cfg.fec_limit_ber:
-        t_fec = series[0].t_s
+    if t_fec is None and ber[0] >= limit:
+        t_fec = t[0]
 
     anticipation = None if t_fec is None else t_fec - t_detect
     return SoftFailureReport(

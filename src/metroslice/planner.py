@@ -162,9 +162,16 @@ class _TopologyRtt(RttGraph):
                 out.append(get(row))
             except KeyError:
                 for v in vs:
-                    if v not in row:
-                        s, t = (v, u) if memo is by_other or v < u else (u, v)
-                        row[v] = 0.0 if s == t else _rtt_from(self._g, s, t)
+                    if v in row:
+                        continue
+                    if memo is by_other:
+                        row[v] = _rtt_from(self._g, v, u)
+                    elif v == u:
+                        row[v] = 0.0
+                    else:
+                        # Both directions read the run of the smaller id.
+                        w = row[v] = _rtt_from(self._g, *((u, v) if u < v else (v, u)))
+                        by_id.setdefault(v, {})[u] = w
                 out.append(get(row))
         return out
 

@@ -5,8 +5,9 @@ Floyd-Warshall over a dense matrix instead of per-source Dijkstra,
 exhaustive enumeration instead of the best-first ranking and the
 placement walk, every packet of a simulated train instead of the edges
 and a drawn histogram, a scan of every grid point over occupied
-intervals instead of first-fit's candidate set. Agreement between the
-two is therefore evidence, not tautology.
+intervals instead of first-fit's candidate set, one object per SNR
+sample instead of the columnar series. Agreement between the two is
+therefore evidence, not tautology.
 
 Randomized placement instances use dyadic lengths and latencies (exact
 in binary floating point) so equal costs are bitwise equal and tie
@@ -14,10 +15,13 @@ ordering is well defined in both implementations.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from metroslice.dataplane import CLOCK_TICK_NS, transmit_train
+from metroslice.mda import SoftFailureReport
 from metroslice.model import (
     Link,
     Node,
@@ -249,3 +253,64 @@ def first_fit_n(live, route, tunabilities, floor_n, m):
         ):
             return n
     return None
+
+
+@dataclass(frozen=True)
+class QualitySample:
+    """One monitoring sample of the optical channel."""
+
+    t_s: float
+    snr_db: float
+    prefec_ber: float
+
+
+def per_sample_quality(s):
+    """The SNR ramp of a ``DegradationScenario`` as one object per sample,
+    the BER from ``math.erfc`` through ``np.vectorize``."""
+    t = np.arange(0.0, s.duration_s + s.sample_period_s / 2, s.sample_period_s)
+    snr = s.snr0_db - s.ramp_db_per_s * np.maximum(0.0, t - s.ramp_start_s)
+    erfc = np.vectorize(math.erfc, otypes=[np.float64])
+    ber = 0.5 * erfc(np.sqrt(np.power(10.0, snr / 10.0) / 2.0))
+    return [
+        QualitySample(float(ti), float(si), float(bi))
+        for ti, si, bi in zip(t, snr, ber)
+    ]
+
+
+def per_sample_detect(series, cfg):
+    """Soft-failure detection over a list of ``QualitySample``: baseline
+    mean, a run of ``consecutive`` samples strictly below it by
+    ``delta_db``, and the FEC crossing interpolated between samples."""
+    if len(series) < cfg.baseline_window:
+        return SoftFailureReport(detected=False)
+    baseline = (
+        sum(q.snr_db for q in series[: cfg.baseline_window]) / cfg.baseline_window
+    )
+    threshold = baseline - cfg.delta_db
+    t_detect = None
+    run = 0
+    for i, q in enumerate(series):
+        if q.snr_db < threshold:
+            run += 1
+            if run == cfg.consecutive:
+                t_detect = series[i - cfg.consecutive + 1].t_s
+                break
+        else:
+            run = 0
+    if t_detect is None:
+        return SoftFailureReport(detected=False)
+    t_fec = None
+    for prev, cur in zip(series, series[1:]):
+        if prev.prefec_ber < cfg.fec_limit_ber <= cur.prefec_ber:
+            frac = (cfg.fec_limit_ber - prev.prefec_ber) / (
+                cur.prefec_ber - prev.prefec_ber
+            )
+            t_fec = prev.t_s + frac * (cur.t_s - prev.t_s)
+            break
+    if t_fec is None and series and series[0].prefec_ber >= cfg.fec_limit_ber:
+        t_fec = series[0].t_s
+    anticipation = None if t_fec is None else t_fec - t_detect
+    return SoftFailureReport(
+        detected=True, t_detect_s=t_detect, t_fec_s=t_fec,
+        anticipation_s=anticipation,
+    )

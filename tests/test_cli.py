@@ -178,17 +178,16 @@ class TestRecords:
         assert [d["circuit_id"] for d in json.loads(out)] == ["circuit-1"]
 
 
-def _scenario_copy(tmp_path, old, new):
+def _scenario_copy(tmp_path, old, new, name="scenario.yaml"):
     """The packaged scenario files in ``tmp_path``, with ``old`` replaced
-    by ``new`` once in the scenario file."""
+    by ``new`` once in the file ``name``. Returns the scenario's path."""
     src = default_scenario_path().parent
-    for name in ("topology.yaml", "ns_request.yaml"):
-        shutil.copy(src / name, tmp_path / name)
-    text = (src / "scenario.yaml").read_text()
+    for each in ("scenario.yaml", "topology.yaml", "ns_request.yaml"):
+        shutil.copy(src / each, tmp_path / each)
+    text = (src / name).read_text()
     assert old in text
-    path = tmp_path / "scenario.yaml"
-    path.write_text(text.replace(old, new, 1))
-    return path
+    (tmp_path / name).write_text(text.replace(old, new, 1))
+    return tmp_path / "scenario.yaml"
 
 
 def _config_error(capsys, *argv) -> str:
@@ -278,6 +277,36 @@ class TestErrors:
         # A negative length fails the row's own check, a non-finite one
         # the float check; both name the row and the key.
         assert "calibration_rows[0]" in line and "length_km" in line
+        assert not (tmp_path / "table1.csv").exists()
+
+    @pytest.mark.parametrize("command", ["plan", "deploy"])
+    @pytest.mark.parametrize("key", ["ingress", "egress"])
+    def test_unknown_access_node(self, tmp_path, capsys, key, command):
+        path = _scenario_copy(tmp_path, "k: 10\n", f"k: 10\n{key}: ghost\n",
+                              "ns_request.yaml")
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path / "out"), command)
+        assert f"ns_request.yaml: {key}: unknown node 'ghost'" in line
+
+    @pytest.mark.parametrize("name, old, new, key", [
+        ("scenario.yaml", "length_km: 80.0", "length_km: 1.0e+18",
+         "scenario.yaml: calibration_rows[4].length_km"),
+        ("topology.yaml", "fixed_latency_us: 0.21}", "fixed_latency_us: 1.0e+300}",
+         "topology.yaml: nodes[0].fixed_latency_us"),
+        ("topology.yaml", "length_km: 0.0005, kind: Patch}",
+         "length_km: 1.0e+18, kind: Patch}", "topology.yaml: links[3].length_km"),
+        # 1.5e13 us passes alone, but the row lists the node twice.
+        ("topology.yaml", "fixed_latency_us: 0.21}", "fixed_latency_us: 1.5e+13}",
+         "scenario.yaml: calibration_rows[5].path"),
+    ], ids=["calibration-length", "node-latency", "link-length", "row-path"])
+    def test_delay_past_tick_lattice(self, tmp_path, capsys, name, old, new, key):
+        # Each ended table1 in an OverflowError from the probe's tick counts.
+        path = _scenario_copy(tmp_path, old, new, name)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("  - {label: twice, length_km: 1.0, path: [probe-a, probe-a]}\n")
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path), "table1")
+        assert f"{key}: delays sum past" in line
         assert not (tmp_path / "table1.csv").exists()
 
     def test_measure_zero_count(self, capsys):

@@ -223,21 +223,23 @@ class TestEvolveQuality:
     def test_default_scenario_samples(self, scenario):
         series = evolve_quality(scenario.degradation)
         assert len(series) == 101
-        assert series[0].t_s == 0.0 and series[-1].t_s == 100.0
+        assert len(series.snr_db) == len(series.prefec_ber) == 101
+        assert series.t_s[0] == 0.0 and series.t_s[-1] == 100.0
         # Steady hold before the ramp starts at t=10.
-        for q in series[:11]:
-            assert q.snr_db == pytest.approx(23.0)
-        t40 = next(q for q in series if q.t_s == 40.0)
-        assert t40.snr_db == pytest.approx(23.0 - 0.25 * 30.0, rel=1e-12)
+        for snr in series.snr_db[:11]:
+            assert snr == pytest.approx(23.0)
+        i40 = series.t_s.index(40.0)
+        assert series.snr_db[i40] == pytest.approx(23.0 - 0.25 * 30.0, rel=1e-12)
 
     def test_zero_ramp_is_flat(self):
         s = DegradationScenario(ramp_db_per_s=0.0, duration_s=20.0, snr0_db=20.0)
-        assert all(q.snr_db == 20.0 for q in evolve_quality(s))
+        assert evolve_quality(s).snr_db == [20.0] * 21
 
     def test_ber_column_consistent(self):
         s = DegradationScenario(ramp_db_per_s=0.5, duration_s=30.0, snr0_db=23.0)
-        for q in evolve_quality(s):
-            assert q.prefec_ber == pytest.approx(float(ber_from_snr_db(q.snr_db)), rel=1e-12)
+        series = evolve_quality(s)
+        for snr, ber in zip(series.snr_db, series.prefec_ber):
+            assert ber == pytest.approx(float(ber_from_snr_db(snr)), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

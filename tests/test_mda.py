@@ -2,11 +2,15 @@
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from metroslice.dataplane import ChannelQuality, DegradationScenario, evolve_quality
+from metroslice.dataplane import DegradationScenario, QualitySeries, evolve_quality
 from metroslice.mda import (
     FEC_LIMIT_BER,
     DetectorConfig,
@@ -20,6 +24,8 @@ from metroslice.orchestrator import KpiReport, WorkflowEvent
 from metroslice.planner import BlockReason, PlacementDecision, ServiceChainCandidate
 from metroslice.probe import LatencyBudget, ProbeTimeout, TrainConfig, TrainStats
 from metroslice.records import ConfigError
+
+from oracles import QualitySample, per_sample_detect, per_sample_quality
 
 
 def _stats(rtt=100.0, duration=0.5, received=1000, count=1000):
@@ -283,26 +289,128 @@ class TestSoftFailureDetection:
 
     def test_drop_to_exact_threshold_is_not_detection(self):
         cfg = DetectorConfig(delta_db=0.5, consecutive=1, baseline_window=3)
-        series = [ChannelQuality(float(t), 23.0, 1e-9) for t in range(3)]
-        series += [ChannelQuality(3.0 + t, 22.5, 1e-9) for t in range(5)]
+        series = QualitySeries([float(t) for t in range(8)],
+                               [23.0] * 3 + [22.5] * 5, [1e-9] * 8)
         assert not detect_soft_failure(series, cfg).detected
 
     def test_consecutive_requirement_resets_on_recovery(self):
         cfg = DetectorConfig(delta_db=0.5, consecutive=3, baseline_window=2)
         snrs = [23.0, 23.0, 22.0, 22.0, 23.0, 22.0, 22.0, 22.0]
-        series = [ChannelQuality(float(t), s, 1e-9) for t, s in enumerate(snrs)]
+        series = QualitySeries([float(t) for t in range(8)], snrs, [1e-9] * 8)
         report = detect_soft_failure(series, cfg)
         # The run of three only completes at t = 5..7.
         assert report.detected and report.t_detect_s == 5.0
 
     def test_series_starting_beyond_fec_limit(self):
         cfg = DetectorConfig(delta_db=0.5, consecutive=1, baseline_window=1)
-        series = [
-            ChannelQuality(0.0, 5.0, float(norm.sf(math.sqrt(10 ** 0.5)))),
-            ChannelQuality(1.0, 4.0, float(norm.sf(math.sqrt(10 ** 0.4)))),
-        ]
-        assert series[0].prefec_ber >= FEC_LIMIT_BER
+        series = QualitySeries(
+            [0.0, 1.0], [5.0, 4.0],
+            [float(norm.sf(math.sqrt(10 ** 0.5))), float(norm.sf(math.sqrt(10 ** 0.4)))],
+        )
+        assert series.prefec_ber[0] >= FEC_LIMIT_BER
         report = detect_soft_failure(series, cfg)
         assert report.detected
         assert report.t_fec_s == 0.0
         assert report.anticipation_s == pytest.approx(-1.0)
+
+
+def _hex(x):
+    return None if x is None else x.hex()
+
+
+def _report_bits(r):
+    return (r.detected, _hex(r.t_detect_s), _hex(r.t_fec_s), _hex(r.anticipation_s))
+
+
+def _columns(rows):
+    """The ``QualitySeries`` of ``(t_s, snr_db, prefec_ber)`` rows."""
+    return QualitySeries(*([r[i] for r in rows] for i in range(3)))
+
+
+_scenarios = st.builds(
+    DegradationScenario,
+    ramp_db_per_s=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    duration_s=st.floats(0.0, 400.0),
+    snr0_db=st.floats(-5.0, 30.0),
+    sample_period_s=st.floats(0.05, 5.0),
+    ramp_start_s=st.one_of(st.floats(0.0, 60.0), st.floats(0.0, 500.0)),
+)
+_detectors = st.builds(
+    DetectorConfig,
+    delta_db=st.floats(0.01, 3.0),
+    consecutive=st.integers(1, 5),
+    fec_limit_ber=st.floats(1e-6, 0.49),
+    baseline_window=st.one_of(st.integers(1, 15), st.integers(1, 300)),
+)
+
+
+class TestColumnarMatchesPerSample:
+    """``evolve_quality`` and ``detect_soft_failure`` against the
+    one-object-per-sample oracles, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sc=_scenarios, cfg=_detectors)
+    # Zero ramp: a flat channel.
+    @example(sc=DegradationScenario(ramp_db_per_s=0.0, ramp_start_s=10.0),
+             cfg=DetectorConfig())
+    # The ramp would start after the last sample.
+    @example(sc=DegradationScenario(duration_s=50.0, ramp_start_s=80.0),
+             cfg=DetectorConfig())
+    # A baseline window longer than the series.
+    @example(sc=DegradationScenario(duration_s=5.0), cfg=DetectorConfig())
+    # The first sample is already past the FEC limit.
+    @example(sc=DegradationScenario(snr0_db=5.0), cfg=DetectorConfig())
+    def test_evolve_and_detect(self, sc, cfg):
+        series = evolve_quality(sc)
+        want = per_sample_quality(sc)
+        for name in ("t_s", "snr_db", "prefec_ber"):
+            assert [x.hex() for x in getattr(series, name)] == [
+                getattr(q, name).hex() for q in want
+            ], name
+        assert _report_bits(detect_soft_failure(series, cfg)) == _report_bits(
+            per_sample_detect(want, cfg))
+
+    # Values drawn from a few exact ones as well, so that samples land on
+    # the threshold and on the FEC limit.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(st.tuples(
+            st.floats(-1e3, 1e3),
+            st.one_of(st.sampled_from([22.5, 23.0]), st.floats(-10.0, 40.0)),
+            st.one_of(st.sampled_from([0.02, 0.1]), st.floats(0.0, 0.5)),
+        ), max_size=40),
+        cfg=st.builds(
+            DetectorConfig,
+            delta_db=st.one_of(st.just(0.5), st.floats(0.01, 3.0)),
+            consecutive=st.integers(1, 4),
+            fec_limit_ber=st.one_of(st.sampled_from([0.02, 0.1]),
+                                    st.floats(1e-6, 0.49)),
+            baseline_window=st.integers(1, 12),
+        ),
+    )
+    def test_detect_on_arbitrary_columns(self, rows, cfg):
+        series = _columns(rows)
+        want = per_sample_detect([QualitySample(*r) for r in rows], cfg)
+        assert _report_bits(detect_soft_failure(series, cfg)) == _report_bits(want)
+
+    def test_baseline_sums_in_order(self):
+        # 16 SNR values whose in-order sum differs in the last bit from
+        # NumPy's pairwise sum and from math.fsum; the next sample sits at
+        # the lower of the two thresholds, so a baseline summed any other
+        # way flips the verdict.
+        rng = random.Random(1)
+        window = [rng.uniform(22.0, 22.5) for _ in range(16)]
+        cfg = DetectorConfig(delta_db=0.5, consecutive=1, baseline_window=16)
+        in_order = sum(window) / 16 - 0.5
+        for other in (float(np.sum(window)), math.fsum(window)):
+            assert other / 16 - 0.5 != in_order
+            x = min(in_order, other / 16 - 0.5)
+            rows = [(float(i), snr, 1e-9) for i, snr in enumerate(window + [x])]
+            got = detect_soft_failure(_columns(rows), cfg)
+            assert got.detected == (x < in_order)
+            assert _report_bits(got) == _report_bits(
+                per_sample_detect([QualitySample(*r) for r in rows], cfg))
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            QualitySeries([0.0, 1.0], [23.0], [1e-9, 1e-9])

@@ -1,5 +1,6 @@
 """Latency-aware placement: RTT graph, ranking, and the placement walk."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -124,6 +125,19 @@ class TestRanking:
         assert ranked[1].cost_us == 0.0
         assert ranked[2].cost_us == pytest.approx(798.2156768, abs=1e-6)
         assert ranked[3].cost_us == pytest.approx(798.2156768, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_default_ranked_list_pinned(self, scenario, world, k):
+        # The default request has four chains, so k = 10 and k = 11 both
+        # rank all of them; ``--json plan`` omits this list.
+        req = dataclasses.replace(scenario.request, k=k)
+        ranked = place(req, world.topology, world.vims).ranked
+        assert [(c.cost_us.hex(), c.vim_ids) for c in ranked] == [
+            ("0x0.0p+0", ("vim-amen", "vim-amen")),
+            ("0x0.0p+0", ("vim-mcen", "vim-mcen")),
+            ("0x1.8f1b9b4c2140dp+9", ("vim-amen", "vim-mcen")),
+            ("0x1.8f1b9b4c2140dp+9", ("vim-mcen", "vim-amen")),
+        ]
 
     def test_k_truncates_to_global_minimum(self, scenario, world):
         req = NsRequest(ns_id="ns-k1", chain=scenario.request.chain,
@@ -558,6 +572,23 @@ class TestRowMemo:
         assert [(c.cost_us, c.vim_ids) for c in after] == [
             (pytest.approx(c, rel=1e-12), ids) for c, ids in want
         ]
+
+    def test_cold_fill_runs_each_pair_once(self, monkeypatch):
+        from metroslice import planner
+
+        calls = []
+        rtt_from = planner._rtt_from
+        monkeypatch.setattr(planner, "_rtt_from",
+                            lambda g, s, t: calls.append((s, t)) or rtt_from(g, s, t))
+        t = _uniform_ring(7, ("fw", "nat"))
+        t.links[0].length_km = 13.375  # a geometry no other test builds
+        vims = [n.vim for n in t.nodes]
+        cold = place(self._request(), t, vims).ranked
+        # Seven VIMs in both layers: 21 pairs, each from the smaller id's run.
+        assert len(calls) == len(set(calls)) == 21
+        assert all(s < t for s, t in calls)
+        assert place(self._request(), t, vims).ranked == cold
+        assert len(calls) == 21
 
     def test_rows_leave_with_the_graph_cache(self):
         import gc
