@@ -25,12 +25,19 @@ from __future__ import annotations
 
 import copy
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .dataplane import MAX_DELAY_US, DegradationScenario, ElementParams
+from .dataplane import (
+    MAX_DELAY_US,
+    MAX_JITTER_STD_NS,
+    DegradationScenario,
+    ElementParams,
+    element_for_node,
+)
 from .mda import DetectorConfig, MdaController
 from .model import (
     DemandProfile,
@@ -117,6 +124,15 @@ class Scenario:
                          ("tp_tunability_n", self.tp_tunability)):
             if len(rng) != 2 or rng[0] > rng[1]:
                 raise ValueError(f"optical.{key}: expected [min, max]")
+        # WF1 tunes both SIPs and both transponders to one n >= the floor.
+        top = min(self.sip_tunability[1], self.tp_tunability[1])
+        if max(self.sip_tunability[0], self.tp_tunability[0]) > top:
+            raise ValueError("optical.tp_tunability_n: no n in both it and "
+                             "optical.sip_tunability_n")
+        if self.slot_floor_n > top:
+            raise ValueError(
+                f"optical.slot_floor_n: no n >= {self.slot_floor_n} in both "
+                "optical.sip_tunability_n and optical.tp_tunability_n")
 
 
 #: YAML key of each field whose key is not its name; a dotted key reaches
@@ -142,6 +158,8 @@ _KEYS: dict[tuple[type, str], str | None] = {
 
 _TOO_LONG = (f"delays sum past {MAX_DELAY_US:.4g} us, "
              "more clock ticks than a float64 counts exactly")
+_TOO_JITTERY = (f"jitter sums past {MAX_JITTER_STD_NS:g} ns in quadrature "
+                "(dataplane.MAX_JITTER_STD_NS)")
 
 
 def load_topology(path: str | Path) -> tuple[Topology, DemandProfile]:
@@ -235,11 +253,27 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(
             f"{path}: probe_endpoints: expected two known node ids"
         )
-    for nid in scenario.element_overrides:
+    overrides = scenario.element_overrides
+    for nid in overrides:
         if nid not in known:
             raise ConfigError(
                 f"{path}: dataplane.element_overrides.{nid}: unknown node"
             )
+    # As for delays: a route's jitter is at most the root-sum-square over
+    # every node, and a row, which may repeat a node, is checked apart.
+    # The defaults go first, so a sum that crosses crosses at an override.
+    jitter = {nid: element_for_node(topology, nid, overrides).jitter_std_ns
+              for nid in sorted(latency, key=lambda nid: nid in overrides)}
+    squares = 0.0
+    for nid, sigma in jitter.items():
+        squares += sigma**2
+        if math.sqrt(squares) > MAX_JITTER_STD_NS:
+            key = (f"dataplane.element_overrides.{nid}.jitter_std_ns"
+                   if nid in overrides else "topology")
+            raise ConfigError(f"{path}: {key}: {_TOO_JITTERY}")
+    for i, row in enumerate(scenario.rows):
+        if math.sqrt(sum(jitter[nid]**2 for nid in row.path_nodes)) > MAX_JITTER_STD_NS:
+            raise ConfigError(f"{path}: calibration_rows[{i}].path: {_TOO_JITTERY}")
     return scenario
 
 

@@ -16,6 +16,7 @@ Timestamps are quantized to the capture clock tick (322 MHz, 3.1 ns).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -39,6 +40,12 @@ LINE_RATE_GBPS = 100.0
 #: delays in ticks, and far past this bound the counts overflow.
 MAX_DELAY_US = 2**53 * CLOCK_TICK_NS / 1000.0
 
+#: Largest jitter a path may have, in ns, root-sum-square over its
+#: elements. A long simulated train's RTT law spans about 20 sigma / tick
+#: bins per leg and convolves the two legs, so its cost grows with the
+#: square of sigma: at this bound about 6500 bins and 15 ms per law.
+MAX_JITTER_STD_NS = 1000.0
+
 
 class DataplaneError(Exception):
     pass
@@ -60,8 +67,10 @@ class PathElement:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError(f"{self.element_id}: loss_prob must be in [0, 1]")
-        if self.fixed_latency_us < 0 or self.jitter_std_ns < 0:
-            raise ValueError(f"{self.element_id}: latency/jitter must be >= 0")
+        for value in (self.fixed_latency_us, self.jitter_std_ns):
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{self.element_id}: latency/jitter must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,8 @@ class PathModel:
     prop_const_us_per_km: float = DEFAULT_PROP_CONST_US_PER_KM
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ValueError("length_km must be >= 0")
+        if not 0 <= self.length_km < math.inf:
+            raise ValueError("length_km must be finite and >= 0")
         object.__setattr__(self, "elements", tuple(self.elements))
 
     def loss_prob(self) -> float:
@@ -85,6 +94,12 @@ class PathModel:
 
     def jitter_std_ns(self) -> float:
         return math.sqrt(sum(e.jitter_std_ns**2 for e in self.elements))
+
+    @functools.cached_property
+    def traversal(self) -> tuple[float, float, float]:
+        """``(loss_prob(), jitter_std_ns(), one-way delay in ns)``, computed
+        on first use and kept, so a simulated train pays for them once."""
+        return self.loss_prob(), self.jitter_std_ns(), one_way_delay_us(self) * 1000.0
 
     def reversed(self) -> "PathModel":
         return PathModel(
@@ -116,16 +131,17 @@ def quantize_ns(t_ns, tick_ns: float = CLOCK_TICK_NS):
 class TransmitResult:
     """Per-packet outcome of one path traversal.
 
+    Lists when ``transmit_train`` was given a list, arrays otherwise.
     ``rx_ns`` is only meaningful where ``delivered`` is True.
     """
 
-    rx_ns: np.ndarray
-    delivered: np.ndarray
+    rx_ns: np.ndarray | list[float]
+    delivered: np.ndarray | list[bool]
 
 
 def transmit_train(
     p: PathModel,
-    tx_ns: np.ndarray,
+    tx_ns: np.ndarray | list[float],
     rng: int | np.random.Generator,
     tick_ns: float = CLOCK_TICK_NS,
 ) -> TransmitResult:
@@ -139,30 +155,68 @@ def transmit_train(
     tick. Jitter is drawn in single precision, which is ample for a
     few-ns value quantized to a 3.1 ns tick and the cheapest normal draw
     NumPy offers. Without jitter, tick k arrives on tick k + rint(D / tick).
+
+    Given a list of send times, the result holds lists: a few packets
+    cost less as Python floats than as arrays. Both forms make the same
+    generator calls in the same order and the same IEEE operations in
+    the same order, so they agree bit for bit.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    tx_ns = np.asarray(tx_ns, dtype=np.float64)
-    n = tx_ns.size
-    delivered = np.ones(n, dtype=bool)
-    loss = p.loss_prob()
+    as_lists = isinstance(tx_ns, list)
+    if not as_lists:
+        tx_ns = np.asarray(tx_ns, dtype=np.float64)
+    n = len(tx_ns)
+    loss, sigma, delay_ns = p.traversal
     lost = int(rng.binomial(n, loss)) if loss > 0 else 0
-    if lost:
-        delivered[rng.choice(n, size=lost, replace=False)] = False
-    sigma = p.jitter_std_ns()
+    dropped = rng.choice(n, size=lost, replace=False) if lost else None
+    jitter = None
     if sigma > 0:
-        rx_ns = tx_ns + one_way_delay_us(p) * 1000.0
         jitter = rng.standard_normal(n, dtype=np.float32)
         jitter *= sigma
+    if as_lists:
+        return _transmit_list(tx_ns, dropped, jitter, delay_ns, tick_ns)
+    delivered = np.ones(n, dtype=bool)
+    if dropped is not None:
+        delivered[dropped] = False
+    if jitter is not None:
+        rx_ns = tx_ns + delay_ns
         rx_ns += jitter
         rx_ns /= tick_ns
         np.rint(rx_ns, out=rx_ns)
     else:
         # tx - k * tick is exactly 0 on the lattice: one rounding of D / tick.
         k = np.rint(tx_ns / tick_ns)
-        mu = one_way_delay_us(p) * 1000.0 / tick_ns
+        mu = delay_ns / tick_ns
         rx_ns = k + np.rint((tx_ns - k * tick_ns) / tick_ns + mu)
     rx_ns *= tick_ns
+    return TransmitResult(rx_ns=rx_ns, delivered=delivered)
+
+
+def _rint(x: float) -> float:
+    """``np.rint`` of a Python float: ties to even, and a zero keeps the
+    sign of ``x``. The result is an int unless it is zero."""
+    return round(x) or math.copysign(0.0, x)
+
+
+def _transmit_list(tx_ns: list[float], dropped: np.ndarray | None,
+                   jitter: np.ndarray | None, delay_ns: float,
+                   tick_ns: float) -> TransmitResult:
+    """``transmit_train``'s arithmetic on Python floats, operation by
+    operation as the array form does it."""
+    delivered = [True] * len(tx_ns)
+    if dropped is not None:
+        for i in dropped.tolist():
+            delivered[i] = False
+    if jitter is not None:
+        rx_ns = [_rint((tx + delay_ns + j) / tick_ns) * tick_ns
+                 for tx, j in zip(tx_ns, jitter.tolist())]
+    else:
+        mu = delay_ns / tick_ns
+        rx_ns = []
+        for tx in tx_ns:
+            k = _rint(tx / tick_ns)
+            rx_ns.append((k + _rint((tx - k * tick_ns) / tick_ns + mu)) * tick_ns)
     return TransmitResult(rx_ns=rx_ns, delivered=delivered)
 
 
@@ -186,8 +240,9 @@ def quantized_delay_pmf(p: PathModel) -> tuple[int, np.ndarray]:
     jitter the offset is ``rint(D / tick)``, ties to even, as in
     ``transmit_train``.
     """
-    mu = one_way_delay_us(p) * 1000.0 / CLOCK_TICK_NS
-    s = p.jitter_std_ns() / CLOCK_TICK_NS
+    _, sigma, delay_ns = p.traversal
+    mu = delay_ns / CLOCK_TICK_NS
+    s = sigma / CLOCK_TICK_NS
     if s == 0:
         return round(mu), np.ones(1)
     lo = round(mu - PMF_CUT_SIGMAS * s)
@@ -196,16 +251,15 @@ def quantized_delay_pmf(p: PathModel) -> tuple[int, np.ndarray]:
     # its own side of the mean: survival above it, CDF below it.
     edges = [n - 0.5 for n in range(lo, hi + 2)]
     tail = [0.5 * math.erfc(abs(e - mu) / (s * math.sqrt(2.0))) for e in edges]
-    pmf = np.empty(hi - lo + 1)
-    for i in range(pmf.size):
-        a, b = edges[i], edges[i + 1]
+    pmf = []
+    for a, b, tail_a, tail_b in zip(edges, edges[1:], tail, tail[1:]):
         if a >= mu:
-            pmf[i] = tail[i] - tail[i + 1]
+            pmf.append(tail_a - tail_b)
         elif b <= mu:
-            pmf[i] = tail[i + 1] - tail[i]
+            pmf.append(tail_b - tail_a)
         else:
-            pmf[i] = 1.0 - tail[i] - tail[i + 1]
-    return lo, pmf
+            pmf.append(1.0 - tail_a - tail_b)
+    return lo, np.array(pmf)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -55,6 +56,11 @@ MAX_TRAIN_COUNT = 2**32 - 1
 
 #: Packets per block of the simulated train kernel.
 CHUNK = 1 << 16
+
+#: Largest block the simulated kernel sends as Python lists rather than
+#: arrays. Below it, NumPy's fixed cost per call outweighs the per-packet
+#: cost of Python floats (measured crossover; see ``_simulate_block``).
+SCALAR_BLOCK = 16
 
 
 class ProbeError(Exception):
@@ -268,25 +274,40 @@ class TrainReduction:
     last_rx_ns: float = -math.inf
     first_tx_ns: float = math.inf
 
-    def fold(self, tx_ns: np.ndarray, rx_ns: np.ndarray, sent_from_ns: float) -> None:
+    def fold(self, tx_ns: np.ndarray | list[float], rx_ns: np.ndarray | list[float],
+             sent_from_ns: float) -> None:
         """Add one block: the (tx, rx) pairs it received, and the earliest
-        tx of every packet it sent."""
+        tx of every packet it sent.
+
+        Lists or arrays: a list block takes its minima and maxima in
+        Python, but its mean and squared deviations still come from
+        NumPy, whose summation order sets their last bits, so both forms
+        give the same reduction.
+        """
         self.first_tx_ns = min(self.first_tx_ns, sent_from_ns)
-        n = rx_ns.size
+        n = len(rx_ns)
         if n == 0:
             return
-        rtt = rx_ns - tx_ns
-        mean = float(rtt.mean())
-        block = TrainReduction(
-            received=n,
-            rtt_min_ns=float(rtt.min()),
-            rtt_mean_ns=mean,
-            first_rx_ns=float(rx_ns.min()),
-            last_rx_ns=float(rx_ns.max()),
-        )
+        if isinstance(rx_ns, list):
+            rtt_list = [rx - tx for rx, tx in zip(rx_ns, tx_ns)]
+            rtt = np.array(rtt_list)
+            lo, first, last = min(rtt_list), min(rx_ns), max(rx_ns)
+        else:
+            rtt = rx_ns - tx_ns
+            lo, first, last = rtt.min(), rx_ns.min(), rx_ns.max()
+        # ndarray.mean's own sum and division, without its Python wrapper.
+        mean = float(np.add.reduce(rtt)) / n
         rtt -= mean
-        block.rtt_m2 = float(np.dot(rtt, rtt))
-        self.merge(block)
+        # Python and NumPy break a tie between -0.0 and 0.0 differently;
+        # adding 0.0 makes every zero +0.0, and leaves other values alone.
+        self.merge(TrainReduction(
+            received=n,
+            rtt_min_ns=float(lo) + 0.0,
+            rtt_mean_ns=mean,
+            rtt_m2=float(np.dot(rtt, rtt)),
+            first_rx_ns=float(first) + 0.0,
+            last_rx_ns=float(last) + 0.0,
+        ))
 
     def fold_histogram(self, rtt_ns: np.ndarray, counts: np.ndarray) -> None:
         """Add packets known only by their RTT histogram: ``counts[i]``
@@ -468,6 +489,7 @@ class SimulatedProbe:
         self.path = path
         self.seed = seed
         self._runs = 0
+        self._back_path = path.reversed()
         #: RTT bins (ns) and their probabilities, built for the first long train.
         self._rtt_law: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -477,18 +499,16 @@ class SimulatedProbe:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(run, 0))
         )
-        fwd_path, back_path = self.path, self.path.reversed()
         if cfg.count <= CHUNK:
             red = TrainReduction()
-            _simulate_block(fwd_path, back_path, cfg.wire_slot_ns, 0, cfg.count,
-                            rng, red)
+            _simulate_block(self.path, self._back_path, cfg.wire_slot_ns, 0,
+                            cfg.count, rng, red)
         else:
-            red = self._long_train(fwd_path, back_path, cfg, rng)
+            red = self._long_train(cfg, rng)
         two_way_prop = 2.0 * self.path.length_km * self.path.prop_const_us_per_km
         return compute_stats(cfg, red, two_way_propagation_us=two_way_prop)
 
-    def _long_train(self, fwd_path: PathModel, back_path: PathModel,
-                    cfg: TrainConfig, rng: np.random.Generator) -> TrainReduction:
+    def _long_train(self, cfg: TrainConfig, rng: np.random.Generator) -> TrainReduction:
         """Edge packets one by one, the middle from its exact law.
 
         On the clock lattice a packet's RTT is ``tick * (a + b)``, with
@@ -502,13 +522,21 @@ class SimulatedProbe:
         for the latest. Blocks start at the packet count that spans the
         RTT support and double up to ``CHUNK``.
         """
+        fwd_path, back_path = self.path, self._back_path
+        loss_f, *delay_law_f = fwd_path.traversal
+        loss_b, *delay_law_b = back_path.traversal
         red = TrainReduction()
-        surv = (1.0 - fwd_path.loss_prob()) * (1.0 - back_path.loss_prob())
+        surv = (1.0 - loss_f) * (1.0 - loss_b)
         if surv == 0.0:
             return red
         if self._rtt_law is None:
             lo_f, pmf_f = quantized_delay_pmf(fwd_path)
-            lo_b, pmf_b = quantized_delay_pmf(back_path)
+            # The law depends on the jitter and delay alone, and the two
+            # directions sum the same elements, often to the same bits.
+            if delay_law_f == delay_law_b:
+                lo_b, pmf_b = lo_f, pmf_f
+            else:
+                lo_b, pmf_b = quantized_delay_pmf(back_path)
             p_ab = np.convolve(pmf_f, pmf_b)
             rtt_ns = (lo_f + lo_b + np.arange(p_ab.size)) * CLOCK_TICK_NS
             self._rtt_law = rtt_ns, p_ab / p_ab.sum()
@@ -551,7 +579,29 @@ def _simulate_block(fwd_path: PathModel, back_path: PathModel, slot_ns: float,
                     start: int, stop: int, rng: np.random.Generator,
                     red: TrainReduction) -> None:
     """Send packets ``start``..``stop - 1`` of a train forward and back,
-    packet by packet, and fold their echoes into ``red``."""
+    packet by packet, and fold their echoes into ``red``.
+
+    A block of at most ``SCALAR_BLOCK`` packets goes as Python lists, a
+    longer one as arrays; the two give the same bits. Both legs look
+    ``transmit_train`` up in this module on every call, so a wrapper
+    installed here sees them.
+    """
+    if stop - start <= SCALAR_BLOCK:
+        tx_ns = [round(i * slot_ns / CLOCK_TICK_NS) * CLOCK_TICK_NS
+                 for i in range(start, stop)]
+        sent_from = tx_ns[0]
+        fwd = transmit_train(fwd_path, tx_ns, rng)
+        rx_ns = fwd.rx_ns
+        if not all(fwd.delivered):
+            tx_ns = list(compress(tx_ns, fwd.delivered))
+            rx_ns = list(compress(rx_ns, fwd.delivered))
+        back = transmit_train(back_path, rx_ns, rng)
+        rx_ns = back.rx_ns
+        if not all(back.delivered):
+            tx_ns = list(compress(tx_ns, back.delivered))
+            rx_ns = list(compress(rx_ns, back.delivered))
+        red.fold(tx_ns, rx_ns, sent_from)
+        return
     tx_ns = np.arange(start, stop, dtype=np.float64)
     tx_ns *= slot_ns
     tx_ns /= CLOCK_TICK_NS

@@ -7,9 +7,10 @@ import shutil
 import pytest
 import yaml
 
-from metroslice import cli
+from metroslice import cli, orchestrator
 from metroslice.cli import main
 from metroslice.config import default_scenario_path
+from metroslice.optical import SlotOutOfTunability
 
 
 def _run(capsys, *argv):
@@ -257,16 +258,35 @@ class TestErrors:
         assert "timing.laser_warmup_s: expected a finite float, got nan" in line
         assert not (tmp_path / "kpi.json").exists()
 
-    def test_slot_floor_past_tunability_is_exit_1(self, tmp_path, capsys):
-        # WF1 finds no slot above n=300 in the packaged +-256 tunability,
-        # rolls back and raises WorkflowError: one error line, exit 1.
+    def test_slot_floor_past_tunability_is_config_error(self, tmp_path, capsys):
+        # No n >= 300 lies in the packaged +-256 tunability: rejected at
+        # load, before WF1 allocates anything.
         path = _scenario_copy(tmp_path, "slot_floor_n: 0", "slot_floor_n: 300")
-        rc = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "deploy"])
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path / "out"), "deploy")
+        assert "scenario.yaml: optical.slot_floor_n: no n >= 300" in line
+        assert not (tmp_path / "out" / "kpi.json").exists()
+
+    def test_disjoint_tunability_is_config_error(self, tmp_path, capsys):
+        path = _scenario_copy(tmp_path, "tp_tunability_n: [-256, 256]",
+                              "tp_tunability_n: [300, 400]")
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path / "out"), "deploy")
+        assert "scenario.yaml: optical.tp_tunability_n: no n in both" in line
+
+    def test_workflow_error_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        # A transponder that fails to tune makes WF1 roll back and raise
+        # WorkflowError: one error line, exit 1.
+        def untunable(tp, slot, *args, **kwargs):
+            raise SlotOutOfTunability(f"{tp.tp_id} cannot tune to n={slot.n}")
+
+        monkeypatch.setattr(orchestrator, "configure_transponder", untunable)
+        rc = main(["--out", str(tmp_path / "out"), "deploy"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines == ["error: optical provisioning failed: tp-a cannot tune to n=0"]
         assert not (tmp_path / "out" / "kpi.json").exists()
 
     @pytest.mark.parametrize("length", ["-1", ".nan", ".inf"])

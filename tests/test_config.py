@@ -320,13 +320,44 @@ class TestLoadScenario:
         (lambda doc: doc.update(dataplane={
             "element_overrides": {"sw-mcen": {"loss_prob": 0.1, "los_prob": 0.1}}}),
          r"unknown key dataplane\.element_overrides\.sw-mcen\.los_prob$"),
+        (lambda doc: doc.update(dataplane={
+            "element_overrides": {"probe-a": {"jitter_std_ns": 1.0e4}}}),
+         r"dataplane\.element_overrides\.probe-a\.jitter_std_ns: jitter sums past "
+         r"1000 ns in quadrature"),
+        # 600 ns passes over the topology, where probe-a counts once; the
+        # row lists it three times: 1039 ns.
+        (lambda doc: (doc.update(dataplane={
+            "element_overrides": {"probe-a": {"jitter_std_ns": 600.0}}}),
+                      doc["calibration_rows"].append(
+                          {"label": "thrice", "length_km": 1.0,
+                           "path": ["probe-a", "probe-a", "probe-a"]})),
+         r"calibration_rows\[5\]\.path: jitter sums past 1000 ns"),
+        (lambda doc: doc["optical"].update(slot_floor_n=257),
+         r"optical\.slot_floor_n: no n >= 257 in both optical\.sip_tunability_n "
+         r"and optical\.tp_tunability_n$"),
+        (lambda doc: doc["optical"].update(sip_tunability_n=[-10, -1],
+                                           tp_tunability_n=[0, 10]),
+         r"optical\.tp_tunability_n: no n in both it and optical\.sip_tunability_n$"),
     ], ids=["trains_per_row", "loss_prob", "jitter_std_ns", "slot_m",
             "tunability_items", "override_node", "bool_as_int", "nan",
             "inf", "series_too_long", "top_level_key", "section_key", "row_key",
-            "override_key"])
+            "override_key", "jitter_past_bound", "row_jitter_past_bound",
+            "slot_floor_past_tunability", "disjoint_tunability"])
     def test_rejected_at_load(self, tmp_path, mutate, match):
         with pytest.raises(ConfigError, match=match):
             load_scenario(_scenario_sandbox(tmp_path, mutate))
+
+    def test_bounds_are_inclusive(self, tmp_path):
+        # The floor may sit on the top of the tunability, and 999 ns on one
+        # node stays under the jitter bound with the defaults elsewhere.
+        def mutate(doc):
+            doc["optical"].update(slot_floor_n=256)
+            doc.update(dataplane={"element_overrides": {
+                "probe-a": {"jitter_std_ns": 999.0}}})
+
+        sc = load_scenario(_scenario_sandbox(tmp_path, mutate))
+        assert sc.slot_floor_n == 256
+        assert sc.element_overrides["probe-a"].jitter_std_ns == 999.0
 
 
 class TestBuildWorld:

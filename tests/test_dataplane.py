@@ -95,6 +95,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             PathModel(elements=(), length_km=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        # The simulated probe rounds delays to ticks, which has no answer
+        # for an infinite or NaN delay.
+        for kwargs in ({"lat": value}, {"jit": value}):
+            with pytest.raises(ValueError, match="finite"):
+                _elem(**kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            PathModel(elements=(), length_km=value)
+
     def test_reversed_keeps_length(self):
         p = PathModel((_elem("a"), _elem("b")), length_km=5.0)
         r = p.reversed()

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metroslice.dataplane import (
@@ -25,6 +25,7 @@ from metroslice.probe import (
     HEADER_LEN,
     MAGIC,
     MAX_TRAIN_COUNT,
+    SCALAR_BLOCK,
     BertType,
     EchoSet,
     LatencyBudget,
@@ -424,17 +425,91 @@ _values = st.lists(
 )
 
 
+_T = CLOCK_TICK_NS
+_elements = st.builds(
+    PathElement,
+    element_id=st.just("x"),
+    # Half-tick delays (a jitter-free packet's offset is then a tie) and
+    # arbitrary ones, zero included.
+    fixed_latency_us=st.one_of(
+        st.sampled_from([0.0, 2.5 * _T / 1000, 7.5 * _T / 1000, 12.5 * _T / 1000]),
+        st.floats(min_value=0.0, max_value=50.0)),
+    loss_prob=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e-3),
+                        st.floats(min_value=0.1, max_value=1.0)),
+    jitter_std_ns=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=20.0)),
+)
+_paths = st.builds(
+    PathModel,
+    st.lists(_elements, min_size=1, max_size=3).map(tuple),
+    length_km=st.sampled_from([0.0, 0.0021, 41.4]),
+)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestScalarBlocks:
+    """Blocks of at most SCALAR_BLOCK packets run on Python lists."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(path=_paths, start=st.integers(min_value=0, max_value=CHUNK),
+           n=st.integers(min_value=0, max_value=2 * SCALAR_BLOCK),
+           payload=st.sampled_from([64, 1456]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    # No delay: the first packet's jitter alone can round to -0.0.
+    @example(path=PathModel((PathElement("x", jitter_std_ns=5.0),)), start=0, n=8,
+             payload=64, seed=34)
+    # A jitter-free offset of 2.5 ticks, a tie that goes to even.
+    @example(path=PathModel((PathElement("x", fixed_latency_us=2.5 * _T / 1000),)),
+             start=CHUNK, n=SCALAR_BLOCK, payload=1456, seed=2)
+    def test_list_transmit_equals_array_bitwise(self, path, start, n, payload, seed):
+        slot = TrainConfig(count=1, ip_payload_bytes=payload).wire_slot_ns
+        tx = np.rint(np.arange(start, start + n, dtype=np.float64) * slot / _T) * _T
+        rng_a, rng_l = np.random.default_rng(seed), np.random.default_rng(seed)
+        back = path.reversed()
+        fwd_a = transmit_train(path, tx, rng_a)
+        fwd_l = transmit_train(path, tx.tolist(), rng_l)
+        assert isinstance(fwd_l.rx_ns, list) and isinstance(fwd_l.delivered, list)
+        assert _bits(fwd_l.rx_ns) == _bits(fwd_a.rx_ns)
+        assert fwd_l.delivered == fwd_a.delivered.tolist()
+        # The echo leg starts off the lattice, from the forward arrivals.
+        rx = fwd_a.rx_ns[fwd_a.delivered]
+        back_a = transmit_train(back, rx, rng_a)
+        back_l = transmit_train(back, rx.tolist(), rng_l)
+        assert _bits(back_l.rx_ns) == _bits(back_a.rx_ns)
+        assert back_l.delivered == back_a.delivered.tolist()
+        # Both forms drew the same numbers from the generator.
+        assert rng_l.bit_generator.state == rng_a.bit_generator.state
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(path=_paths, count=st.integers(min_value=1, max_value=SCALAR_BLOCK),
+           payload=st.sampled_from([64, 1456]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           run=st.integers(min_value=0, max_value=2))
+    def test_short_run_equals_per_packet_oracle(self, path, count, payload, seed, run):
+        probe = SimulatedProbe(path, seed=seed)
+        cfg = TrainConfig(count=count, ip_payload_bytes=payload)
+        for _ in range(run):
+            probe.run(cfg)
+        assert probe.run(cfg) == per_packet_train(path, cfg, seed, run)
+
+
 class TestTrainReduction:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_values, st.lists(st.integers(min_value=0, max_value=300), max_size=8))
+    @example([0.0, -0.0, 1.0], [])  # Python and NumPy break this tie apart
     def test_merged_splits_equal_one_shot(self, values, cuts):
         x = np.array(values)
         bounds = sorted({0, len(x), *(c for c in cuts if c <= len(x))})
-        red = TrainReduction()
+        red, red_lists = TrainReduction(), TrainReduction()
         for lo, hi in zip(bounds, bounds[1:]):
             block = TrainReduction()
             block.fold(np.zeros(hi - lo), x[lo:hi], 0.0)
             red.merge(block)
+            red_lists.fold([0.0] * (hi - lo), values[lo:hi], 0.0)
+        # Blocks given as lists fold to the same bits, signed zeros included.
+        assert repr(red_lists) == repr(red)
         scale = float(np.abs(x).max())
         assert red.received == len(x)
         assert red.rtt_min_ns == float(x.min())
