@@ -70,6 +70,14 @@ def _override(obj, **changes):
         raise ConfigError(f"command-line override: {exc}") from exc
 
 
+def _num(x: float | None, spec: str) -> str:
+    """``format(x, spec)``, or ``n/a`` at the same width when the value is
+    undefined (a train that lost every packet, or one packet's throughput)."""
+    if x is None:
+        return format("n/a", ">" + spec.split(".")[0])
+    return format(x, spec)
+
+
 # ---------------------------------------------------------------------------
 # plan
 
@@ -147,9 +155,8 @@ def cmd_deploy(args, scenario: Scenario) -> int:
     print(f"KPI-3 slice setup         {report.kpi3_s:8.1f} s")
     print(f"setup excl. transponders  {report.excl_transponder_s:8.1f} s")
     for rec in records:
-        rtt = rec.stats.rtt_us
-        shown = "n/a" if rtt is None else f"{rtt:.3f} us"
-        print(f"circuit {rec.circuit_id}: {rec.verdict} (rtt {shown}, "
+        print(f"circuit {rec.circuit_id}: {rec.verdict} "
+              f"(rtt {_num(rec.stats.rtt_us, '.3f')} us, "
               f"loss {rec.stats.loss_rate:.2e})")
     print(f"artifacts in {out}/")
     return 0
@@ -157,14 +164,6 @@ def cmd_deploy(args, scenario: Scenario) -> int:
 
 # ---------------------------------------------------------------------------
 # table1
-
-
-def _num(x: float | None, spec: str) -> str:
-    """``format(x, spec)``, or ``n/a`` at the same width when a row lost
-    every packet and has no value."""
-    if x is None:
-        return format("n/a", ">" + spec.split(".")[0])
-    return format(x, spec)
 
 
 def cmd_table1(args, scenario: Scenario) -> int:
@@ -287,10 +286,9 @@ def cmd_records(args, scenario: Scenario | None) -> int:
         write_json([r.to_record() for r in found])
         return 0
     for r in found:
-        rtt = r.stats.rtt_us
-        shown = "n/a" if rtt is None else f"{rtt:.3f} us"
         print(f"t={r.t_virtual_s:10.3f}s  {r.circuit_id:>12}  vlan {r.vlan_id}  "
-              f"{r.verdict:>4}  rtt {shown}  loss {r.stats.loss_rate:.2e}")
+              f"{r.verdict:>4}  rtt {_num(r.stats.rtt_us, '.3f')} us  "
+              f"loss {r.stats.loss_rate:.2e}")
     print(f"{len(found)} record(s)")
     return 0
 
@@ -301,8 +299,9 @@ def cmd_records(args, scenario: Scenario | None) -> int:
 
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in 0-65535, got {text!r}")
     return host, int(port)
 
 
@@ -322,9 +321,10 @@ def cmd_measure(args, scenario: Scenario) -> int:
         write_json(stats.to_record())
         return 0
     print(f"{stats.received}/{stats.count} echoed, "
-          f"rtt min {stats.rtt_us:.3f} us / mean {stats.rtt_mean_us:.3f} us, "
-          f"jitter {stats.jitter_ns:.1f} ns, "
-          f"throughput {stats.throughput_mbps:.2f} Mb/s")
+          f"rtt min {_num(stats.rtt_us, '.3f')} us / "
+          f"mean {_num(stats.rtt_mean_us, '.3f')} us, "
+          f"jitter {_num(stats.jitter_ns, '.1f')} ns, "
+          f"throughput {_num(stats.throughput_mbps, '.2f')} Mb/s")
     return 0
 
 

@@ -115,16 +115,14 @@ def one_way_delay_us(p: PathModel) -> float:
     return fixed + p.length_km * p.prop_const_us_per_km
 
 
-def serialization_delay_ns(
-    wire_bytes: int, line_rate_gbps: float = LINE_RATE_GBPS
-) -> float:
-    """Time one frame occupies the wire at the given line rate."""
-    return wire_bytes * 8.0 / line_rate_gbps
+def serialization_delay_ns(wire_bytes: int) -> float:
+    """Time one frame occupies the wire at the line rate."""
+    return wire_bytes * 8.0 / LINE_RATE_GBPS
 
 
-def quantize_ns(t_ns, tick_ns: float = CLOCK_TICK_NS):
+def quantize_ns(t_ns):
     """Snap timestamps (scalar or array) to the nearest capture-clock tick."""
-    return np.rint(np.asarray(t_ns, dtype=np.float64) / tick_ns) * tick_ns
+    return np.rint(np.asarray(t_ns, dtype=np.float64) / CLOCK_TICK_NS) * CLOCK_TICK_NS
 
 
 @dataclass
@@ -142,8 +140,7 @@ class TransmitResult:
 def transmit_train(
     p: PathModel,
     tx_ns: np.ndarray | list[float],
-    rng: int | np.random.Generator,
-    tick_ns: float = CLOCK_TICK_NS,
+    rng: np.random.Generator,
 ) -> TransmitResult:
     """Propagate a train of packets one way across the path.
 
@@ -161,8 +158,6 @@ def transmit_train(
     generator calls in the same order and the same IEEE operations in
     the same order, so they agree bit for bit.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     as_lists = isinstance(tx_ns, list)
     if not as_lists:
         tx_ns = np.asarray(tx_ns, dtype=np.float64)
@@ -175,21 +170,21 @@ def transmit_train(
         jitter = rng.standard_normal(n, dtype=np.float32)
         jitter *= sigma
     if as_lists:
-        return _transmit_list(tx_ns, dropped, jitter, delay_ns, tick_ns)
+        return _transmit_list(tx_ns, dropped, jitter, delay_ns)
     delivered = np.ones(n, dtype=bool)
     if dropped is not None:
         delivered[dropped] = False
     if jitter is not None:
         rx_ns = tx_ns + delay_ns
         rx_ns += jitter
-        rx_ns /= tick_ns
+        rx_ns /= CLOCK_TICK_NS
         np.rint(rx_ns, out=rx_ns)
     else:
         # tx - k * tick is exactly 0 on the lattice: one rounding of D / tick.
-        k = np.rint(tx_ns / tick_ns)
-        mu = delay_ns / tick_ns
-        rx_ns = k + np.rint((tx_ns - k * tick_ns) / tick_ns + mu)
-    rx_ns *= tick_ns
+        k = np.rint(tx_ns / CLOCK_TICK_NS)
+        mu = delay_ns / CLOCK_TICK_NS
+        rx_ns = k + np.rint((tx_ns - k * CLOCK_TICK_NS) / CLOCK_TICK_NS + mu)
+    rx_ns *= CLOCK_TICK_NS
     return TransmitResult(rx_ns=rx_ns, delivered=delivered)
 
 
@@ -200,8 +195,7 @@ def _rint(x: float) -> float:
 
 
 def _transmit_list(tx_ns: list[float], dropped: np.ndarray | None,
-                   jitter: np.ndarray | None, delay_ns: float,
-                   tick_ns: float) -> TransmitResult:
+                   jitter: np.ndarray | None, delay_ns: float) -> TransmitResult:
     """``transmit_train``'s arithmetic on Python floats, operation by
     operation as the array form does it."""
     delivered = [True] * len(tx_ns)
@@ -209,14 +203,15 @@ def _transmit_list(tx_ns: list[float], dropped: np.ndarray | None,
         for i in dropped.tolist():
             delivered[i] = False
     if jitter is not None:
-        rx_ns = [_rint((tx + delay_ns + j) / tick_ns) * tick_ns
+        rx_ns = [_rint((tx + delay_ns + j) / CLOCK_TICK_NS) * CLOCK_TICK_NS
                  for tx, j in zip(tx_ns, jitter.tolist())]
     else:
-        mu = delay_ns / tick_ns
+        mu = delay_ns / CLOCK_TICK_NS
         rx_ns = []
         for tx in tx_ns:
-            k = _rint(tx / tick_ns)
-            rx_ns.append((k + _rint((tx - k * tick_ns) / tick_ns + mu)) * tick_ns)
+            k = _rint(tx / CLOCK_TICK_NS)
+            rx_ns.append((k + _rint((tx - k * CLOCK_TICK_NS) / CLOCK_TICK_NS + mu))
+                         * CLOCK_TICK_NS)
     return TransmitResult(rx_ns=rx_ns, delivered=delivered)
 
 

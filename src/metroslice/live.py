@@ -4,7 +4,9 @@ The reflector echoes probe datagrams from one reused buffer (TWAMP-Light,
 RFC 5357 Appendix I). Each echo carries the sender's monotonic send stamp
 back, so RTT needs no clock sync. Echoes fold into the simulated probe's
 ``TrainReduction`` per ``probe.CHUNK`` block, with one bit per packet so a
-duplicate (RFC 5560) counts once; short and foreign datagrams are ignored.
+duplicate (RFC 5560) counts once. Both ends ignore short datagrams and
+ones of another magic or header version; the sender also ignores other
+trains.
 
 The echoes clock the sender (Jacobson, SIGCOMM 1988): it keeps at most
 ``_WINDOW`` packets beyond the newest echo in flight, so a loopback RTT
@@ -83,7 +85,7 @@ def live_reflect(
             except BlockingIOError:
                 select.select([sock], [], [], 0.2)  # idle: check ``stop``
                 continue
-            if nbytes < HEADER_LEN or HEADER_STRUCT.unpack_from(view)[0] != MAGIC:
+            if nbytes < HEADER_LEN or HEADER_STRUCT.unpack_from(view)[:2] != (MAGIC, VERSION):
                 continue
             sock.sendto(view[:nbytes], addr)
             reflected += 1
@@ -143,8 +145,10 @@ def live_measure(
             now = time.monotonic_ns()
             if now >= deadline:
                 return False
-            magic, _v, _f, _vlan, train_id, seq, _c, tx = HEADER_STRUCT.unpack_from(buf)
-            if (nbytes < HEADER_LEN or magic != MAGIC or train_id != cfg.train_id
+            if nbytes < HEADER_LEN:
+                continue
+            magic, version, _f, _vlan, train_id, seq, _c, tx = HEADER_STRUCT.unpack_from(buf)
+            if (magic != MAGIC or version != VERSION or train_id != cfg.train_id
                     or seq >= n or seen[seq >> 3] >> (seq & 7) & 1):
                 continue
             seen[seq >> 3] |= 1 << (seq & 7)

@@ -35,6 +35,7 @@ from .dataplane import (
     CLOCK_TICK_NS,
     PathModel,
     one_way_delay_us,
+    quantize_ns,
     quantized_delay_pmf,
     serialization_delay_ns,
     transmit_train,
@@ -125,11 +126,9 @@ PRBS31_SEED = 0x7FFFFFFF
 
 
 @functools.lru_cache(maxsize=32)
-def prbs31_bytes(n: int, seed: int = PRBS31_SEED) -> bytes:
+def prbs31_bytes(n: int) -> bytes:
     """First n bytes of the PRBS-31 bit stream, MSB-first packing."""
-    state = seed & 0x7FFFFFFF
-    if state == 0:
-        raise ValueError("PRBS seed must be non-zero")
+    state = PRBS31_SEED
     out = bytearray(n)
     hi, lo = PRBS31_TAPS
     for i in range(n):
@@ -204,7 +203,13 @@ def decode_packet(buf: bytes) -> ProbePacket:
     )
 
 
-def generate_train(cfg: TrainConfig, start_ns: int = 0):
+def _send_time_ns(i: int, slot_ns: float) -> float:
+    """Send time of packet ``i`` of a back-to-back train: its line-rate
+    slot, quantized to the capture clock tick."""
+    return round(i * slot_ns / CLOCK_TICK_NS) * CLOCK_TICK_NS
+
+
+def generate_train(cfg: TrainConfig):
     """Yield the train's packets with back-to-back line-rate tx timestamps.
 
     Timestamps are quantized to the capture clock tick. The payload is the
@@ -214,13 +219,12 @@ def generate_train(cfg: TrainConfig, start_ns: int = 0):
     payload = bert_payload(cfg.bert_type, cfg.bert_payload_len)
     slot = cfg.wire_slot_ns
     for seq in range(cfg.count):
-        tx = start_ns + round(seq * slot / CLOCK_TICK_NS) * CLOCK_TICK_NS
         yield ProbePacket(
             train_id=cfg.train_id,
             seq=seq,
             count=cfg.count,
             vlan_id=cfg.vlan_id,
-            tx_timestamp_ns=int(tx),
+            tx_timestamp_ns=int(_send_time_ns(seq, slot)),
             payload=payload,
         )
 
@@ -543,10 +547,6 @@ class SimulatedProbe:
         rtt_ns, p_ab = self._rtt_law
         rtt_lo_ns, rtt_hi_ns = float(rtt_ns[0]), float(rtt_ns[-1])
         slot = cfg.wire_slot_ns
-
-        def tx_ns(i: int) -> float:
-            return round(i * slot / CLOCK_TICK_NS) * CLOCK_TICK_NS
-
         first_block = min(math.ceil((rtt_hi_ns - rtt_lo_ns) / slot) + 1, CHUNK)
         head, tail = 0, cfg.count
         size = first_block
@@ -554,7 +554,7 @@ class SimulatedProbe:
             stop = min(head + size, tail)
             _simulate_block(fwd_path, back_path, slot, head, stop, rng, red)
             head = stop
-            if red.first_rx_ns <= tx_ns(head) + rtt_lo_ns:
+            if red.first_rx_ns <= _send_time_ns(head, slot) + rtt_lo_ns:
                 break
             size = min(2 * size, CHUNK)
         size = first_block
@@ -562,7 +562,7 @@ class SimulatedProbe:
             start = max(tail - size, head)
             _simulate_block(fwd_path, back_path, slot, start, tail, rng, red)
             tail = start
-            if red.last_rx_ns >= tx_ns(tail - 1) + rtt_hi_ns:
+            if red.last_rx_ns >= _send_time_ns(tail - 1, slot) + rtt_hi_ns:
                 break
             size = min(2 * size, CHUNK)
         if tail > head:
@@ -586,35 +586,19 @@ def _simulate_block(fwd_path: PathModel, back_path: PathModel, slot_ns: float,
     ``transmit_train`` up in this module on every call, so a wrapper
     installed here sees them.
     """
-    if stop - start <= SCALAR_BLOCK:
-        tx_ns = [round(i * slot_ns / CLOCK_TICK_NS) * CLOCK_TICK_NS
-                 for i in range(start, stop)]
-        sent_from = tx_ns[0]
-        fwd = transmit_train(fwd_path, tx_ns, rng)
-        rx_ns = fwd.rx_ns
-        if not all(fwd.delivered):
-            tx_ns = list(compress(tx_ns, fwd.delivered))
-            rx_ns = list(compress(rx_ns, fwd.delivered))
-        back = transmit_train(back_path, rx_ns, rng)
-        rx_ns = back.rx_ns
-        if not all(back.delivered):
-            tx_ns = list(compress(tx_ns, back.delivered))
-            rx_ns = list(compress(rx_ns, back.delivered))
-        red.fold(tx_ns, rx_ns, sent_from)
-        return
-    tx_ns = np.arange(start, stop, dtype=np.float64)
-    tx_ns *= slot_ns
-    tx_ns /= CLOCK_TICK_NS
-    np.rint(tx_ns, out=tx_ns)
-    tx_ns *= CLOCK_TICK_NS
-
-    sent_from = float(tx_ns[0])
-    fwd = transmit_train(fwd_path, tx_ns, rng)
-    rx_ns = fwd.rx_ns
-    if not fwd.delivered.all():
-        tx_ns, rx_ns = tx_ns[fwd.delivered], rx_ns[fwd.delivered]
-    back = transmit_train(back_path, rx_ns, rng)
-    if back.delivered.all():
-        red.fold(tx_ns, back.rx_ns, sent_from)
+    as_lists = stop - start <= SCALAR_BLOCK
+    if as_lists:
+        tx_ns = [_send_time_ns(i, slot_ns) for i in range(start, stop)]
     else:
-        red.fold(tx_ns[back.delivered], back.rx_ns[back.delivered], sent_from)
+        tx_ns = quantize_ns(np.arange(start, stop, dtype=np.float64) * slot_ns)
+    sent_from = float(tx_ns[0])
+    rx_ns = tx_ns
+    for path in (fwd_path, back_path):
+        leg = transmit_train(path, rx_ns, rng)
+        rx_ns, got = leg.rx_ns, leg.delivered
+        if as_lists:
+            if not all(got):
+                tx_ns, rx_ns = list(compress(tx_ns, got)), list(compress(rx_ns, got))
+        elif not got.all():
+            tx_ns, rx_ns = tx_ns[got], rx_ns[got]
+    red.fold(tx_ns, rx_ns, sent_from)

@@ -329,6 +329,19 @@ class TestErrors:
         assert f"{key}: delays sum past" in line
         assert not (tmp_path / "table1.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["reflect", "--bind", "127.0.0.1:70000"],
+        ["measure", "--dst", "127.0.0.1:99999"],
+    ])
+    def test_port_out_of_range(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        errors = [l for l in err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and "port in 0-65535" in errors[0]
+        assert "Traceback" not in err
+
     def test_measure_zero_count(self, capsys):
         line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")
         assert "count must be in [1, 4294967295]" in line

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from metroslice import live
+from metroslice.cli import main
 from metroslice.live import PortBindFailure, live_measure, live_reflect
 from metroslice.probe import (
     HEADER_STRUCT,
@@ -114,6 +115,20 @@ class TestLoopback:
         assert stats.jitter_ns == 0.0
         assert stats.throughput_mbps is None
 
+    def test_cli_prints_single_packet_train(self, capsys):
+        # One packet has no throughput: the text output shows n/a.
+        port = _free_port()
+        thread, stop, _ = _reflector(port, max_packets=1)
+        try:
+            rc = main(["measure", "--dst", f"127.0.0.1:{port}", "--count", "1"])
+        finally:
+            stop.set()
+            thread.join(5.0)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.startswith("1/1 echoed, rtt min ")
+        assert out.rstrip().endswith("throughput n/a Mb/s")
+
     def test_reflector_ignores_garbage(self):
         port = _free_port()
         thread, stop, result = _reflector(port, max_packets=3)
@@ -121,6 +136,9 @@ class TestLoopback:
             junk = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             junk.sendto(b"short", ("127.0.0.1", port))
             junk.sendto(b"\x00" * 64, ("127.0.0.1", port))  # wrong magic
+            other = bytearray(64)
+            HEADER_STRUCT.pack_into(other, 0, MAGIC, VERSION + 1, 0, 100, 1, 0, 3, 0)
+            junk.sendto(other, ("127.0.0.1", port))  # another header version
             junk.close()
             stats = live_measure(
                 TrainConfig(count=3, ip_payload_bytes=128, timeout_ms=5_000),
@@ -134,9 +152,10 @@ class TestLoopback:
 
     def test_duplicate_and_foreign_echoes_count_once(self):
         # Every probe is echoed twice, and the first one also draws a short
-        # datagram, one of another train and one past the train's end. All
-        # but the first echo carry a send stamp far in the future, so any
-        # of them counted shows as a negative RTT.
+        # datagram, one of another train, one past the train's end and one
+        # of another header version. All but the first echo carry a send
+        # stamp far in the future, so any of them counted shows as a
+        # negative RTT.
         count = 500
         port = _free_port()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -147,10 +166,10 @@ class TestLoopback:
 
         def stamped(data, **changes):
             magic, ver, flags, vlan, train_id, seq, n, _ = HEADER_STRUCT.unpack_from(data)
-            head = dict(train_id=train_id, seq=seq, tx=2**63) | changes
+            head = dict(ver=ver, train_id=train_id, seq=seq, tx=2**63) | changes
             out = bytearray(data)
-            HEADER_STRUCT.pack_into(out, 0, magic, ver, flags, vlan, head["train_id"],
-                                    head["seq"], n, head["tx"])
+            HEADER_STRUCT.pack_into(out, 0, magic, head["ver"], flags, vlan,
+                                    head["train_id"], head["seq"], n, head["tx"])
             return out
 
         def run():
@@ -164,6 +183,7 @@ class TestLoopback:
                     sock.sendto(data[:10], addr)
                     sock.sendto(stamped(data, train_id=9, seq=count - 1), addr)
                     sock.sendto(stamped(data, seq=count), addr)
+                    sock.sendto(stamped(data, ver=VERSION + 1), addr)
                     first = False
                 sock.sendto(data, addr)
                 sock.sendto(stamped(data), addr)
