@@ -305,15 +305,21 @@ def _host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def cmd_measure(args, scenario: Scenario) -> int:
     cfg = _override(scenario.probe_cfg, count=args.count,
                     ip_payload_bytes=args.payload, timeout_ms=args.timeout_ms)
     try:
         stats = live_measure(cfg, args.dst, bind=args.bind)
     except ProbeTimeout as exc:
-        partial = exc.stats.to_record() if exc.stats else None
         if args.json:
-            write_json({"error": str(exc), "partial": partial})
+            write_json({"error": str(exc), "partial": exc.stats.to_record()})
         else:
             print(f"timeout: {exc}", file=sys.stderr)
         return 1
@@ -405,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reflect", help="run the UDP reflector")
     p.add_argument("--bind", type=_host_port, default=("0.0.0.0", 9000),
                    metavar="HOST:PORT")
-    p.add_argument("--max-packets", type=int, default=None)
+    p.add_argument("--max-packets", type=_positive_int, default=None,
+                   help="exit after echoing this many packets (>= 1)")
     p.set_defaults(func=cmd_reflect, uses_scenario=False)
 
     return parser

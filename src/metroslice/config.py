@@ -47,6 +47,7 @@ from .model import (
     NsRequest,
     Topology,
     VimStatus,
+    latency_graph,
     validate_topology,
 )
 from .optical import DEFAULT_SLOT_M, OlsController, Sip, Transponder, VirtualClock
@@ -253,6 +254,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(
             f"{path}: probe_endpoints: expected two known node ids"
         )
+    src, dst = scenario.probe_endpoints
+    if dst not in latency_graph(topology).paths_from(src)[0]:
+        raise ConfigError(f"{path}: probe_endpoints: no path from {src} to {dst}")
     overrides = scenario.element_overrides
     for nid in overrides:
         if nid not in known:

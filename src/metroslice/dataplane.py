@@ -368,10 +368,10 @@ class ElementParams:
 def element_for_node(
     t: Topology,
     node_id: str,
-    overrides: dict[str, ElementParams] | None = None,
+    overrides: dict[str, ElementParams],
 ) -> PathElement:
     node = t.node(node_id)
-    if overrides and node_id in overrides:
+    if node_id in overrides:
         p = overrides[node_id]
         loss, jit = p.loss_prob, p.jitter_std_ns
     else:
@@ -388,7 +388,7 @@ def path_from_nodes(
     t: Topology,
     node_ids: list[str],
     length_km: float,
-    overrides: dict[str, ElementParams] | None = None,
+    overrides: dict[str, ElementParams],
 ) -> PathModel:
     """Path model over an explicit element sequence and a total fibre length.
 
@@ -403,15 +403,14 @@ def path_from_topology(
     t: Topology,
     src: str,
     dst: str,
-    overrides: dict[str, ElementParams] | None = None,
+    overrides: dict[str, ElementParams],
 ) -> PathModel:
     """Minimum-latency path between two nodes, as a dataplane model.
 
     Traversed nodes (endpoints included) contribute their fixed latency,
     loss and jitter; traversed links contribute propagation length.
-    The route comes from the memoised full Dijkstra run from ``src``: the
-    predecessors on the way to ``dst`` are settled before ``dst`` is and
-    never change after, so it is the route a run stopped at ``dst`` finds.
+    The route is read back through the predecessors of the memoised
+    Dijkstra run from ``src``.
     """
     g = latency_graph(t)
     dist, pred = g.paths_from(src)

@@ -60,9 +60,7 @@ class MdaController:
         try:
             stats = probe.run(cfg)
         except ProbeTimeout as exc:
-            stats = exc.stats or TrainStats(
-                cfg.count, 0, None, None, None, None, None
-            )
+            stats = exc.stats
             reason = str(exc)
         if stats.duration_s is not None:
             self.clock.advance(stats.duration_s)
@@ -153,7 +151,7 @@ class SoftFailureReport(Record):
 
 def detect_soft_failure(
     series: QualitySeries,
-    cfg: DetectorConfig = DetectorConfig(),
+    cfg: DetectorConfig,
 ) -> SoftFailureReport:
     """Flag a developing degradation and anticipate the FEC limit.
 

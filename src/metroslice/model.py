@@ -132,12 +132,6 @@ class Topology:
     def vim_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.vim is not None]
 
-    def node_for_vim(self, vim_id: str) -> Node:
-        for n in self.nodes:
-            if n.vim is not None and n.vim.vim_id == vim_id:
-                return n
-        raise KeyError(vim_id)
-
 
 def geometry(t: Topology) -> tuple:
     """Everything a :class:`LatencyGraph` reads from a topology, as a
@@ -161,14 +155,12 @@ class LatencyGraph:
     on equal delay the first listed wins. Entering node ``b`` over a link
     costs the link's propagation delay plus ``b``'s fixed latency, so a
     path's cost covers its links, its intermediate nodes and its
-    destination, but not its source. Built from a topology or from its
+    destination, but not its source. Built from a topology's
     :func:`geometry`.
     """
 
-    def __init__(self, topology: Topology | tuple):
-        if isinstance(topology, Topology):
-            topology = geometry(topology)
-        nodes, links, prop = topology
+    def __init__(self, geom: tuple):
+        nodes, links, prop = geom
         self.fixed = dict(nodes)
         # node -> neighbour -> (latency_us, length_km). Neighbours keep the
         # order their first link was listed in; Dijkstra's tie-breaking
@@ -189,16 +181,18 @@ class LatencyGraph:
         """Fibre length of the link kept between two adjacent nodes."""
         return self._adj[a][b][1]
 
-    def shortest_paths(
-        self, source: str, target: str | None = None
-    ) -> tuple[dict[str, float], dict[str, str]]:
+    def paths_from(self, source: str) -> tuple[dict[str, float], dict[str, str]]:
         """Dijkstra from ``source``: distance and predecessor of each node
-        reached, stopping once ``target`` is settled.
+        reached, memoised per source. The dicts are shared between
+        callers: read them only.
 
         Ties go to the first path found: a predecessor changes only on a
         strict improvement, and equal distances settle in the order the
         nodes were reached. Raises ``KeyError`` for an unknown source.
         """
+        run = self._runs.get(source)
+        if run is not None:
+            return run
         dist: dict[str, float] = {}
         pred: dict[str, str] = {}
         seen = {source: 0.0}
@@ -209,25 +203,13 @@ class LatencyGraph:
             if v in dist:
                 continue
             dist[v] = d
-            if v == target:
-                break
             for u, (lat, _) in self._adj[v].items():
                 alt = d + (lat + self.fixed[u])
                 if u not in dist and (u not in seen or alt < seen[u]):
                     seen[u] = alt
                     pred[u] = v
                     heapq.heappush(heap, (alt, next(order), u))
-        return dist, pred
-
-    def paths_from(
-        self, source: str
-    ) -> tuple[dict[str, float], dict[str, str]]:
-        """``shortest_paths(source)`` run to completion, memoised per
-        source. The dicts are shared between callers: read them only.
-        """
-        run = self._runs.get(source)
-        if run is None:
-            run = self._runs[source] = self.shortest_paths(source)
+        run = self._runs[source] = (dist, pred)
         return run
 
 

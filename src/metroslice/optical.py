@@ -201,7 +201,7 @@ class OlsController:
         route = self._route(sa.node_id, sz.node_id)
         if slot is not None:
             for s in (sa, sz):
-                if not _tunes(s, slot.n):
+                if not _tunes(s.tunability, slot.n):
                     raise SlotOutOfTunability(
                         f"{s.sip_id} cannot tune to n={slot.n}"
                     )
@@ -296,7 +296,7 @@ class OlsController:
             if any(link_id in c.route for link_id in route)
         )
         for n in sorted(candidates):
-            if n >= floor_n and _tunes(sa, n) and _tunes(sz, n):
+            if n >= floor_n and _tunes(sa.tunability, n) and _tunes(sz.tunability, n):
                 slot = FrequencySlot(n=n, m=m)
                 if self._first_collision(route, slot) is None:
                     return slot
@@ -305,9 +305,10 @@ class OlsController:
         )
 
 
-def _tunes(sip: Sip, n: int) -> bool:
-    """An empty tunability set accepts any n."""
-    return not sip.tunability or n in sip.tunability
+def _tunes(tunability: frozenset[int], n: int) -> bool:
+    """Whether a SIP or a transponder tunes to ``n``. An empty
+    tunability set accepts any n."""
+    return not tunability or n in tunability
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +381,8 @@ def configure_transponder(
     slot: FrequencySlot,
     tx_power_dbm: float,
     clock: VirtualClock,
-    config_duration_s: float = 2.0,
-    laser_warmup_s: float = 125.0,
+    config_duration_s: float,
+    laser_warmup_s: float,
 ) -> Transponder:
     """Run the five-step bring-up on a blank transponder.
 
@@ -392,7 +393,7 @@ def configure_transponder(
     """
     if tp.phase is not TransponderPhase.BLANK:
         raise InvalidPhase(f"{tp.tp_id} is {tp.phase.value}, expected Blank")
-    if tp.tunable_n and slot.n not in tp.tunable_n:
+    if not _tunes(tp.tunable_n, slot.n):
         raise FrequencyOutOfRange(
             f"{tp.tp_id} cannot tune to n={slot.n} ({slot.center_thz} THz)"
         )

@@ -42,16 +42,12 @@ from .records import Record
 log = logging.getLogger(__name__)
 
 
-class OrchestratorError(Exception):
-    pass
-
-
-class WorkflowError(OrchestratorError):
+class WorkflowError(Exception):
     """Provisioning failed; the transponders, the media channel and the
     VIM allocations were rolled back."""
 
 
-class IncompleteLog(OrchestratorError):
+class IncompleteLog(Exception):
     pass
 
 
@@ -102,9 +98,10 @@ class KpiReport(Record):
 class World:
     """Everything the orchestrator acts on.
 
-    ``slot_floor_n``, ``slot_m``, ``tx_power_dbm`` and ``seed`` are
-    required keywords: their defaults live on ``config.Scenario``, and
-    ``config.build_world`` passes them on.
+    Every field but ``element_overrides`` is required, and those after it
+    are keyword-only. The scenario's defaults live on ``config.Scenario``,
+    ``TimingConfig`` and ``TrainConfig``; ``config.build_world`` passes
+    them on.
     """
 
     topology: Topology
@@ -114,11 +111,11 @@ class World:
     sip_of_tp: dict[str, str]
     mda: MdaController
     demand: DemandProfile
-    timing: TimingConfig = TimingConfig()
-    probe_cfg: TrainConfig = TrainConfig()
     element_overrides: dict[str, ElementParams] = field(default_factory=dict)
-    probe_endpoints: tuple[str, str] | None = None
     _: KW_ONLY
+    timing: TimingConfig
+    probe_cfg: TrainConfig
+    probe_endpoints: tuple[str, str]
     slot_floor_n: int
     slot_m: int
     tx_power_dbm: float
@@ -336,8 +333,6 @@ def derive_kpis(events: list[WorkflowEvent]) -> KpiReport:
 
 def build_circuit_path(world: World) -> PathModel:
     """Dataplane model of the slice circuit between the probe endpoints."""
-    if world.probe_endpoints is None:
-        raise OrchestratorError("world has no probe endpoints configured")
     src, dst = world.probe_endpoints
     return path_from_topology(
         world.topology, src, dst, overrides=world.element_overrides
@@ -349,7 +344,6 @@ def run_wf2(
     circuit_ids: list[str],
     max_rtt_us: float,
     start_t_s: float = 0.0,
-    probes: dict | None = None,
 ) -> tuple[list[MeasurementRecord], list[WorkflowEvent]]:
     """Commission provisioned circuits with probe trains.
 
@@ -363,10 +357,7 @@ def run_wf2(
                circuits=list(circuit_ids))
     records = []
     for i, circuit_id in enumerate(circuit_ids):
-        probe = None if probes is None else probes.get(circuit_id)
-        if probe is None:
-            probe = SimulatedProbe(build_circuit_path(world),
-                                   seed=world.seed + i)
+        probe = SimulatedProbe(build_circuit_path(world), seed=world.seed + i)
         events.add(world.mda.clock.now_s, "mda", "m12_probe_measurement",
                    circuit_id=circuit_id)
         rec = world.mda.measure_circuit(

@@ -12,7 +12,9 @@ keyed by node id next to the shared
 :func:`~metroslice.model.latency_graph`, and leave with it. A ranking
 call reads each (layer, option) row of leg weights with one gather, and
 expands chain prefixes lazily: a popped prefix pushes only its cheapest
-child and its own next sibling.
+child and its own next sibling. A leg to or from a terminal listed out
+of id order, such as an appended ingress or egress, is read pair by
+pair through ``weight_us`` instead.
 """
 
 from __future__ import annotations
@@ -104,10 +106,9 @@ def _rtt_from(g: LatencyGraph, s: str, t: str) -> float:
 
 
 #: Weight rows of each geometry's shared graph, keyed by node id:
-#: ``(by_id, by_other)``. ``by_id[u][v]`` comes from the run of the
-#: smaller id of u and v, ``by_other[u][v]`` from the run of v. Keyed
+#: ``rows[u][v]`` comes from the run of the smaller id of u and v. Keyed
 #: weakly, so a geometry's rows leave with its graph's LRU entry.
-_rows_of: weakref.WeakKeyDictionary[LatencyGraph, tuple[dict, dict]] = (
+_rows_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
     weakref.WeakKeyDictionary()
 )
 
@@ -122,14 +123,12 @@ class _TopologyRtt(RttGraph):
         for i, t in enumerate(terminals):
             self._pos.setdefault(t, i)
         # Among terminals listed in ascending id order from the start, the
-        # first listed of a pair is also the smaller id; the rest of the
-        # list follows all of them.
+        # first listed of a pair is also the smaller id.
         n = 1
         while n < len(terminals) and terminals[n - 1] < terminals[n]:
             n += 1
         self._head = frozenset(terminals[:n])
-        self._tail = frozenset(terminals[n:]) - self._head
-        self._rows = _rows_of.get(g) or _rows_of.setdefault(g, ({}, {}))
+        self._rows = _rows_of.get(g) or _rows_of.setdefault(g, {})
 
     def weight_us(self, u: str, v: str) -> float | None:
         if u == v:
@@ -143,35 +142,28 @@ class _TopologyRtt(RttGraph):
         return None if w == _INF else w
 
     def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
-        by_id, by_other = self._rows
-        if not self._head.issuperset(vs):
+        head = self._head
+        if not (head.issuperset(us) and head.issuperset(vs)):
             return super().legs(us, vs)
-        if self._head.issuperset(us):
-            memo = by_id
-        elif self._tail.issuperset(us):
-            memo = by_other
-        else:
-            return super().legs(us, vs)
+        rows = self._rows
         get = _gather(vs)
         out = []
         for u in us:
-            row = memo.get(u)
+            row = rows.get(u)
             if row is None:
-                row = memo[u] = {}
+                row = rows[u] = {}
             try:
                 out.append(get(row))
             except KeyError:
                 for v in vs:
                     if v in row:
                         continue
-                    if memo is by_other:
-                        row[v] = _rtt_from(self._g, v, u)
-                    elif v == u:
+                    if v == u:
                         row[v] = 0.0
                     else:
                         # Both directions read the run of the smaller id.
                         w = row[v] = _rtt_from(self._g, *((u, v) if u < v else (v, u)))
-                        by_id.setdefault(v, {})[u] = w
+                        rows.setdefault(v, {})[u] = w
                 out.append(get(row))
         return out
 
@@ -223,16 +215,14 @@ def rank_service_chains(
     graph: RttGraph,
     eligibility: dict[str, list[str]],
     vim_node: dict[str, str],
-    ingress: str | None = None,
-    egress: str | None = None,
 ) -> list[ServiceChainCandidate]:
     """Up to req.k candidates by ascending cost, ties on the vim-id tuple.
 
     Cost is the sum of RTT weights between consecutive VNFs' VIM nodes,
-    plus the ingress and egress access legs when configured, added left
-    to right. Chains with an unreachable leg are left out. Feasibility
-    (one VNF per VIM) is deliberately not applied here; the placement
-    walk does that.
+    plus the access legs from ``req.ingress`` and to ``req.egress`` when
+    set, added left to right. Chains with an unreachable leg are left
+    out. Feasibility (one VNF per VIM) is deliberately not applied here;
+    the placement walk does that.
 
     Best-first search over the layered chain (Lawler 1972; Eppstein
     1998): a backward pass finds the cheapest completion from each VIM of
@@ -254,6 +244,7 @@ def rank_service_chains(
     are non-negative and each kept chain's cost is the same left-to-right
     sum.
     """
+    ingress, egress = req.ingress, req.egress
     opts = [eligibility[vnf.vnf_id] for vnf in req.chain]
     if not all(opts):
         return []
@@ -379,7 +370,7 @@ def place(
 
     useful_vims = sorted({v for opts in eligibility.values() for v in opts})
     # One pass over the nodes; reversed, so the first node listed for a
-    # VIM wins, as in Topology.node_for_vim.
+    # VIM wins.
     node_of = {n.vim.vim_id: n.node_id for n in reversed(topology.nodes) if n.vim}
     vim_node = {v: node_of[v] for v in useful_vims}
     terminals = sorted(set(vim_node.values()))
@@ -388,11 +379,7 @@ def place(
             terminals.append(extra)
     graph = build_rtt_graph(topology, terminals)
 
-    ranked = tuple(
-        rank_service_chains(
-            req, graph, eligibility, vim_node, req.ingress, req.egress
-        )
-    )
+    ranked = tuple(rank_service_chains(req, graph, eligibility, vim_node))
     chosen = next(
         (c for c in ranked if len(set(c.vim_ids)) == len(c.vim_ids)), None
     )

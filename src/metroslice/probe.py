@@ -71,7 +71,7 @@ class ProbeError(Exception):
 class ProbeTimeout(ProbeError):
     """Train did not complete in time; carries the partial statistics."""
 
-    def __init__(self, message: str, stats: "TrainStats | None" = None):
+    def __init__(self, message: str, stats: "TrainStats"):
         super().__init__(message)
         self.stats = stats
 
@@ -489,7 +489,7 @@ class SimulatedProbe:
     receive times; see ``_long_train``.
     """
 
-    def __init__(self, path: PathModel, seed: int = 0):
+    def __init__(self, path: PathModel, seed: int):
         self.path = path
         self.seed = seed
         self._runs = 0

@@ -94,7 +94,10 @@ def brute_force_place(req, topology, vims):
     if any(not opts for opts in elig.values()):
         return "NoEligibleVim", None, []
 
-    node_of = {v.vim_id: topology.node_for_vim(v.vim_id).node_id for v in vims}
+    node_of = {}
+    for n in topology.nodes:  # the first node listed for a VIM wins
+        if n.vim is not None:
+            node_of.setdefault(n.vim.vim_id, n.node_id)
     ranked = []
     for combo in itertools.product(*(elig[v.vnf_id] for v in req.chain)):
         nodes = [node_of[v] for v in combo]

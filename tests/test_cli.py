@@ -9,8 +9,10 @@ import yaml
 
 from metroslice import cli, orchestrator
 from metroslice.cli import main
-from metroslice.config import default_scenario_path
+from metroslice.config import default_scenario_path, load_scenario
 from metroslice.optical import SlotOutOfTunability
+
+from oracles import brute_force_place
 
 
 def _run(capsys, *argv):
@@ -37,6 +39,21 @@ class TestPlan:
         rc, out = _run(capsys, "plan")
         assert rc == 0
         assert "placed: vim-amen, vim-mcen" in out
+
+    def test_access_legs_match_exhaustive_placement(self, tmp_path, capsys):
+        path = _scenario_copy(tmp_path, "k: 10\n",
+                              "k: 10\ningress: probe-a\negress: probe-b\n",
+                              "ns_request.yaml")
+        rc, out = _run(capsys, "--scenario", str(path), "--json", "plan")
+        assert rc == 0
+        sc = load_scenario(path)
+        assert (sc.request.ingress, sc.request.egress) == ("probe-a", "probe-b")
+        reason, (cost, ids), _ = brute_force_place(
+            sc.request, sc.topology, [n.vim for n in sc.topology.vim_nodes()])
+        assert reason is None
+        got = json.loads(out)["candidate"]
+        assert tuple(got["vim_ids"]) == ids
+        assert got["cost_us"] == pytest.approx(cost, rel=1e-12)
 
 
 class TestDeploy:
@@ -341,6 +358,29 @@ class TestErrors:
         errors = [l for l in err.splitlines() if "error:" in l]
         assert len(errors) == 1 and "port in 0-65535" in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_reflect_max_packets_below_one(self, capsys, monkeypatch, value):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("live_reflect reached")
+
+        monkeypatch.setattr(cli, "live_reflect", no_socket)
+        with pytest.raises(SystemExit) as exc:
+            main(["reflect", "--bind", "127.0.0.1:0", "--max-packets", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        errors = [l for l in err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and "--max-packets: expected an integer >= 1" in errors[0]
+
+    def test_disconnected_probe_endpoints(self, tmp_path, capsys):
+        # Without the probe-b patch there is no circuit to commission, so
+        # the load refuses the scenario before WF1 allocates anything.
+        path = _scenario_copy(tmp_path, "  - {id: pat-b, endpoints: [probe-b, sw-mcen], "
+                              "length_km: 0.0005, kind: Patch}\n", "", "topology.yaml")
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path / "out"), "deploy")
+        assert "scenario.yaml: probe_endpoints: no path from probe-a to probe-b" in line
+        assert not (tmp_path / "out").exists()
 
     def test_measure_zero_count(self, capsys):
         line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")

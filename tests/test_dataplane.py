@@ -52,7 +52,7 @@ class TestDelayArithmetic:
         # probe + switch + 2 ROADMs + switch + probe, one way:
         # 0.21 + 0.315 + 3.275 + 3.275 + 0.315 + 0.21 = 7.6 us.
         row = next(r for r in scenario.rows if r.label == "optical-80km")
-        p = path_from_nodes(scenario.topology, row.path_nodes, row.length_km)
+        p = path_from_nodes(scenario.topology, row.path_nodes, row.length_km, {})
         fixed = sum(e.fixed_latency_us for e in p.elements)
         assert fixed == pytest.approx(7.6, rel=1e-12)
         assert one_way_delay_us(p) == pytest.approx(7.6 + 80.0 * 4.899, rel=1e-12)
@@ -335,13 +335,13 @@ class TestPathFromTopology:
     def test_default_route_uses_direct_span(self, scenario):
         # 80 km direct beats 120 km via the third ROADM once the extra
         # ROADM transit latency is counted.
-        p = path_from_topology(scenario.topology, "probe-a", "probe-b")
+        p = path_from_topology(scenario.topology, "probe-a", "probe-b", {})
         ids = [e.element_id for e in p.elements]
         assert ids == ["probe-a", "sw-amen", "roadm-1", "roadm-2", "sw-mcen", "probe-b"]
         assert p.length_km == pytest.approx(80.0016, rel=1e-12)
 
     def test_roadm_to_roadm(self, scenario):
-        p = path_from_topology(scenario.topology, "roadm-1", "roadm-2")
+        p = path_from_topology(scenario.topology, "roadm-1", "roadm-2", {})
         assert [e.element_id for e in p.elements] == ["roadm-1", "roadm-2"]
         assert p.length_km == pytest.approx(80.0)
 
@@ -353,14 +353,14 @@ class TestPathFromTopology:
         t = _tie_grid() if topology == "tie_grid" else scenario.topology
         for src, routes in pinned.items():
             for dst, want in routes.items():
-                p = path_from_topology(t, src, dst)
+                p = path_from_topology(t, src, dst, {})
                 assert " ".join(e.element_id for e in p.elements) == want
 
     def test_tie_grid_lengths_use_the_kept_parallel_link(self):
         t = _tie_grid()
-        assert path_from_topology(t, "g00", "g13").length_km == 0.75
-        assert path_from_topology(t, "g00", "g23").length_km == 1.0
-        assert path_from_topology(t, "g00", "g00").length_km == 0
+        assert path_from_topology(t, "g00", "g13", {}).length_km == 0.75
+        assert path_from_topology(t, "g00", "g23", {}).length_km == 1.0
+        assert path_from_topology(t, "g00", "g00", {}).length_km == 0
 
     def test_disconnected_raises(self):
         t = Topology(
@@ -368,7 +368,7 @@ class TestPathFromTopology:
             links=[],
         )
         with pytest.raises(NoPath):
-            path_from_topology(t, "a", "b")
+            path_from_topology(t, "a", "b", {})
 
     def test_overrides_apply(self, scenario):
         ov = {"probe-a": ElementParams(loss_prob=0.5, jitter_std_ns=0.0)}
@@ -378,11 +378,11 @@ class TestPathFromTopology:
 
     def test_element_defaults_by_kind(self, scenario):
         t = scenario.topology
-        probe = element_for_node(t, "probe-a")
+        probe = element_for_node(t, "probe-a", {})
         assert (probe.loss_prob, probe.jitter_std_ns) == (0.0, 2.0)
-        sw = element_for_node(t, "sw-amen")
+        sw = element_for_node(t, "sw-amen", {})
         assert (sw.loss_prob, sw.jitter_std_ns) == (2.0e-7, 1.5)
-        rd = element_for_node(t, "roadm-1")
+        rd = element_for_node(t, "roadm-1", {})
         assert (rd.loss_prob, rd.jitter_std_ns) == (2.0e-7, 2.5)
         assert set(DEFAULT_ELEMENT_PARAMS) >= {NodeKind.PROBE_ENDPOINT, NodeKind.AGG_SWITCH, NodeKind.ROADM}
 

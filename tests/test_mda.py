@@ -255,7 +255,7 @@ class TestSoftFailureDetection:
     def test_fast_ramp_closed_form(self):
         # Baseline 23 dB from the 10-sample hold; threshold 22.5 dB.
         # snr(t) = 23 - 0.25 (t - 10) drops strictly below at t = 13.
-        report = detect_soft_failure(self._series(0.25, 100.0))
+        report = detect_soft_failure(self._series(0.25, 100.0), DetectorConfig())
         assert report.detected
         assert report.t_detect_s == pytest.approx(13.0)
         assert report.t_fec_s == pytest.approx(_fec_crossing_oracle(0.25), rel=1e-9)
@@ -265,27 +265,27 @@ class TestSoftFailureDetection:
     def test_slow_ramp_closed_form(self):
         # 0.025 dB/s crosses the threshold at t = 31 and the FEC limit
         # roughly ten times later than the fast ramp.
-        report = detect_soft_failure(self._series(0.025, 800.0))
+        report = detect_soft_failure(self._series(0.025, 800.0), DetectorConfig())
         assert report.detected
         assert report.t_detect_s == pytest.approx(31.0)
         assert report.t_fec_s == pytest.approx(_fec_crossing_oracle(0.025), rel=1e-9)
         assert 648.0 < report.anticipation_s < 650.0
 
     def test_anticipation_invariant_to_hold_length(self):
-        a = detect_soft_failure(self._series(0.25, 100.0, start=10.0))
-        b = detect_soft_failure(self._series(0.25, 140.0, start=50.0))
+        a = detect_soft_failure(self._series(0.25, 100.0, start=10.0), DetectorConfig())
+        b = detect_soft_failure(self._series(0.25, 140.0, start=50.0), DetectorConfig())
         assert b.t_detect_s == pytest.approx(a.t_detect_s + 40.0)
         assert b.anticipation_s == pytest.approx(a.anticipation_s, rel=1e-9)
 
     def test_healthy_channel_not_detected(self):
-        report = detect_soft_failure(self._series(0.0, 100.0))
+        report = detect_soft_failure(self._series(0.0, 100.0), DetectorConfig())
         assert not report.detected
         assert report.t_detect_s is None and report.anticipation_s is None
 
     def test_short_series_not_detected(self):
         series = self._series(0.25, 5.0)
         assert len(series) < DetectorConfig().baseline_window
-        assert not detect_soft_failure(series).detected
+        assert not detect_soft_failure(series, DetectorConfig()).detected
 
     def test_drop_to_exact_threshold_is_not_detection(self):
         cfg = DetectorConfig(delta_db=0.5, consecutive=1, baseline_window=3)

@@ -24,6 +24,7 @@ from metroslice.model import (
     VnfDescriptor,
     aggregate_bandwidth_mbps,
     check_ptz_bound,
+    geometry,
     latency_graph,
     validate_topology,
 )
@@ -185,10 +186,10 @@ class TestLatencyGraph:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(dyadic_topologies())
     def test_distances_match_floyd_warshall(self, t):
-        g = LatencyGraph(t)
+        g = LatencyGraph(geometry(t))
         oracle = all_pairs_rtt_us(t)
         for u in t.nodes:
-            dist, pred = g.shortest_paths(u.node_id)
+            dist, pred = g.paths_from(u.node_id)
             assert dist[u.node_id] == 0.0 and u.node_id not in pred
             for v in t.nodes:
                 if v is u:
@@ -206,32 +207,27 @@ class TestLatencyGraph:
                    Link("l3", ("a", "b"), 2.0)],
             prop_const_us_per_km=4.0,
         )
-        g = LatencyGraph(t)
+        g = LatencyGraph(geometry(t))
         assert g.length_km("a", "b") == g.length_km("b", "a") == 2.0
-        assert g.shortest_paths("a")[0] == {"a": 0.0, "b": 9.0}
-
-    def test_stops_at_target(self):
-        t = _clean_topology()
-        dist, pred = LatencyGraph(t).shortest_paths("a", target="r")
-        assert set(dist) == {"a", "r"} and pred == {"r": "a"}
+        assert g.paths_from("a")[0] == {"a": 0.0, "b": 9.0}
 
     def test_unknown_source(self):
         with pytest.raises(KeyError):
-            LatencyGraph(_clean_topology()).shortest_paths("nowhere")
+            LatencyGraph(geometry(_clean_topology())).paths_from("nowhere")
 
 
 def _fresh_rtt(t, u, v):
     """RTT weight from a new graph and an uncached Dijkstra run."""
-    g = LatencyGraph(t)
-    dist, _ = g.shortest_paths(u)
+    g = LatencyGraph(geometry(t))
+    dist, _ = g.paths_from(u)
     return 2.0 * (dist[v] - g.fixed[v]) if v in dist else None
 
 
 def _fresh_route(t, src, dst):
-    """Node ids and length of the route a Dijkstra run stopped at ``dst``
-    finds on a new graph; None when unreachable."""
-    g = LatencyGraph(t)
-    dist, pred = g.shortest_paths(src, dst)
+    """Node ids and length of the route a Dijkstra run from ``src`` finds
+    to ``dst`` on a new graph; None when unreachable."""
+    g = LatencyGraph(geometry(t))
+    dist, pred = g.paths_from(src)
     if dst not in dist:
         return None
     nodes = [dst]
@@ -242,7 +238,7 @@ def _fresh_route(t, src, dst):
 
 
 def _route(t, src, dst):
-    p = path_from_topology(t, src, dst)
+    p = path_from_topology(t, src, dst, {})
     return [e.element_id for e in p.elements], p.length_km
 
 
@@ -260,7 +256,7 @@ class TestLatencyGraphMemo:
                     want = _fresh_route(t, u, v)
                     if want is None:
                         with pytest.raises(NoPath):
-                            path_from_topology(t, u, v)
+                            path_from_topology(t, u, v, {})
                     else:
                         assert _route(t, u, v) == want
 

@@ -334,7 +334,8 @@ class TestTransponder:
     def test_five_step_bring_up(self):
         clock = VirtualClock(10.0)
         tp = configure_transponder(
-            Transponder("tp-x"), FrequencySlot(0), tx_power_dbm=-1.5, clock=clock
+            Transponder("tp-x"), FrequencySlot(0), tx_power_dbm=-1.5, clock=clock,
+            config_duration_s=2.0, laser_warmup_s=125.0,
         )
         assert [e.name for e in tp.step_log] == [name for name, _ in CONFIG_STEPS]
         assert [e.phase for e in tp.step_log] == [ph for _, ph in CONFIG_STEPS]
@@ -350,7 +351,7 @@ class TestTransponder:
 
     def test_logical_channel_tree(self):
         tp = configure_transponder(
-            Transponder("tp-x"), FrequencySlot(8), 0.0, VirtualClock()
+            Transponder("tp-x"), FrequencySlot(8), 0.0, VirtualClock(), 2.0, 125.0
         )
         line = tp.logical_channels["line"]
         # Client ODU4 into line ODU4, ODU4 into OTU4, OTU4 onto the carrier.
@@ -365,22 +366,23 @@ class TestTransponder:
     def test_zero_warmup_ready_after_config(self):
         clock = VirtualClock()
         tp = configure_transponder(
-            Transponder("tp-x"), FrequencySlot(0), 0.0, clock, laser_warmup_s=0.0
+            Transponder("tp-x"), FrequencySlot(0), 0.0, clock, 2.0, laser_warmup_s=0.0
         )
         assert tp.ready_at_s == pytest.approx(2.0)
         assert tp.traffic_ready(clock.now_s)
 
     def test_reconfigure_is_invalid(self):
         clock = VirtualClock()
-        tp = configure_transponder(Transponder("tp-x"), FrequencySlot(0), 0.0, clock)
+        tp = configure_transponder(Transponder("tp-x"), FrequencySlot(0), 0.0, clock,
+                                   2.0, 125.0)
         with pytest.raises(InvalidPhase):
-            configure_transponder(tp, FrequencySlot(8), 0.0, clock)
+            configure_transponder(tp, FrequencySlot(8), 0.0, clock, 2.0, 125.0)
 
     def test_frequency_out_of_range_leaves_blank(self):
         clock = VirtualClock(5.0)
         tp = Transponder("tp-x", tunable_n=frozenset({0, 8}))
         with pytest.raises(FrequencyOutOfRange):
-            configure_transponder(tp, FrequencySlot(16), 0.0, clock)
+            configure_transponder(tp, FrequencySlot(16), 0.0, clock, 2.0, 125.0)
         assert tp.phase is TransponderPhase.BLANK
         assert clock.now_s == 5.0
         assert tp.step_log == []

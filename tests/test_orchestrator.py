@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from metroslice import orchestrator
 from metroslice.config import build_world
 from metroslice.dataplane import path_from_nodes
 from metroslice.model import NsRequest, VnfDescriptor
@@ -14,13 +15,11 @@ from metroslice.orchestrator import (
     TimingConfig,
     WorkflowError,
     WorkflowEvent,
-    build_circuit_path,
     derive_kpis,
     merge_logs,
     run_wf1,
     run_wf2,
 )
-from metroslice.probe import SimulatedProbe
 
 
 class TestWf1Defaults:
@@ -264,24 +263,19 @@ class TestWf2:
         assert records[0].verdict == "fail"
         assert any(e.label == "commissioning_failed" for e in events)
 
-    def test_zero_length_circuit_against_fixed_budget(self, scenario, world):
+    def test_zero_length_circuit_against_fixed_budget(self, scenario, world,
+                                                      monkeypatch):
         # All six elements, no fibre: the 15.2 us two-way fixed budget
         # decides the verdict, so 10 us fails and 20 us passes.
         row = next(r for r in scenario.rows if r.label == "optical-80km")
         path = path_from_nodes(scenario.topology, row.path_nodes, 0.0,
                                overrides=world.element_overrides)
-        probes = {"mc-z": SimulatedProbe(path, seed=1)}
-        fail, _ = run_wf2(world, ["mc-z"], max_rtt_us=10.0, probes=probes)
+        monkeypatch.setattr(orchestrator, "build_circuit_path", lambda w: path)
+        fail, _ = run_wf2(world, ["mc-z"], max_rtt_us=10.0)
         assert fail[0].verdict == "fail"
-        probes = {"mc-z": SimulatedProbe(path, seed=1)}
-        ok, _ = run_wf2(world, ["mc-z"], max_rtt_us=20.0, probes=probes)
+        ok, _ = run_wf2(world, ["mc-z"], max_rtt_us=20.0)
         assert ok[0].verdict == "pass"
         assert ok[0].stats.rtt_us == pytest.approx(15.2, abs=0.1)
-
-    def test_missing_probe_endpoints(self, scenario, world):
-        world.probe_endpoints = None
-        with pytest.raises(Exception):
-            build_circuit_path(world)
 
 
 class TestMergeLogs:

@@ -220,8 +220,7 @@ class TestRankingMatchesExhaustive:
     @given(ranking_instances())
     def test_bitwise_equal_to_sorted_product(self, inst):
         req, graph, eligibility, vim_node = inst
-        got = rank_service_chains(req, graph, eligibility, vim_node,
-                                  req.ingress, req.egress)
+        got = rank_service_chains(req, graph, eligibility, vim_node)
         want = exhaustive_rank(req, graph, eligibility, vim_node,
                                req.ingress, req.egress)
         assert [(c.cost_us.hex(), c.vim_ids) for c in got] == [
@@ -241,7 +240,7 @@ class TestRankingMatchesExhaustive:
         eligibility = {vnf.vnf_id: sorted(vim_node) for vnf in chain}
         req = _req(chain, k=8, egress="out")
         graph = RttGraph(legs)
-        got = rank_service_chains(req, graph, eligibility, vim_node, None, "out")
+        got = rank_service_chains(req, graph, eligibility, vim_node)
         want = exhaustive_rank(req, graph, eligibility, vim_node, None, "out")
         assert [(c.cost_us, c.vim_ids) for c in got] == want
         assert (1.3, ("v1", "v0", "v1")) in want
@@ -544,8 +543,8 @@ class TestWideRanking:
         want = exhaustive_rank(_req(chain, k=200), graph, eligibility, vim_node,
                                ingress, egress)
         for k in (1, 10, 25, 200):
-            got = rank_service_chains(_req(chain, k=k), graph, eligibility,
-                                      vim_node, ingress, egress)
+            req = _req(chain, k=k, ingress=ingress, egress=egress)
+            got = rank_service_chains(req, graph, eligibility, vim_node)
             assert [(c.cost_us.hex(), c.vim_ids) for c in got] == [
                 (cost.hex(), ids) for cost, ids in want[:k]
             ]
