@@ -78,6 +78,12 @@ def _num(x: float | None, spec: str) -> str:
     return format(x, spec)
 
 
+def _mean(values) -> float | None:
+    """The mean of the values that are defined (not None), or None."""
+    defined = [x for x in values if x is not None]
+    return sum(defined) / len(defined) if defined else None
+
+
 # ---------------------------------------------------------------------------
 # plan
 
@@ -182,10 +188,8 @@ def cmd_table1(args, scenario: Scenario) -> int:
         probe = SimulatedProbe(path, seed=seed + idx)
         runs = [probe.run(cfg) for _ in range(trains)]
         first_stats[row.label] = runs[0]
-        got = [s for s in runs if s.received > 0]
-        mean = lambda xs: sum(xs) / len(xs) if xs else None
         prop = 2.0 * row.length_km * scenario.topology.prop_const_us_per_km
-        rtt = mean([s.rtt_mean_us for s in got])
+        rtt = _mean(s.rtt_mean_us for s in runs)
         rows_out.append({
             "label": row.label,
             "length_km": row.length_km,
@@ -195,9 +199,9 @@ def cmd_table1(args, scenario: Scenario) -> int:
             "expected_rtt_us": probe.expected_rtt_us(),
             "rtt_us": rtt,
             "delta_us": None if rtt is None else rtt - prop,
-            "jitter_ns": mean([s.jitter_ns for s in got]),
+            "jitter_ns": _mean(s.jitter_ns for s in runs),
             "loss_rate": sum(s.lost for s in runs) / (trains * cfg.count),
-            "throughput_mbps": mean([s.throughput_mbps for s in got]),
+            "throughput_mbps": _mean(s.throughput_mbps for s in runs),
             "ceiling_mbps": theoretical_ceiling_mbps(cfg.ip_payload_bytes),
         })
 
@@ -312,6 +316,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 def cmd_measure(args, scenario: Scenario) -> int:
     cfg = _override(scenario.probe_cfg, count=args.count,
                     ip_payload_bytes=args.payload, timeout_ms=args.timeout_ms)
@@ -355,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--scenario", default=None, metavar="FILE",
                         help="scenario YAML (default: packaged scenario)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario RNG seed")
+    parser.add_argument("--seed", type=_nonnegative_int, default=None,
+                        help="override the scenario RNG seed (>= 0)")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="artifact output directory (default: out)")
     parser.add_argument("--json", action="store_true",

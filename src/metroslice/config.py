@@ -1,8 +1,9 @@
 """Scenario and topology file loading.
 
 Each mapping in a file is read into one dataclass by ``records.Reader``,
-which walks the dataclass's fields; ``_KEYS`` names the YAML key wherever
-it differs from the field name.
+which walks the dataclass's fields with the decoders ``records`` plans
+once per class; ``_KEYS`` names the YAML key wherever it differs from the
+field name.
 
 Topology files carry exactly these top-level keys (``?``: optional):
 
@@ -61,6 +62,11 @@ def default_scenario_path() -> Path:
         importlib.resources.files("metroslice.data").joinpath("scenario.yaml")
     )
 
+
+#: Widest tunability range the loader accepts, in 6.25 GHz grid steps
+#: (max - min). The C+L band spans about 1 800 steps, and ``build_world``
+#: holds each range as a set of every ``n`` in it.
+_MAX_TUNABILITY_STEPS = 4096
 
 #: libyaml's parser when PyYAML was built with it, else the pure-Python one.
 _SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -121,10 +127,15 @@ class Scenario:
             raise ValueError("probe.trains_per_row must be >= 1")
         if self.slot_m < 1:
             raise ValueError("optical.slot_m must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for key, rng in (("sip_tunability_n", self.sip_tunability),
                          ("tp_tunability_n", self.tp_tunability)):
             if len(rng) != 2 or rng[0] > rng[1]:
                 raise ValueError(f"optical.{key}: expected [min, max]")
+            if rng[1] - rng[0] > _MAX_TUNABILITY_STEPS:
+                raise ValueError(f"optical.{key}: spans more than "
+                                 f"{_MAX_TUNABILITY_STEPS} grid steps")
         # WF1 tunes both SIPs and both transponders to one n >= the floor.
         top = min(self.sip_tunability[1], self.tp_tunability[1])
         if max(self.sip_tunability[0], self.tp_tunability[0]) > top:

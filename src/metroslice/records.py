@@ -9,8 +9,13 @@ only when its field has no default. A key that no field reads is an
 error, except a record's ``DERIVED`` keys. A dataclass's own
 ``ValueError`` becomes a ``ConfigError``. Scenario files and records
 share this reader; only ``config`` renames keys. A ``Record`` is written
-by the reverse walk, planned once per class: an enum becomes its value,
-a tuple or list a list, and a nested record recurses.
+by the reverse walk: an enum becomes its value, a tuple or list a list,
+and a nested record recurses.
+
+Both directions come from one plan per class (``_plan``), built on first
+use: each field's name, whether it is required, and the decoder and
+encoder that one walk of its annotation gives (``_codec``). Reading and
+writing a value then calls these, and looks at no type hint again.
 """
 
 from __future__ import annotations
@@ -45,9 +50,11 @@ class Record:
 
     def to_record(self) -> dict:
         rec = {}
-        for key, encode in _plan(type(self)):
+        for key, _, _, encode in _plan(type(self)):
             value = getattr(self, key)
             rec[key] = value if encode is None or value is None else encode(value)
+        for key in self.DERIVED:
+            rec[key] = getattr(self, key)
         return rec
 
     @classmethod
@@ -62,39 +69,86 @@ class Record:
 
 
 @functools.cache
-def _fields(cls: type) -> tuple[tuple[str, typing.Any, bool], ...]:
-    """(name, type, required) of each field of ``cls`` that is read."""
+def _plan(cls: type) -> tuple[tuple, ...]:
+    """(name, required, decoder, encoder) of each field of ``cls`` that is
+    read and written; see ``_codec``."""
     hints = typing.get_type_hints(cls)
     omitted = cls.OMITTED if issubclass(cls, Record) else ()
     return tuple(
-        (f.name, hints[f.name],
+        (f.name,
          f.default is dataclasses.MISSING
-         and f.default_factory is dataclasses.MISSING)
+         and f.default_factory is dataclasses.MISSING,
+         *_codec(hints[f.name]))
         for f in dataclasses.fields(cls)
         if f.name not in omitted
     )
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[tuple[str, typing.Callable | None], ...]:
-    """(key, ``_encoder``) of each key a ``cls`` record writes."""
-    return tuple(
-        (name, _encoder(tp)) for name, tp, _ in _fields(cls)
-    ) + tuple((name, None) for name in cls.DERIVED)
+def _codec(tp) -> tuple[typing.Callable, typing.Callable | None]:
+    """(decoder, encoder) of the annotation ``tp``, from one walk of it.
 
+    ``decode(read, value, key)`` checks ``value``, found at ``key`` by the
+    ``Reader`` ``read``, and returns it as a ``tp``. Tuples are
+    homogeneous: every item is read as the first type argument, and the
+    dataclass checks the length. ``encode`` writes a non-null value;
+    ``None``: as it is.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        (tp,) = (a for a in args if a is not type(None))
+        decode_value, encode = _codec(tp)
 
-def _encoder(tp) -> typing.Callable | None:
-    """How a non-null value of annotation ``tp`` is written; ``None``: as
-    it is."""
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):
-        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
-    if typing.get_origin(tp) in (list, tuple):
-        return list
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return operator.attrgetter("value")
-    if isinstance(tp, type) and issubclass(tp, Record):
-        return tp.to_record
-    return None
+        def decode(read, value, key):
+            return None if value is None else decode_value(read, value, key)
+        return decode, encode
+    if dataclasses.is_dataclass(tp):
+        as_dict = _codec(dict)[0]
+
+        def decode(read, value, key):
+            return read.build(tp, as_dict(read, value, key), key + ".")
+        return decode, tp.to_record if issubclass(tp, Record) else None
+    if origin is dict:
+        as_dict, decode_item = _codec(dict)[0], _codec(args[1])[0]
+
+        def decode(read, value, key):
+            return {k: decode_item(read, v, f"{key}.{k}")
+                    for k, v in as_dict(read, value, key).items()}
+        return decode, None
+    if origin in (list, tuple, frozenset):
+        as_list, decode_item = _codec(list)[0], _codec(args[0])[0]
+
+        def decode(read, value, key):
+            return origin(decode_item(read, v, f"{key}[{i}]")
+                          for i, v in enumerate(as_list(read, value, key)))
+        return decode, list if origin is not frozenset else None
+    if issubclass(tp, Enum):
+        def decode(read, value, key):
+            try:
+                return tp(value)
+            except ValueError:
+                name = key.rpartition(".")[2]
+                raise ConfigError(
+                    f"{read.source}: {key}: unknown {name} {value!r}"
+                ) from None
+        return decode, operator.attrgetter("value")
+
+    def decode(read, value, key):
+        if tp is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, tp) or (
+            isinstance(value, bool) and tp is not bool
+        ):
+            raise ConfigError(
+                f"{read.source}: {key}: expected {tp.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        if tp is float and not math.isfinite(value):
+            raise ConfigError(
+                f"{read.source}: {key}: expected a finite float, got {value}"
+            )
+        return value
+    return decode, None
 
 
 class Reader:
@@ -109,9 +163,10 @@ class Reader:
         self.keys = keys or {}
         self._looked_up: dict[int, tuple[dict, str, set]] = {}
 
-    def _look_up(self, mapping: dict, where: str, key: str) -> None:
+    def _look_up(self, mapping: dict, where: str) -> set:
+        """The keys looked up so far in ``mapping``."""
         # The entry holds the mapping, so its id is not reused.
-        self._looked_up.setdefault(id(mapping), (mapping, where, set()))[2].add(key)
+        return self._looked_up.setdefault(id(mapping), (mapping, where, set()))[2]
 
     def reject_unread(self) -> None:
         """Raise on a key of a mapping read so far that was never looked up."""
@@ -124,15 +179,19 @@ class Reader:
             required: bool = True):
         """``mapping[key]`` as a ``tp``, or ``ABSENT``; a dotted key walks
         the sections on its way."""
+        return self._get(mapping, key, _codec(tp)[0], where, required)
+
+    def _get(self, mapping: dict, key: str, decode, where: str, required: bool):
+        """``get``, given the annotation's decoder in place of it."""
         *sections, key = key.split(".")
         for name in sections:
-            self._look_up(mapping, where, name)
+            self._look_up(mapping, where).add(name)
             where += name
-            mapping = self.convert(mapping.get(name, {}), dict, where)
+            mapping = _codec(dict)[0](self, mapping.get(name, {}), where)
             where += "."
-        self._look_up(mapping, where, key)
+        self._look_up(mapping, where).add(key)
         if key in mapping:
-            return self.convert(mapping[key], tp, where + key)
+            return decode(self, mapping[key], where + key)
         if required:
             raise ConfigError(f"{self.source}: missing key {where}{key}")
         return ABSENT
@@ -140,68 +199,19 @@ class Reader:
     def build(self, cls: type, mapping: dict, where: str, **given):
         """``cls`` from the keys of ``mapping``; ``given`` fields are set by
         the caller instead."""
-        kwargs = dict(given)
-        for name in getattr(cls, "DERIVED", ()):
-            self._look_up(mapping, where, name)
-        for name, tp, required in _fields(cls):
+        self._look_up(mapping, where).update(getattr(cls, "DERIVED", ()))
+        for name, required, decode, _ in _plan(cls):
             key = self.keys.get((cls, name), name)
-            if key is not None and name not in kwargs:
-                value = self.get(mapping, key, tp, where, required)
+            if key is not None and name not in given:
+                value = self._get(mapping, key, decode, where, required)
                 if value is not ABSENT:
-                    kwargs[name] = value
+                    given[name] = value
         try:
-            return cls(**kwargs)
+            return cls(**given)
         except ValueError as exc:
             section = where.rstrip(".")
             prefix = f"{section}: " if section else ""
             raise ConfigError(f"{self.source}: {prefix}{exc}") from exc
-
-    def convert(self, value, tp, key: str):
-        """Check ``value`` (found at ``key``) against the annotation ``tp``.
-
-        Tuples are homogeneous: every item is read as the first type
-        argument, and the dataclass checks the length.
-        """
-        origin, args = typing.get_origin(tp), typing.get_args(tp)
-        if origin in (typing.Union, types.UnionType):
-            if value is None:
-                return None
-            (tp,) = (a for a in args if a is not type(None))
-            return self.convert(value, tp, key)
-        if dataclasses.is_dataclass(tp):
-            return self.build(tp, self.convert(value, dict, key), key + ".")
-        if origin is dict:
-            return {
-                k: self.convert(v, args[1], f"{key}.{k}")
-                for k, v in self.convert(value, dict, key).items()
-            }
-        if origin in (list, tuple, frozenset):
-            return origin(
-                self.convert(v, args[0], f"{key}[{i}]")
-                for i, v in enumerate(self.convert(value, list, key))
-            )
-        if issubclass(tp, Enum):
-            try:
-                return tp(value)
-            except ValueError:
-                name = key.rpartition(".")[2]
-                raise ConfigError(
-                    f"{self.source}: {key}: unknown {name} {value!r}"
-                ) from None
-        if tp is float and type(value) is int:
-            value = float(value)
-        if not isinstance(value, tp) or (
-            isinstance(value, bool) and tp is not bool
-        ):
-            raise ConfigError(
-                f"{self.source}: {key}: expected {tp.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        if tp is float and not math.isfinite(value):
-            raise ConfigError(
-                f"{self.source}: {key}: expected a finite float, got {value}"
-            )
-        return value
 
 
 def write_json(obj, path: str | Path | None = None) -> None:

@@ -153,6 +153,22 @@ class TestTable1:
         assert "tput       n/a /" in lines["agg-switches"]
 
 
+    def test_one_packet_trains(self, tmp_path, capsys):
+        # One packet has no throughput; the row reports it as undefined.
+        argv = ["--out", str(tmp_path), "table1", "--count", "1", "--trains", "2"]
+        rc, out = _run(capsys, "--json", *argv)
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        assert [r["throughput_mbps"] for r in rows] == [None] * 5
+        assert all(r["rtt_us"] is not None for r in rows)
+        with open(tmp_path / "table1.csv", newline="") as fh:
+            assert [r["throughput_mbps"] for r in csv.DictReader(fh)] == [""] * 5
+        rc, out = _run(capsys, *argv)
+        assert rc == 0
+        lines = out.splitlines()[:5]
+        assert all("tput       n/a /" in l for l in lines)
+
+
 class TestDegrade:
     def test_default_ramp(self, tmp_path, capsys):
         rc, out = _run(capsys, "--out", str(tmp_path), "--json", "degrade")
@@ -372,6 +388,16 @@ class TestErrors:
         errors = [l for l in err.splitlines() if "error:" in l]
         assert len(errors) == 1 and "--max-packets: expected an integer >= 1" in errors[0]
 
+    @pytest.mark.parametrize("command", ["deploy", "table1"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", "--out", str(tmp_path / "out"), command])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        errors = [l for l in err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and "--seed: expected an integer >= 0" in errors[0]
+        assert not (tmp_path / "out").exists()
+
     def test_disconnected_probe_endpoints(self, tmp_path, capsys):
         # Without the probe-b patch there is no circuit to commission, so
         # the load refuses the scenario before WF1 allocates anything.
@@ -395,8 +421,10 @@ class TestErrors:
         (lambda r: r.update(t_virtual_s=float("nan")), [],
          "t_virtual_s: expected a finite float, got nan"),
         (lambda r: r.update(t_virtul_s=1.0), [], "unknown key t_virtul_s"),
+        (lambda r: r.update(stats=[1, 2]), [], "stats: expected dict, got list"),
+        (lambda r: r.update(vlan_id=None), [], "vlan_id: expected int, got NoneType"),
     ], ids=["missing-key", "not-json", "bad-type", "bad-type-tmin", "zero-count",
-            "nan", "unknown-key"])
+            "nan", "unknown-key", "nested-as-list", "null-not-optional"])
     def test_malformed_records_file(self, tmp_path, capsys, edit, argv, message):
         # The second line is the bad one; the error names the file and line.
         _run(capsys, "--out", str(tmp_path), "deploy")

@@ -1,6 +1,7 @@
 """Scenario loading: schema enforcement, diagnostics, world construction."""
 
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -338,26 +339,44 @@ class TestLoadScenario:
         (lambda doc: doc["optical"].update(sip_tunability_n=[-10, -1],
                                            tp_tunability_n=[0, 10]),
          r"optical\.tp_tunability_n: no n in both it and optical\.sip_tunability_n$"),
+        (lambda doc: doc.update(seed=-1), r"scenario\.yaml: seed must be >= 0$"),
+        # build_world would hold each of the 2^31 n in a set.
+        (lambda doc: doc["optical"].update(sip_tunability_n=[-256, 2**31]),
+         r"scenario\.yaml: optical\.sip_tunability_n: spans more than 4096 grid "
+         r"steps$"),
+        (lambda doc: doc["optical"].update(tp_tunability_n=[-2049, 2048]),
+         r"scenario\.yaml: optical\.tp_tunability_n: spans more than 4096 grid "
+         r"steps$"),
     ], ids=["trains_per_row", "loss_prob", "jitter_std_ns", "slot_m",
             "tunability_items", "override_node", "bool_as_int", "nan",
             "inf", "series_too_long", "top_level_key", "section_key", "row_key",
             "override_key", "jitter_past_bound", "row_jitter_past_bound",
-            "slot_floor_past_tunability", "disjoint_tunability"])
+            "slot_floor_past_tunability", "disjoint_tunability", "negative_seed",
+            "sip_tunability_too_wide", "tp_tunability_too_wide"])
     def test_rejected_at_load(self, tmp_path, mutate, match):
-        with pytest.raises(ConfigError, match=match):
-            load_scenario(_scenario_sandbox(tmp_path, mutate))
+        path = _scenario_sandbox(tmp_path, mutate)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=match):
+                load_scenario(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_bounds_are_inclusive(self, tmp_path):
-        # The floor may sit on the top of the tunability, and 999 ns on one
-        # node stays under the jitter bound with the defaults elsewhere.
+        # The floor may sit on the top of the tunability, 999 ns on one
+        # node stays under the jitter bound with the defaults elsewhere,
+        # and a tunability range may span exactly 4096 grid steps.
         def mutate(doc):
-            doc["optical"].update(slot_floor_n=256)
+            doc["optical"].update(slot_floor_n=256, tp_tunability_n=[-2048, 2048])
             doc.update(dataplane={"element_overrides": {
                 "probe-a": {"jitter_std_ns": 999.0}}})
 
         sc = load_scenario(_scenario_sandbox(tmp_path, mutate))
         assert sc.slot_floor_n == 256
         assert sc.element_overrides["probe-a"].jitter_std_ns == 999.0
+        assert sc.tp_tunability == (-2048, 2048)
 
 
 class TestBuildWorld:

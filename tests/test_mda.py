@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from metroslice.optical import ChannelState, FrequencySlot, MediaChannel, Virtua
 from metroslice.orchestrator import KpiReport, WorkflowEvent
 from metroslice.planner import BlockReason, PlacementDecision, ServiceChainCandidate
 from metroslice.probe import LatencyBudget, ProbeTimeout, TrainConfig, TrainStats
-from metroslice.records import ConfigError
+from metroslice.records import ConfigError, read_jsonl, write_jsonl
 
 from oracles import QualitySample, per_sample_detect, per_sample_quality
 
@@ -210,6 +211,28 @@ class TestStore:
                              ids=[type(obj).__name__ for obj, _ in RECORDS])
     def test_record_schema(self, obj, text):
         assert json.dumps(obj.to_record(), sort_keys=True) == text
+
+    @pytest.mark.parametrize("obj", [obj for obj, _ in RECORDS],
+                             ids=[type(obj).__name__ for obj, _ in RECORDS])
+    def test_file_round_trip(self, tmp_path, obj):
+        # Omitted fields are not written, so they read back as defaults.
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [obj])
+        (back,) = read_jsonl(path, type(obj))
+        assert back == replace(obj, **{f: getattr(back, f) for f in obj.OMITTED})
+
+    @pytest.mark.parametrize("cls, edit, message", [
+        (MediaChannel, lambda r: r["route"].append(3), "route[2]: expected str, got int"),
+        (MediaChannel, lambda r: r.update(state="Gone"), "state: unknown state 'Gone'"),
+        (PlacementDecision, lambda r: r.update(candidate=[]),
+         "candidate: expected dict, got list"),
+    ], ids=["list-item", "enum", "optional-nested-as-list"])
+    def test_malformed_record(self, cls, edit, message):
+        rec = next(obj for obj, _ in RECORDS if type(obj) is cls).to_record()
+        edit(rec)
+        with pytest.raises(ConfigError) as err:
+            cls.from_record(rec)
+        assert str(err.value) == f"record: {message}"
 
 
 class TestDetectorConfig:
