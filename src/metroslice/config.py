@@ -64,8 +64,9 @@ def default_scenario_path() -> Path:
 
 
 #: Widest tunability range the loader accepts, in 6.25 GHz grid steps
-#: (max - min). The C+L band spans about 1 800 steps, and ``build_world``
-#: holds each range as a set of every ``n`` in it.
+#: (max - min), and widest slot (2 * slot_m). The C+L band spans about
+#: 1 800 steps, and ``build_world`` holds each range as a set of every
+#: ``n`` in it.
 _MAX_TUNABILITY_STEPS = 4096
 
 #: libyaml's parser when PyYAML was built with it, else the pure-Python one.
@@ -127,6 +128,10 @@ class Scenario:
             raise ValueError("probe.trains_per_row must be >= 1")
         if self.slot_m < 1:
             raise ValueError("optical.slot_m must be >= 1")
+        # A slot covers [n - m, n + m] on the grid.
+        if 2 * self.slot_m > _MAX_TUNABILITY_STEPS:
+            raise ValueError(f"optical.slot_m: spans more than "
+                             f"{_MAX_TUNABILITY_STEPS} grid steps")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for key, rng in (("sip_tunability_n", self.sip_tunability),

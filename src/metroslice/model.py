@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,14 +71,7 @@ class VimStatus:
         self.instantiable_vnf_types = frozenset(self.instantiable_vnf_types)
 
     def can_host(self, vnf: VnfDescriptor) -> bool:
-        # Boundary is inclusive: a VNF that exactly consumes the idle
-        # capacity is still placeable.
-        return (
-            self.cpu_idle >= vnf.cpu_req
-            and self.mem_idle >= vnf.mem_req
-            and self.storage_idle >= vnf.storage_req
-            and vnf.type_tag in self.instantiable_vnf_types
-        )
+        return bool(hosts(vnf, (self,)))
 
     def allocate(self, vnf: VnfDescriptor) -> None:
         if not self.can_host(vnf):
@@ -90,6 +85,22 @@ class VimStatus:
         self.cpu_idle += vnf.cpu_req
         self.mem_idle += vnf.mem_req
         self.storage_idle += vnf.storage_req
+
+
+def hosts(vnf: VnfDescriptor, vims: Iterable[VimStatus]) -> list[VimStatus]:
+    """The VIMs of ``vims`` that can host ``vnf``, in their order.
+
+    A VIM qualifies when it lists the VNF's type tag and its idle CPU,
+    memory and storage each cover the VNF's requirement. The boundary is
+    inclusive: a VNF that exactly consumes the idle capacity is still
+    placeable.
+    """
+    tag, cpu, mem, storage = vnf.type_tag, vnf.cpu_req, vnf.mem_req, vnf.storage_req
+    return [
+        v for v in vims
+        if tag in v.instantiable_vnf_types
+        and v.cpu_idle >= cpu and v.mem_idle >= mem and v.storage_idle >= storage
+    ]
 
 
 @dataclass
@@ -115,6 +126,8 @@ class Link:
     def __post_init__(self) -> None:
         if len(self.endpoints) != 2:
             raise ValueError(f"{self.link_id}: endpoints must be two node ids")
+        # A tuple, so that :func:`geometry` can hold it as it is.
+        self.endpoints = tuple(self.endpoints)
 
 
 @dataclass
@@ -135,15 +148,18 @@ class Topology:
 
 def geometry(t: Topology) -> tuple:
     """Everything a :class:`LatencyGraph` reads from a topology, as a
-    hashable value: node ids and fixed latencies, link endpoints and
-    lengths (both in listed order), and the propagation constant.
+    hashable value: node ids, their fixed latencies, link endpoints, link
+    lengths (each in listed order), and the propagation constant.
 
     Equal geometries give equal graphs. Numbers are taken as floats, so an
     int and its float build the same graph.
     """
+    nodes, links = t.nodes, t.links
     return (
-        tuple((n.node_id, float(n.fixed_latency_us)) for n in t.nodes),
-        tuple((*l.endpoints, float(l.length_km)) for l in t.links),
+        tuple([n.node_id for n in nodes]),
+        tuple([float(n.fixed_latency_us) for n in nodes]),
+        tuple([l.endpoints for l in links]),
+        tuple([float(l.length_km) for l in links]),
         float(t.prop_const_us_per_km),
     )
 
@@ -160,15 +176,15 @@ class LatencyGraph:
     """
 
     def __init__(self, geom: tuple):
-        nodes, links, prop = geom
-        self.fixed = dict(nodes)
+        ids, fixed, ends, lengths, prop = geom
+        self.fixed = dict(zip(ids, fixed))
         # node -> neighbour -> (latency_us, length_km). Neighbours keep the
         # order their first link was listed in; Dijkstra's tie-breaking
         # depends on it.
         self._adj: dict[str, dict[str, tuple[float, float]]] = {
             nid: {} for nid in self.fixed
         }
-        for a, z, length_km in links:
+        for (a, z), length_km in zip(ends, lengths):
             lat = length_km * prop
             best = self._adj.setdefault(a, {}).get(z)
             if best is not None and lat >= best[0]:
@@ -336,6 +352,12 @@ class DemandProfile:
                 raise ValueError("demand entries must be non-negative")
         if self.ptz_max_rtt_ms <= 0:
             raise ValueError("ptz_max_rtt_ms must be > 0")
+        try:
+            total = aggregate_bandwidth_mbps(self)
+        except OverflowError:  # an int past the float range
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError("aggregate bandwidth must be finite")
 
 
 def aggregate_bandwidth_mbps(d: DemandProfile) -> float:

@@ -11,10 +11,11 @@ RTT weights are computed once per topology geometry: they sit in rows
 keyed by node id next to the shared
 :func:`~metroslice.model.latency_graph`, and leave with it. A ranking
 call reads each (layer, option) row of leg weights with one gather, and
-expands chain prefixes lazily: a popped prefix pushes only its cheapest
-child and its own next sibling. A leg to or from a terminal listed out
-of id order, such as an appended ingress or egress, is read pair by
-pair through ``weight_us`` instead.
+expands chain prefixes lazily: a popped prefix pushes its own next
+sibling and walks down to its cheapest child in place, without a push
+and a pop, while that child is what the heap would yield next. A leg
+to or from a terminal listed out of id order, such as an appended
+ingress or egress, is read pair by pair through ``weight_us`` instead.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 
-from .model import LatencyGraph, NsRequest, Topology, VimStatus, latency_graph
+from .model import LatencyGraph, NsRequest, Topology, VimStatus, hosts, latency_graph
 from .records import Record
 
 log = logging.getLogger(__name__)
 
 _INF = math.inf
+_vim_id = attrgetter("vim_id")
 
 
 class BlockReason(str, Enum):
@@ -119,9 +121,9 @@ class _TopologyRtt(RttGraph):
 
     def __init__(self, g: LatencyGraph, terminals: list[str]):
         self._g = g
-        self._pos: dict[str, int] = {}
-        for i, t in enumerate(terminals):
-            self._pos.setdefault(t, i)
+        # Filled from the back, so a terminal listed twice keeps its first
+        # position.
+        self._pos = dict(zip(reversed(terminals), range(len(terminals) - 1, -1, -1)))
         # Among terminals listed in ascending id order from the start, the
         # first listed of a pair is also the smaller id.
         n = 1
@@ -147,25 +149,22 @@ class _TopologyRtt(RttGraph):
             return super().legs(us, vs)
         rows = self._rows
         get = _gather(vs)
-        out = []
+        try:
+            return list(map(get, map(rows.__getitem__, us)))
+        except KeyError:
+            pass
         for u in us:
-            row = rows.get(u)
-            if row is None:
-                row = rows[u] = {}
-            try:
-                out.append(get(row))
-            except KeyError:
-                for v in vs:
-                    if v in row:
-                        continue
-                    if v == u:
-                        row[v] = 0.0
-                    else:
-                        # Both directions read the run of the smaller id.
-                        w = row[v] = _rtt_from(self._g, *((u, v) if u < v else (v, u)))
-                        rows.setdefault(v, {})[u] = w
-                out.append(get(row))
-        return out
+            row = rows.setdefault(u, {})
+            for v in vs:
+                if v in row:
+                    continue
+                if v == u:
+                    row[v] = 0.0
+                else:
+                    # Both directions read the run of the smaller id.
+                    w = row[v] = _rtt_from(self._g, *((u, v) if u < v else (v, u)))
+                    rows.setdefault(v, {})[u] = w
+        return list(map(get, map(rows.__getitem__, us)))
 
 
 def build_rtt_graph(
@@ -198,10 +197,8 @@ def filter_vims(
     Eligibility is inclusive on resource boundaries and requires the
     VNF's type tag among the VIM's instantiable types.
     """
-    return {
-        vnf.vnf_id: sorted(v.vim_id for v in vims if v.can_host(vnf))
-        for vnf in req.chain
-    }
+    vims = sorted(vims, key=_vim_id)
+    return {vnf.vnf_id: [v.vim_id for v in hosts(vnf, vims)] for vnf in req.chain}
 
 
 #: Relative slack on the stopping test of the ranking search. A prefix's
@@ -232,11 +229,18 @@ def rank_service_chains(
     with the same options, ``math.inf`` where unreachable.
 
     Expansion is lazy. The children of an option are ordered by leg plus
-    bound; a popped prefix pushes only its cheapest child, found by the
-    bound, and its own next sibling in its parent's order. The second
-    sibling is one masked minimum, and an option's children are sorted
-    only when a third is asked for. Heap work so grows with the pops, not
-    with pops times the layer width.
+    bound. A popped prefix pushes its own next sibling in its parent's
+    order, and then takes its cheapest child, found by the bound, in
+    place: while that child's key is below the heap top (or equal to it
+    with a smaller vim-id tuple) and not past the cut, the child is
+    processed at once, as the next pop would have returned it, and it
+    costs no push and pop. Otherwise the child goes on the heap. So a
+    chain found by walking down costs one pop, not one per layer, and
+    the pop order, and with it the result, is that of pushing every
+    child. The second sibling is one masked minimum, and an option's
+    children are sorted only when a third is asked for. Heap work so
+    grows with the chains found, not with their count times the layer
+    width.
 
     The search stops once the heap minimum exceeds the k-th cheapest
     complete chain by more than rounding, so ties at the cut are all
@@ -248,7 +252,7 @@ def rank_service_chains(
     opts = [eligibility[vnf.vnf_id] for vnf in req.chain]
     if not all(opts):
         return []
-    nodes = [[vim_node[v] for v in layer] for layer in opts]
+    nodes = [list(map(vim_node.__getitem__, layer)) for layer in opts]
     last = len(opts) - 1
 
     # legs[i][j][m]: weight from option j of layer i to option m of layer
@@ -261,87 +265,106 @@ def rank_service_chains(
             shared[key] = graph.legs(a, b)
         legs.append(shared[key])
     # bounds[i][j]: cheapest completion from option j of layer i, egress
-    # leg included; bounds[last] is the egress leg alone.
+    # leg included; bounds[last] is the egress leg alone, or zeros. A leg
+    # plus 0.0 is the leg, so with no egress a row's bound is its minimum.
     bounds = [
         [0.0] * len(nodes[-1]) if egress is None else graph.legs([egress], nodes[-1])[0]
     ]
     for i in reversed(range(last)):
         after = bounds[0]
-        bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
+        if egress is None and i == last - 1:
+            bounds.insert(0, list(map(min, legs[i])))
+        else:
+            bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
 
     # kids[i][j]: the children of option j of layer i, as their leg plus
     # bound each and their order by (leg + bound, index) as far as known.
     kids: list[dict[int, tuple[list[float], list[int]]]] = [{} for _ in range(last)]
 
-    def children(i: int, j: int) -> tuple[list[float], list[int]]:
-        """Start kids[i][j] with the cheapest child, the one the bound
-        came from."""
-        sums = list(map(add, legs[i][j], bounds[i + 1]))
-        got = kids[i][j] = (sums, [sums.index(bounds[i][j])])
-        return got
-
-    def sibling(i: int, j: int, r: int) -> int | None:
-        """Index in layer i + 1 of the r-th child (r >= 1) of option j of
-        layer i; None past the last that can complete."""
-        sums, order = kids[i][j]
-        n = len(order)
-        if r == n == 1:
+    def extend(sums: list[float], order: list[int]) -> None:
+        """Order one more child: the second by a masked minimum, the rest
+        by one sort."""
+        if len(order) == 1:
             rest = sums.copy()
             rest[order[0]] = _INF
             second = min(rest)
             if second < _INF:
                 order.append(rest.index(second))
-        elif r == n < len(sums):
+        elif len(order) < len(sums):
             order[:] = sorted(range(len(sums)), key=sums.__getitem__)
-        if r < len(order) and sums[order[r]] < _INF:
-            return order[r]
-        return None
 
-    # Entries are (key, vim_ids, option index, exact prefix cost, and the
-    # parent's option index and exact prefix cost and this entry's rank
-    # among the parent's children); vim_ids are unique, so only the first
-    # two are ever compared. Roots have no parent: all start in the heap.
+    # Entries are (key, vim_ids, layer, option index, exact prefix cost,
+    # and the parent's option index and exact prefix cost and this entry's
+    # rank among the parent's children); vim_ids are unique, so only the
+    # first two are ever compared. Roots have no parent: all start in the
+    # heap.
     entry = (
         [0.0] * len(nodes[0]) if ingress is None else graph.legs([ingress], nodes[0])[0]
     )
     heap = [
-        (w + b, (vim,), j, w, None, 0.0, 0)
+        (w + b, (vim,), 0, j, w, None, 0.0, 0)
         for j, (vim, w, b) in enumerate(zip(opts[0], entry, bounds[0]))
         if w + b < _INF
     ]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
 
+    k = req.k
     done: list[tuple[float, tuple[str, ...]]] = []
     kth = []  # max-heap (negated) of the k cheapest complete costs
     limit = _INF
     while heap:
-        key, ids, j, prefix, pj, pprefix, r = pop(heap)
+        key, ids, i, j, prefix, pj, pprefix, r = pop(heap)
         if key > limit:
             break
-        i = len(ids) - 1
-        if pj is not None:
-            m = sibling(i - 1, pj, r + 1)
-            if m is not None:
-                step = pprefix + legs[i - 1][pj][m]
-                push(heap, (step + bounds[i][m], ids[:-1] + (opts[i][m],),
-                            m, step, pj, pprefix, r + 1))
-        if i == last:
-            cost = prefix if egress is None else prefix + bounds[last][j]
-            done.append((cost, ids))
-            if len(kth) < req.k:
-                heapq.heappush(kth, -cost)
-            elif cost < -kth[0]:
-                heapq.heapreplace(kth, -cost)
-            if len(kth) == req.k:
-                limit = -kth[0] * (1.0 + _KEY_SLACK)
-            continue
-        m = (kids[i].get(j) or children(i, j))[1][0]
-        step = prefix + legs[i][j][m]
-        push(heap, (step + bounds[i + 1][m], ids + (opts[i + 1][m],),
-                    m, step, j, prefix, 0))
+        # Process the entry, then descend to its cheapest child for as long
+        # as that child is what the heap would yield next.
+        while True:
+            if pj is not None:
+                # Its next sibling joins the heap.
+                sums, order = kids[i - 1][pj]
+                r += 1
+                if r == len(order):
+                    extend(sums, order)
+                if r < len(order):
+                    m = order[r]
+                    if sums[m] < _INF:
+                        step = pprefix + legs[i - 1][pj][m]
+                        push(heap, (step + bounds[i][m], ids[:-1] + (opts[i][m],),
+                                    i, m, step, pj, pprefix, r))
+            if i == last:
+                cost = prefix if egress is None else prefix + bounds[last][j]
+                done.append((cost, ids))
+                if len(kth) < k:
+                    heapq.heappush(kth, -cost)
+                elif cost < -kth[0]:
+                    heapq.heapreplace(kth, -cost)
+                if len(kth) == k:
+                    limit = -kth[0] * (1.0 + _KEY_SLACK)
+                break
+            got = kids[i].get(j)
+            if got is None:
+                # The cheapest child is the one the bound came from.
+                sums = list(map(add, legs[i][j], bounds[i + 1]))
+                got = kids[i][j] = (sums, [sums.index(bounds[i][j])])
+            m = got[1][0]
+            pj, pprefix, r = j, prefix, 0
+            prefix = prefix + legs[i][j][m]
+            i, j = i + 1, m
+            key = prefix + bounds[i][m]
+            ids = ids + (opts[i][m],)
+            # Below the heap top, or equal with smaller vim ids, and not
+            # past the cut: the next pop would return this child.
+            if key <= limit:
+                if not heap:
+                    continue
+                top = heap[0]
+                if key < top[0] or (key == top[0] and ids < top[1]):
+                    continue
+            push(heap, (key, ids, i, j, prefix, pj, pprefix, r))
+            break
     done.sort()
-    return [ServiceChainCandidate(vim_ids=ids, cost_us=c) for c, ids in done[: req.k]]
+    return [ServiceChainCandidate(ids, c) for c, ids in done[:k]]
 
 
 def place(
@@ -368,12 +391,10 @@ def place(
         log.info("%s blocked: no eligible VIM for %s", req.ns_id, empty)
         return PlacementDecision(None, BlockReason.NO_ELIGIBLE_VIM)
 
-    useful_vims = sorted({v for opts in eligibility.values() for v in opts})
     # One pass over the nodes; reversed, so the first node listed for a
-    # VIM wins.
-    node_of = {n.vim.vim_id: n.node_id for n in reversed(topology.nodes) if n.vim}
-    vim_node = {v: node_of[v] for v in useful_vims}
-    terminals = sorted(set(vim_node.values()))
+    # VIM wins. The ranking reads only the eligible VIMs' entries.
+    vim_node = {n.vim.vim_id: n.node_id for n in reversed(topology.nodes) if n.vim}
+    terminals = sorted({vim_node[v] for v in set().union(*eligibility.values())})
     for extra in (req.ingress, req.egress):
         if extra is not None and extra not in terminals:
             terminals.append(extra)

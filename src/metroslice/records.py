@@ -135,7 +135,13 @@ def _codec(tp) -> tuple[typing.Callable, typing.Callable | None]:
 
     def decode(read, value, key):
         if tp is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(
+                    f"{read.source}: {key}: expected a finite float, got an "
+                    f"integer past the float range"
+                ) from None
         if not isinstance(value, tp) or (
             isinstance(value, bool) and tp is not bool
         ):

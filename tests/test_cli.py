@@ -1,11 +1,19 @@
 """Command line surface, exercised in process via main()."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import shutil
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metroslice import cli, orchestrator
 from metroslice.cli import main
@@ -291,6 +299,13 @@ class TestErrors:
         assert "timing.laser_warmup_s: expected a finite float, got nan" in line
         assert not (tmp_path / "kpi.json").exists()
 
+    def test_integer_past_float_range(self, tmp_path, capsys):
+        path = _scenario_copy(tmp_path, "laser_warmup_s: 125.0",
+                              "laser_warmup_s: 1" + "0" * 400)
+        line = _config_error(capsys, "--scenario", str(path), "plan")
+        assert ("scenario.yaml: timing.laser_warmup_s: expected a finite float, "
+                "got an integer past the float range") in line
+
     def test_slot_floor_past_tunability_is_config_error(self, tmp_path, capsys):
         # No n >= 300 lies in the packaged +-256 tunability: rejected at
         # load, before WF1 allocates anything.
@@ -449,3 +464,68 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# One leaf of the packaged files mutated: every command ends with exit 0 or
+# 1, or with exit 2 and one error line, in bounded memory.
+
+_FILES = ("scenario.yaml", "topology.yaml", "ns_request.yaml")
+_VALUES = (0, 1, -1, 1e18, -1e18, 1e-300, 0.5, 10**7, 2**31, 10**400, "x", None,
+           [], {}, True)
+_COMMANDS = (["plan"], ["deploy"], ["table1", "--trains", "1"], ["degrade"])
+#: tracemalloc peak of one command. The packaged files peak near 1 MiB
+#: (deploy).
+_PEAK_BOUND = 16 * 2**20
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _leaves(doc, path=()):
+    """Key paths of every scalar in a YAML document."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else None)
+    if items is None:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+_PACKAGED = default_scenario_path().parent
+_DOCS = {name: yaml.safe_load((_PACKAGED / name).read_text()) for name in _FILES}
+_LEAVES = [(name, path) for name in _FILES for path in _leaves(_DOCS[name])]
+
+
+def _run_mutated(directory, argv):
+    """rc, stderr lines and tracemalloc peak of one in-process run."""
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["--scenario", str(directory / "scenario.yaml"),
+                       "--out", str(directory / "out"), *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rc, err.getvalue().splitlines(), peak
+
+
+class TestMutatedInputs:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(_LEAVES), st.sampled_from(_VALUES))
+    def test_no_traceback_and_bounded_memory(self, leaf, value):
+        name, path = leaf
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for each in _FILES:
+                shutil.copy(_PACKAGED / each, directory / each)
+            doc = copy.deepcopy(_DOCS[name])
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            (directory / name).write_text(yaml.dump(doc, Dumper=_Dumper))
+            for argv in _COMMANDS:
+                rc, lines, peak = _run_mutated(directory, argv)
+                assert rc in (0, 1, 2), argv
+                if rc == 2:
+                    assert len(lines) == 1 and lines[0].startswith("error: "), argv
+                assert peak < _PEAK_BOUND, argv

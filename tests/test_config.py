@@ -155,6 +155,18 @@ class TestLoadTopology:
         with pytest.raises(ConfigError, match=f"unknown key {key}$"):
             load_topology(_write(tmp_path, doc))
 
+    @pytest.mark.parametrize("entry", [
+        {"channel_count": 10**400, "per_channel_mbps": 2.0},
+        {"channel_count": 10**300, "per_channel_mbps": 1.0e10},
+    ], ids=["int_past_float", "product_past_float"])
+    def test_demand_bandwidth_must_be_finite(self, tmp_path, entry):
+        doc = _minimal_topology_doc()
+        doc["demand"]["entries"].append(entry)
+        with pytest.raises(ConfigError,
+                           match=r"topo\.yaml: demand: aggregate bandwidth must be "
+                                 r"finite$"):
+            load_topology(_write(tmp_path, doc))
+
 
 class TestLoadNsRequest:
     def test_valid(self, tmp_path):
@@ -311,6 +323,9 @@ class TestLoadScenario:
          r"timing\.laser_warmup_s: expected a finite float, got nan"),
         (lambda doc: doc["degradation"].update(duration_s=float("inf")),
          r"degradation\.duration_s: expected a finite float, got inf"),
+        (lambda doc: doc["timing"].update(laser_warmup_s=10**400),
+         r"timing\.laser_warmup_s: expected a finite float, got an integer past "
+         r"the float range$"),
         (lambda doc: doc["degradation"].update(duration_s=1e9),
          r"degradation: duration_s / sample_period_s gives over 1000000 samples$"),
         (lambda doc: doc.update(seeed=5), r"scenario\.yaml: unknown key seeed$"),
@@ -347,12 +362,18 @@ class TestLoadScenario:
         (lambda doc: doc["optical"].update(tp_tunability_n=[-2049, 2048]),
          r"scenario\.yaml: optical\.tp_tunability_n: spans more than 4096 grid "
          r"steps$"),
+        # The media channel's width in GHz would overflow a float.
+        (lambda doc: doc["optical"].update(slot_m=10**400),
+         r"scenario\.yaml: optical\.slot_m: spans more than 4096 grid steps$"),
+        (lambda doc: doc["optical"].update(slot_m=2049),
+         r"scenario\.yaml: optical\.slot_m: spans more than 4096 grid steps$"),
     ], ids=["trains_per_row", "loss_prob", "jitter_std_ns", "slot_m",
             "tunability_items", "override_node", "bool_as_int", "nan",
-            "inf", "series_too_long", "top_level_key", "section_key", "row_key",
-            "override_key", "jitter_past_bound", "row_jitter_past_bound",
+            "inf", "int_past_float", "series_too_long", "top_level_key",
+            "section_key", "row_key", "override_key", "jitter_past_bound", "row_jitter_past_bound",
             "slot_floor_past_tunability", "disjoint_tunability", "negative_seed",
-            "sip_tunability_too_wide", "tp_tunability_too_wide"])
+            "sip_tunability_too_wide", "tp_tunability_too_wide", "slot_m_huge",
+            "slot_m_too_wide"])
     def test_rejected_at_load(self, tmp_path, mutate, match):
         path = _scenario_sandbox(tmp_path, mutate)
         tracemalloc.start()
@@ -367,9 +388,10 @@ class TestLoadScenario:
     def test_bounds_are_inclusive(self, tmp_path):
         # The floor may sit on the top of the tunability, 999 ns on one
         # node stays under the jitter bound with the defaults elsewhere,
-        # and a tunability range may span exactly 4096 grid steps.
+        # and a tunability range or a slot may span exactly 4096 grid steps.
         def mutate(doc):
-            doc["optical"].update(slot_floor_n=256, tp_tunability_n=[-2048, 2048])
+            doc["optical"].update(slot_floor_n=256, tp_tunability_n=[-2048, 2048],
+                                  slot_m=2048)
             doc.update(dataplane={"element_overrides": {
                 "probe-a": {"jitter_std_ns": 999.0}}})
 
@@ -377,6 +399,7 @@ class TestLoadScenario:
         assert sc.slot_floor_n == 256
         assert sc.element_overrides["probe-a"].jitter_std_ns == 999.0
         assert sc.tp_tunability == (-2048, 2048)
+        assert sc.slot_m == 2048
 
 
 class TestBuildWorld:

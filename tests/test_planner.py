@@ -245,6 +245,33 @@ class TestRankingMatchesExhaustive:
         assert [(c.cost_us, c.vim_ids) for c in got] == want
         assert (1.3, ("v1", "v0", "v1")) in want
 
+    @pytest.mark.parametrize("shared_node", [False, True],
+                             ids=["one-vim-per-node", "two-vims-on-n0"])
+    @pytest.mark.parametrize("k", [10, 12, 13])
+    def test_ties_at_the_cut(self, shared_node, k):
+        # slice_churn's width: 12 VIMs that each host all four VNFs, on a
+        # ring of 12 nodes with leg weights of a quarter per hop. The 12
+        # co-located chains cost 0, so k=10 cuts inside that tie. With
+        # vim-00 and vim-01 on one node, every chain of those two costs 0
+        # too: 16 more chains in the tie.
+        vim_node = {f"vim-{i:02d}": f"n{i:02d}" for i in range(12)}
+        if shared_node:
+            vim_node["vim-01"] = "n00"
+        legs = {(f"n{a:02d}", f"n{b:02d}"): min(b - a, 12 - (b - a)) / 4.0
+                for a in range(12) for b in range(a + 1, 12)}
+        chain = [_vnf(f"f{i}") for i in range(4)]
+        eligibility = {vnf.vnf_id: sorted(vim_node) for vnf in chain}
+        req = _req(chain, k=k)
+        graph = RttGraph(legs)
+        got = rank_service_chains(req, graph, eligibility, vim_node)
+        want = exhaustive_rank(req, graph, eligibility, vim_node)
+        assert [(c.cost_us.hex(), c.vim_ids) for c in got] == [
+            (cost.hex(), ids) for cost, ids in want
+        ]
+        zero = 12 + 14 * shared_node
+        assert [c.cost_us for c in got] == [0.0] * min(k, zero) + [
+            0.25] * (k - min(k, zero))
+
 
 class TestPlace:
     def test_default_scenario_placement(self, scenario, world):
