@@ -121,9 +121,9 @@ class _TopologyRtt(RttGraph):
 
     def __init__(self, g: LatencyGraph, terminals: list[str]):
         self._g = g
-        # Filled from the back, so a terminal listed twice keeps its first
-        # position.
-        self._pos = dict(zip(reversed(terminals), range(len(terminals) - 1, -1, -1)))
+        self._pos: dict[str, int] = {}
+        for i, t in enumerate(terminals):
+            self._pos.setdefault(t, i)
         # Among terminals listed in ascending id order from the start, the
         # first listed of a pair is also the smaller id.
         n = 1
@@ -265,17 +265,13 @@ def rank_service_chains(
             shared[key] = graph.legs(a, b)
         legs.append(shared[key])
     # bounds[i][j]: cheapest completion from option j of layer i, egress
-    # leg included; bounds[last] is the egress leg alone, or zeros. A leg
-    # plus 0.0 is the leg, so with no egress a row's bound is its minimum.
+    # leg included; bounds[last] is the egress leg alone, or zeros.
     bounds = [
         [0.0] * len(nodes[-1]) if egress is None else graph.legs([egress], nodes[-1])[0]
     ]
     for i in reversed(range(last)):
         after = bounds[0]
-        if egress is None and i == last - 1:
-            bounds.insert(0, list(map(min, legs[i])))
-        else:
-            bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
+        bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
 
     # kids[i][j]: the children of option j of layer i, as their leg plus
     # bound each and their order by (leg + bound, index) as far as known.

@@ -253,7 +253,7 @@ class TestRankingMatchesExhaustive:
         # ring of 12 nodes with leg weights of a quarter per hop. The 12
         # co-located chains cost 0, so k=10 cuts inside that tie. With
         # vim-00 and vim-01 on one node, every chain of those two costs 0
-        # too: 16 more chains in the tie.
+        # too: 14 more chains (26 in all) in the tie.
         vim_node = {f"vim-{i:02d}": f"n{i:02d}" for i in range(12)}
         if shared_node:
             vim_node["vim-01"] = "n00"
