@@ -78,10 +78,12 @@ def _num(x: float | None, spec: str) -> str:
     return format(x, spec)
 
 
-def _mean(values) -> float | None:
-    """The mean of the values that are defined (not None), or None."""
-    defined = [x for x in values if x is not None]
-    return sum(defined) / len(defined) if defined else None
+def _write_csv(path: Path, header, rows) -> None:
+    """One CSV artifact: the header row, then the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def _mean(values) -> float | None:
 
 def cmd_plan(args, scenario: Scenario) -> int:
     req = _override(scenario.request, k=args.k)
-    world = build_world(scenario, seed=args.seed)
+    world = build_world(scenario)
     decision = place(req, world.topology, world.vims)
 
     if args.json:
@@ -115,7 +117,7 @@ def cmd_plan(args, scenario: Scenario) -> int:
 
 
 def cmd_deploy(args, scenario: Scenario) -> int:
-    world = build_world(scenario, seed=args.seed)
+    world = build_world(scenario)
     out = _out_dir(args)
 
     decision, report, ev1 = run_wf1(scenario.request, world)
@@ -140,15 +142,13 @@ def cmd_deploy(args, scenario: Scenario) -> int:
     kpi["aggregate_demand_mbps"] = aggregate_bandwidth_mbps(world.demand)
     kpi["commissioning"] = [r.verdict for r in records]
     write_json(kpi, out / "kpi.json")
-    with open(out / "kpi.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "seconds"])
-        w.writerow(["kpi1_optical_setup", report.kpi1_s])
-        w.writerow(["kpi2_connectivity_setup", report.kpi2_s])
-        w.writerow(["kpi3_slice_setup", report.kpi3_s])
-        w.writerow(["setup_excl_transponder", report.excl_transponder_s])
-        for name, dt in sorted(report.phases.items()):
-            w.writerow([f"phase_{name}", dt])
+    _write_csv(out / "kpi.csv", ["metric", "seconds"], [
+        ["kpi1_optical_setup", report.kpi1_s],
+        ["kpi2_connectivity_setup", report.kpi2_s],
+        ["kpi3_slice_setup", report.kpi3_s],
+        ["setup_excl_transponder", report.excl_transponder_s],
+        *([f"phase_{name}", dt] for name, dt in sorted(report.phases.items())),
+    ])
     write_jsonl(out / "events.jsonl", events)
     write_jsonl(out / "records.jsonl", records)
 
@@ -184,12 +184,21 @@ def cmd_table1(args, scenario: Scenario) -> int:
             scenario.topology, row.path_nodes, row.length_km,
             overrides=scenario.element_overrides,
         )
-        seed = scenario.seed if args.seed is None else args.seed
-        probe = SimulatedProbe(path, seed=seed + idx)
-        runs = [probe.run(cfg) for _ in range(trains)]
-        first_stats[row.label] = runs[0]
-        prop = 2.0 * row.length_km * scenario.topology.prop_const_us_per_km
-        rtt = _mean(s.rtt_mean_us for s in runs)
+        probe = SimulatedProbe(path, seed=scenario.seed + idx)
+        first = first_stats[row.label] = probe.run(cfg)
+        # Fold the trains as they come, summed in train order like sum(),
+        # so a row holds one train whatever ``trains`` is. Each mean is
+        # over the trains that define it: RTT, jitter, throughput.
+        totals, defined, lost = [0.0, 0.0, 0.0], [0, 0, 0], 0
+        for t in range(trains):
+            s = probe.run(cfg) if t else first
+            lost += s.lost
+            for i, x in enumerate((s.rtt_mean_us, s.jitter_ns, s.throughput_mbps)):
+                if x is not None:
+                    totals[i] += x
+                    defined[i] += 1
+        rtt, jitter, tput = (total / n if n else None for total, n in zip(totals, defined))
+        prop = first.two_way_propagation_us
         rows_out.append({
             "label": row.label,
             "length_km": row.length_km,
@@ -199,9 +208,9 @@ def cmd_table1(args, scenario: Scenario) -> int:
             "expected_rtt_us": probe.expected_rtt_us(),
             "rtt_us": rtt,
             "delta_us": None if rtt is None else rtt - prop,
-            "jitter_ns": _mean(s.jitter_ns for s in runs),
-            "loss_rate": sum(s.lost for s in runs) / (trains * cfg.count),
-            "throughput_mbps": _mean(s.throughput_mbps for s in runs),
+            "jitter_ns": jitter,
+            "loss_rate": lost / (trains * cfg.count),
+            "throughput_mbps": tput,
             "ceiling_mbps": theoretical_ceiling_mbps(cfg.ip_payload_bytes),
         })
 
@@ -215,11 +224,8 @@ def cmd_table1(args, scenario: Scenario) -> int:
         except NegativeBudget as exc:
             log.warning("budget decomposition failed: %s", exc)
 
-    fields = list(rows_out[0]) if rows_out else []
-    with open(out / "table1.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows_out)
+    _write_csv(out / "table1.csv", list(rows_out[0]) if rows_out else [],
+               map(dict.values, rows_out))
     calibration = {"rows": rows_out, "budget": budget}
     write_json(calibration, out / "budget.json")
 
@@ -254,10 +260,8 @@ def cmd_degrade(args, scenario: Scenario) -> int:
     report = detect_soft_failure(samples, scenario.detector)
     out = _out_dir(args)
 
-    with open(out / "degrade.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_s", "snr_db", "prefec_ber"])
-        w.writerows(zip(samples.t_s, samples.snr_db, samples.prefec_ber))
+    _write_csv(out / "degrade.csv", ["t_s", "snr_db", "prefec_ber"],
+               zip(samples.t_s, samples.snr_db, samples.prefec_ber))
     write_json(report.to_record(), out / "degrade.json")
 
     if args.json:
@@ -316,13 +320,6 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _nonnegative_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return n
-
-
 def cmd_measure(args, scenario: Scenario) -> int:
     cfg = _override(scenario.probe_cfg, count=args.count,
                     ip_payload_bytes=args.payload, timeout_ms=args.timeout_ms)
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--scenario", default=None, metavar="FILE",
                         help="scenario YAML (default: packaged scenario)")
-    parser.add_argument("--seed", type=_nonnegative_int, default=None,
+    parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario RNG seed (>= 0)")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="artifact output directory (default: out)")
@@ -439,6 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = None
         if args.uses_scenario:
             scenario = load_scenario(args.scenario or default_scenario_path())
+            scenario = _override(scenario, seed=args.seed)
         return args.func(args, scenario)
     except (ConfigError, ProbeError, OSError) as exc:
         _error(args, exc)

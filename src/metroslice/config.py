@@ -297,8 +297,9 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def build_world(scenario: Scenario, seed: int | None = None) -> World:
-    """Instantiate the mutable runtime state for one scenario run.
+def build_world(scenario: Scenario) -> World:
+    """Instantiate the mutable runtime state for one run of ``scenario``,
+    seeded with ``scenario.seed``.
 
     The topology (and with it every VIM resource snapshot) is copied, so
     worlds built from one scenario never share allocation state.
@@ -343,5 +344,5 @@ def build_world(scenario: Scenario, seed: int | None = None) -> World:
         slot_floor_n=scenario.slot_floor_n,
         slot_m=scenario.slot_m,
         tx_power_dbm=scenario.tx_power_dbm,
-        seed=scenario.seed if seed is None else seed,
+        seed=scenario.seed,
     )

@@ -222,7 +222,6 @@ def run_wf1(
 
         events.add(t_mc_done, "parent-controller", "m10_configure_transponders",
                    tp_ids=[a_tp, z_tp])
-        ready_times = []
         t_tp_cursor = t_mc_done
         for tp_id in (a_tp, z_tp):
             clock = VirtualClock(t_tp_cursor)
@@ -235,7 +234,6 @@ def run_wf1(
                 laser_warmup_s=timing.laser_warmup_s,
             )
             configured.append(tp)
-            ready_times.append(tp.ready_at_s)
             if not timing.parallel_transponders:
                 t_tp_cursor = clock.now_s
         t_tp_done = (
@@ -259,7 +257,7 @@ def run_wf1(
             raise WorkflowError(f"optical provisioning failed: {exc}") from exc
         raise
 
-    t_optical_ready = max(ready_times)
+    t_optical_ready = max(tp.ready_at_s for tp in configured)
     events.add(t_optical_ready, "transponder", "lasers_ready",
                tp_ids=[a_tp, z_tp])
     events.add(t_optical_ready, "parent-controller", "connectivity_ready",

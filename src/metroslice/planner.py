@@ -242,10 +242,14 @@ def rank_service_chains(
     grows with the chains found, not with their count times the layer
     width.
 
-    The search stops once the heap minimum exceeds the k-th cheapest
-    complete chain by more than rounding, so ties at the cut are all
-    kept. The result equals sorting every combination, because weights
-    are non-negative and each kept chain's cost is the same left-to-right
+    The cut is set once, when the k-th complete chain is found: the
+    costliest of the first k, plus the relative slack ``_KEY_SLACK``. The
+    search stops once the heap minimum exceeds it, so ties at the cut are
+    all kept. Complete chains leave the heap in ascending cost up to
+    rounding, so the cut is never below the k-th cheapest cost found so
+    far, and every chain that could rank in the first k is processed. The
+    result equals sorting every combination, because weights are
+    non-negative and each kept chain's cost is the same left-to-right
     sum.
     """
     ingress, egress = req.ingress, req.egress
@@ -307,7 +311,6 @@ def rank_service_chains(
 
     k = req.k
     done: list[tuple[float, tuple[str, ...]]] = []
-    kth = []  # max-heap (negated) of the k cheapest complete costs
     limit = _INF
     while heap:
         key, ids, i, j, prefix, pj, pprefix, r = pop(heap)
@@ -331,12 +334,8 @@ def rank_service_chains(
             if i == last:
                 cost = prefix if egress is None else prefix + bounds[last][j]
                 done.append((cost, ids))
-                if len(kth) < k:
-                    heapq.heappush(kth, -cost)
-                elif cost < -kth[0]:
-                    heapq.heapreplace(kth, -cost)
-                if len(kth) == k:
-                    limit = -kth[0] * (1.0 + _KEY_SLACK)
+                if len(done) == k:
+                    limit = max(c for c, _ in done) * (1.0 + _KEY_SLACK)
                 break
             got = kids[i].get(j)
             if got is None:

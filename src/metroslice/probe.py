@@ -33,6 +33,7 @@ import numpy as np
 
 from .dataplane import (
     CLOCK_TICK_NS,
+    LINE_RATE_GBPS,
     PathModel,
     one_way_delay_us,
     quantize_ns,
@@ -125,7 +126,6 @@ PRBS31_TAPS = (31, 28)
 PRBS31_SEED = 0x7FFFFFFF
 
 
-@functools.lru_cache(maxsize=32)
 def prbs31_bytes(n: int) -> bytes:
     """First n bytes of the PRBS-31 bit stream, MSB-first packing."""
     state = PRBS31_SEED
@@ -421,7 +421,8 @@ def theoretical_ceiling_mbps(ip_payload_bytes: int) -> float:
     """
     if ip_payload_bytes <= 0:
         raise ValueError("ip_payload_bytes must be > 0")
-    return 100_000.0 * ip_payload_bytes / (ip_payload_bytes + FRAME_OVERHEAD_BYTES)
+    return (LINE_RATE_GBPS * 1000.0 * ip_payload_bytes
+            / (ip_payload_bytes + FRAME_OVERHEAD_BYTES))
 
 
 # ---------------------------------------------------------------------------

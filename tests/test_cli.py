@@ -177,6 +177,25 @@ class TestTable1:
         assert all("tput       n/a /" in l for l in lines)
 
 
+    def test_memory_does_not_grow_with_trains(self, tmp_path):
+        # A row folds its trains as they come: 100 times the trains adds
+        # no train-sized memory (about 370 B a train when each was kept).
+        def traced_peak(trains):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = main(["--out", str(tmp_path), "table1",
+                               "--count", "1", "--trains", str(trains)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            return peak
+
+        traced_peak(4)  # fill the import-time and per-topology caches first
+        assert traced_peak(400) - traced_peak(4) < 32 * 2**10
+
+
 class TestDegrade:
     def test_default_ramp(self, tmp_path, capsys):
         rc, out = _run(capsys, "--out", str(tmp_path), "--json", "degrade")
@@ -230,6 +249,20 @@ def _scenario_copy(tmp_path, old, new, name="scenario.yaml"):
     assert old in text
     (tmp_path / name).write_text(text.replace(old, new, 1))
     return tmp_path / "scenario.yaml"
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize("argv, files", [
+        (["table1", "--count", "1000", "--trains", "2"], ["table1.csv", "budget.json"]),
+        (["deploy"], ["records.jsonl", "events.jsonl"]),
+    ], ids=["table1", "deploy"])
+    def test_same_as_the_scenario_key(self, tmp_path, capsys, argv, files):
+        scenario = _scenario_copy(tmp_path, "seed: 0\n", "seed: 7\n")
+        _run(capsys, "--seed", "7", "--out", str(tmp_path / "flag"), *argv)
+        _run(capsys, "--scenario", str(scenario), "--out", str(tmp_path / "key"), *argv)
+        for name in files:
+            flag = (tmp_path / "flag" / name).read_bytes()
+            assert flag == (tmp_path / "key" / name).read_bytes(), name
 
 
 def _config_error(capsys, *argv) -> str:
@@ -405,12 +438,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["deploy", "table1"])
     def test_negative_seed(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main(["--seed", "-1", "--out", str(tmp_path / "out"), command])
-        err = capsys.readouterr().err
-        assert exc.value.code == 2
-        errors = [l for l in err.splitlines() if "error:" in l]
-        assert len(errors) == 1 and "--seed: expected an integer >= 0" in errors[0]
+        line = _config_error(capsys, "--seed", "-1",
+                             "--out", str(tmp_path / "out"), command)
+        assert line == "error: command-line override: seed must be >= 0"
         assert not (tmp_path / "out").exists()
 
     def test_disconnected_probe_endpoints(self, tmp_path, capsys):

@@ -416,7 +416,7 @@ class TestBuildWorld:
         assert world.seed == scenario.seed
 
     def test_seed_override(self, scenario):
-        assert build_world(scenario, seed=42).seed == 42
+        assert build_world(replace(scenario, seed=42)).seed == 42
 
     def test_worlds_are_independent(self, scenario):
         w1 = build_world(scenario)

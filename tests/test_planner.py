@@ -245,6 +245,30 @@ class TestRankingMatchesExhaustive:
         assert [(c.cost_us, c.vim_ids) for c in got] == want
         assert (1.3, ("v1", "v0", "v1")) in want
 
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_completions_out_of_cost_order_at_the_cut(self, k):
+        # Below prefix ("v0", "v1") both children tie on leg plus bound,
+        # 0.1 + 0.6 == 0.0 + 0.7, so the one with the lower index comes
+        # first: ("v0", "v1", "v0"), costing (0.1 + 0.1) + 0.6 == 0.8, is
+        # the 6th chain found, and ("v0", "v1", "v1"), costing 0.1 + 0.7,
+        # one ulp less, is the 7th. At k=6 the 6th chain found is not the
+        # 6th cheapest.
+        assert 0.1 + 0.6 == 0.0 + 0.7 and (0.1 + 0.1) + 0.6 > 0.1 + 0.7
+        legs = {("n0", "n1"): 0.1, ("n0", "out"): 0.6, ("n1", "out"): 0.7}
+        vim_node = {"v0": "n0", "v1": "n1"}
+        chain = [_vnf(f"f{i}") for i in range(3)]
+        eligibility = {vnf.vnf_id: sorted(vim_node) for vnf in chain}
+        req = _req(chain, k=k, egress="out")
+        graph = RttGraph(legs)
+        got = rank_service_chains(req, graph, eligibility, vim_node)
+        want = exhaustive_rank(req, graph, eligibility, vim_node, None, "out")
+        assert [(c.cost_us.hex(), c.vim_ids) for c in got] == [
+            (cost.hex(), ids) for cost, ids in want
+        ]
+        assert want[4:7] == [(0.1 + 0.7, ("v0", "v0", "v1")),
+                             (0.1 + 0.7, ("v0", "v1", "v1")),
+                             (0.8, ("v0", "v1", "v0"))][:k - 4]
+
     @pytest.mark.parametrize("shared_node", [False, True],
                              ids=["one-vim-per-node", "two-vims-on-n0"])
     @pytest.mark.parametrize("k", [10, 12, 13])
