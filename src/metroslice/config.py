@@ -173,8 +173,9 @@ _KEYS: dict[tuple[type, str], str | None] = {
     (Scenario, "tx_power_dbm"): "optical.tx_power_dbm",
 }
 
-_TOO_LONG = (f"delays sum past {MAX_DELAY_US:.4g} us, "
-             "more clock ticks than a float64 counts exactly")
+_TOO_LONG = (f"delays sum past {MAX_DELAY_US:.4g} us (2^48 clock ticks), "
+             "beyond which the simulated probe's float64 tick arithmetic "
+             "distorts the jitter")
 _TOO_JITTERY = (f"jitter sums past {MAX_JITTER_STD_NS:g} ns in quadrature "
                 "(dataplane.MAX_JITTER_STD_NS)")
 

@@ -9,6 +9,7 @@ warm-up completes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 from collections.abc import Iterator
@@ -143,6 +144,8 @@ class OlsController:
     ):
         self._abstract = abstract_view
         self._sips = {s.sip_id: s for s in sips}
+        #: Each SIP's tunability in ascending order, for first-fit.
+        self._tuning = {s.sip_id: sorted(s.tunability) for s in sips}
         self._channels: dict[str, MediaChannel] = {}
         self._next_id = itertools.count(1)
 
@@ -286,20 +289,28 @@ class OlsController:
         floor_n: int,
         m: int,
     ) -> FrequencySlot:
-        # The answer is in a tunable SIP's set. With two untunable SIPs it
-        # is the floor or, when n - 1 collides and n does not, the right
-        # edge of a channel sharing a route link, so one always exists.
-        candidates = {floor_n, *sa.tunability, *sz.tunability}
-        candidates.update(
-            c.slot.n + c.slot.m + m
-            for c in self._provisioned()
-            if any(link_id in c.route for link_id in route)
-        )
-        for n in sorted(candidates):
-            if n >= floor_n and _tunes(sa.tunability, n) and _tunes(sz.tunability, n):
-                slot = FrequencySlot(n=n, m=m)
-                if self._first_collision(route, slot) is None:
-                    return slot
+        # With a tunable SIP the answer is in the tunable sets' common n at
+        # or above the floor, walked up from the floor in the shorter one.
+        # With two untunable SIPs it is the floor or, when n - 1 collides
+        # and n does not, the right edge of a channel sharing a route
+        # link, so one always exists.
+        tunable = [self._tuning[s.sip_id] for s in (sa, sz) if s.tunability]
+        if tunable:
+            walk = min(tunable, key=len)
+            candidates = (n for n in walk[bisect.bisect_left(walk, floor_n):]
+                          if _tunes(sa.tunability, n) and _tunes(sz.tunability, n))
+        else:
+            edges = {floor_n}
+            edges.update(
+                c.slot.n + c.slot.m + m
+                for c in self._provisioned()
+                if any(link_id in c.route for link_id in route)
+            )
+            candidates = sorted(n for n in edges if n >= floor_n)
+        for n in candidates:
+            slot = FrequencySlot(n=n, m=m)
+            if self._first_collision(route, slot) is None:
+                return slot
         raise SpectrumCollision(
             f"no free slot of width m={m} at or above n={floor_n}"
         )

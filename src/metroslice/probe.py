@@ -37,7 +37,7 @@ from .dataplane import (
     PathModel,
     one_way_delay_us,
     quantize_ns,
-    quantized_delay_pmf,
+    rtt_law,
     serialization_delay_ns,
     transmit_train,
 )
@@ -313,19 +313,17 @@ class TrainReduction:
             last_rx_ns=float(last) + 0.0,
         ))
 
-    def fold_histogram(self, rtt_ns: np.ndarray, counts: np.ndarray) -> None:
-        """Add packets known only by their RTT histogram: ``counts[i]``
-        packets of RTT ``rtt_ns[i]``, receive times untracked."""
-        n = int(counts.sum())
-        if n == 0:
-            return
+    def fold_histogram(self, rtt_ns: np.ndarray, counts: np.ndarray, n: int) -> None:
+        """Add ``n`` > 0 packets known only by their RTT histogram:
+        ``counts[i]`` packets of RTT ``rtt_ns[i]``, the bins ascending and
+        the counts summing to ``n``, receive times untracked."""
         got = counts > 0
         rtt, weight = rtt_ns[got], counts[got].astype(np.float64)
         mean = float(np.dot(weight, rtt)) / n
         dev = rtt - mean
         self.merge(TrainReduction(
             received=n,
-            rtt_min_ns=float(rtt.min()),
+            rtt_min_ns=float(rtt[0]),
             rtt_mean_ns=mean,
             rtt_m2=float(np.dot(weight, dev * dev)),
         ))
@@ -487,7 +485,9 @@ class SimulatedProbe:
     A train of at most ``CHUNK`` packets is simulated packet by packet in
     one block, forward then reverse. A longer train is simulated packet
     by packet only at its edges, which alone set the first and last
-    receive times; see ``_long_train``.
+    receive times; see ``_long_train``. Its middle draws from the RTT law
+    of the two legs, which ``dataplane.rtt_law`` keeps by value, so
+    probes on paths of equal jitter and delay build it once between them.
     """
 
     def __init__(self, path: PathModel, seed: int):
@@ -495,8 +495,6 @@ class SimulatedProbe:
         self.seed = seed
         self._runs = 0
         self._back_path = path.reversed()
-        #: RTT bins (ns) and their probabilities, built for the first long train.
-        self._rtt_law: tuple[np.ndarray, np.ndarray] | None = None
 
     def run(self, cfg: TrainConfig) -> TrainStats:
         run = self._runs
@@ -528,24 +526,11 @@ class SimulatedProbe:
         RTT support and double up to ``CHUNK``.
         """
         fwd_path, back_path = self.path, self._back_path
-        loss_f, *delay_law_f = fwd_path.traversal
-        loss_b, *delay_law_b = back_path.traversal
         red = TrainReduction()
-        surv = (1.0 - loss_f) * (1.0 - loss_b)
+        surv = (1.0 - fwd_path.traversal[0]) * (1.0 - back_path.traversal[0])
         if surv == 0.0:
             return red
-        if self._rtt_law is None:
-            lo_f, pmf_f = quantized_delay_pmf(fwd_path)
-            # The law depends on the jitter and delay alone, and the two
-            # directions sum the same elements, often to the same bits.
-            if delay_law_f == delay_law_b:
-                lo_b, pmf_b = lo_f, pmf_f
-            else:
-                lo_b, pmf_b = quantized_delay_pmf(back_path)
-            p_ab = np.convolve(pmf_f, pmf_b)
-            rtt_ns = (lo_f + lo_b + np.arange(p_ab.size)) * CLOCK_TICK_NS
-            self._rtt_law = rtt_ns, p_ab / p_ab.sum()
-        rtt_ns, p_ab = self._rtt_law
+        rtt_ns, p_ab = rtt_law(fwd_path, back_path)
         rtt_lo_ns, rtt_hi_ns = float(rtt_ns[0]), float(rtt_ns[-1])
         slot = cfg.wire_slot_ns
         first_block = min(math.ceil((rtt_hi_ns - rtt_lo_ns) / slot) + 1, CHUNK)
@@ -569,7 +554,7 @@ class SimulatedProbe:
         if tail > head:
             survivors = int(rng.binomial(tail - head, surv))
             if survivors:
-                red.fold_histogram(rtt_ns, rng.multinomial(survivors, p_ab))
+                red.fold_histogram(rtt_ns, rng.multinomial(survivors, p_ab), survivors)
         return red
 
     def expected_rtt_us(self) -> float:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from metroslice import cli, orchestrator
 from metroslice.cli import main
 from metroslice.config import default_scenario_path, load_scenario
+from metroslice.dataplane import MAX_DELAY_US
 from metroslice.optical import SlotOutOfTunability
 
 from oracles import brute_force_place
@@ -396,8 +397,9 @@ class TestErrors:
          "topology.yaml: nodes[0].fixed_latency_us"),
         ("topology.yaml", "length_km: 0.0005, kind: Patch}",
          "length_km: 1.0e+18, kind: Patch}", "topology.yaml: links[3].length_km"),
-        # 1.5e13 us passes alone, but the row lists the node twice.
-        ("topology.yaml", "fixed_latency_us: 0.21}", "fixed_latency_us: 1.5e+13}",
+        # 0.6 of the bound passes alone, but the row lists the node twice.
+        ("topology.yaml", "fixed_latency_us: 0.21}",
+         f"fixed_latency_us: {0.6 * MAX_DELAY_US!r}}}",
          "scenario.yaml: calibration_rows[5].path"),
     ], ids=["calibration-length", "node-latency", "link-length", "row-path"])
     def test_delay_past_tick_lattice(self, tmp_path, capsys, name, old, new, key):

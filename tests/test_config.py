@@ -1,5 +1,6 @@
 """Scenario loading: schema enforcement, diagnostics, world construction."""
 
+import math
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -15,7 +16,7 @@ from metroslice.config import (
     load_scenario,
     load_topology,
 )
-from metroslice.dataplane import DegradationScenario
+from metroslice.dataplane import MAX_DELAY_US, DegradationScenario
 from metroslice.mda import DetectorConfig
 from metroslice.model import (
     DEFAULT_PROP_CONST_US_PER_KM,
@@ -89,6 +90,17 @@ class TestLoadTopology:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="file not found"):
             load_topology(tmp_path / "nope.yaml")
+
+    def test_delay_bound_is_inclusive(self, tmp_path):
+        doc = _minimal_topology_doc()
+        doc["links"][0]["length_km"] = 0.0
+        doc["nodes"][1]["fixed_latency_us"] = MAX_DELAY_US
+        topology, _ = load_topology(_write(tmp_path, doc))
+        assert topology.node("roadm-1").fixed_latency_us == MAX_DELAY_US
+        doc["nodes"][1]["fixed_latency_us"] = math.nextafter(MAX_DELAY_US, math.inf)
+        with pytest.raises(ConfigError,
+                           match=r"nodes\[1\]\.fixed_latency_us: delays sum past"):
+            load_topology(_write(tmp_path, doc))
 
     def test_top_level_must_be_mapping(self, tmp_path):
         p = tmp_path / "bad.yaml"

@@ -5,8 +5,9 @@
 ``records.jsonl`` that ``deploy`` writes, the ``table1.csv`` and
 ``budget.json`` of ``table1``, and the ``degrade.csv`` and
 ``degrade.json`` of ``degrade``, all at the packaged seed. The test
-regenerates them in process and compares bytes. After a change that
-alters them on purpose, rewrite them with
+regenerates them in process and compares bytes, then renders
+``deploy`` and ``table1`` once more in the same process, over warm
+memos. After a change that alters them on purpose, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -38,6 +39,8 @@ WRITERS = (
 NAMES = ("plan_k10.json", "plan_k11.json") + tuple(
     name for _, names in WRITERS for name in names
 )
+#: The writers that run simulated trains, rendered a second time.
+TWICE = WRITERS[:2]
 
 
 def _stdout(argv):
@@ -55,10 +58,13 @@ def render(out_dir: Path) -> dict[str, bytes]:
         "plan_k11.json": _stdout(["--json", "plan", "--k", "11"]),
     }
     for argv, names in WRITERS:
-        _stdout(["--out", str(out_dir), *argv])
-        for name in names:
-            out[name] = (out_dir / name).read_bytes()
+        out.update(_written(out_dir, argv, names))
     return out
+
+
+def _written(out_dir: Path, argv, names) -> dict[str, bytes]:
+    _stdout(["--out", str(out_dir), *argv])
+    return {name: (out_dir / name).read_bytes() for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +72,29 @@ def rendered(tmp_path_factory):
     return render(tmp_path_factory.mktemp("golden"))
 
 
+@pytest.fixture(scope="module")
+def rerendered(rendered, tmp_path_factory):
+    """``deploy`` and ``table1`` written again in the same process, over
+    the RTT laws and latency graphs the first rendering left memoised."""
+    out_dir = tmp_path_factory.mktemp("golden-warm")
+    out = {}
+    for argv, names in TWICE:
+        out.update(_written(out_dir, argv, names))
+    return out
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_matches_golden(rendered, name):
+    _compare(name, rendered[name])
+
+
+@pytest.mark.parametrize("name", [name for _, names in TWICE for name in names])
+def test_second_run_matches_golden(rerendered, name):
+    _compare(name, rerendered[name])
+
+
+def _compare(name: str, got: bytes) -> None:
     want = (GOLDEN / name).read_bytes()
-    got = rendered[name]
     if got != want:
         diff = difflib.unified_diff(
             want.decode().splitlines(keepends=True),

@@ -240,6 +240,42 @@ def _machine_controller():
     return OlsController(Topology(nodes=nodes, links=links), sips)
 
 
+class TestFirstFitCases:
+    """First-fit against ``oracles.first_fit_n`` on one link, where the
+    channels in ``taken`` (m=4, between untunable SIPs) are provisioned
+    first."""
+
+    @pytest.mark.parametrize("tun_a, tun_z, floor, taken, want", [
+        (range(10, 30), range(10, 30), 0, (), 10),
+        (range(10, 30), range(10, 30), 17, (), 17),
+        (range(10, 30), range(10, 30), 40, (), None),
+        (range(-8, 40, 4), (), 1, (), 4),
+        ((), range(-8, 40, 4), 1, (4,), 12),
+        (*MACHINE_TUNABILITY, -12, (0, 12), 24),
+        (*reversed(MACHINE_TUNABILITY), 1, (12,), 24),
+        (*MACHINE_TUNABILITY, -12, (0, 12, 24), None),
+        (range(-256, 257), range(0, 100, 7), 5, (7,), 21),
+    ], ids=["floor-below", "floor-inside", "floor-above", "one-tunable",
+            "one-tunable-blocked", "non-contiguous", "non-contiguous-floor",
+            "non-contiguous-full", "walk-shorter"])
+    def test_matches_oracle(self, tun_a, tun_z, floor, taken, want):
+        nodes = [Node("r1", NodeKind.ROADM), Node("r2", NodeKind.ROADM)]
+        tun_a, tun_z = frozenset(tun_a), frozenset(tun_z)
+        sips = [Sip("a", "r1", "p1", tun_a), Sip("z", "r2", "p1", tun_z),
+                Sip("u1", "r1", "p2"), Sip("u2", "r2", "p2")]
+        ols = OlsController(
+            Topology(nodes=nodes, links=[Link("f-12", ("r1", "r2"), 10.0)]), sips)
+        for n in taken:
+            ols.create_media_channel("u1", "u2", slot=FrequencySlot(n))
+        live = [(("f-12",), n, 4) for n in taken]
+        assert first_fit_n(live, ("f-12",), (tun_a, tun_z), floor, 4) == want
+        if want is None:
+            with pytest.raises(SpectrumCollision):
+                ols.create_media_channel("a", "z", floor_n=floor)
+        else:
+            assert ols.create_media_channel("a", "z", floor_n=floor).slot.n == want
+
+
 class OlsMachine(RuleBasedStateMachine):
     """Create and delete channels against a model of the live set; every
     first-fit must match ``oracles.first_fit_n``."""

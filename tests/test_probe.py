@@ -10,13 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metroslice import dataplane
 from metroslice.dataplane import (
     CLOCK_TICK_NS,
+    LAW_CACHE_SIZE,
     PathElement,
     PathModel,
     one_way_delay_us,
     path_from_nodes,
     quantized_delay_pmf,
+    rtt_law,
     transmit_train,
 )
 from metroslice.probe import (
@@ -683,3 +686,79 @@ class TestLongTrains:
         finally:
             tracemalloc.stop()
         assert peak_mb < 16.0
+
+
+class TestRttLawMemo:
+    """``dataplane.rtt_law`` keeps one law per distinct pair of legs."""
+
+    CFG = TrainConfig(count=CHUNK + 1000, ip_payload_bytes=64)
+    #: Three elements whose latencies sum to other bits in reverse order.
+    SKEWED = PathModel(tuple(PathElement(n, fixed_latency_us=d, jitter_std_ns=2.0)
+                             for n, d in (("a", 0.1), ("b", 0.2), ("c", 0.3))), 1.0)
+
+    @pytest.fixture
+    def leg_builds(self, monkeypatch):
+        """Clears the memo and counts the leg laws built from then on."""
+        calls = []
+        build = dataplane._leg_delay_pmf
+
+        def counted(sigma, delay_ns):
+            calls.append((sigma, delay_ns))
+            return build(sigma, delay_ns)
+
+        monkeypatch.setattr(dataplane, "_leg_delay_pmf", counted)
+        dataplane._rtt_law_of.cache_clear()
+        return calls
+
+    def test_equal_paths_build_the_law_once(self, leg_builds):
+        lossy = TestLongTrains.LOSSY
+        twin = PathModel(lossy.elements, lossy.length_km)
+        assert twin is not lossy
+        SimulatedProbe(lossy, seed=1).run(self.CFG)
+        SimulatedProbe(twin, seed=2).run(self.CFG)
+        # The two legs sum the same elements to the same bits: one leg law.
+        assert len(leg_builds) == 1
+        info = dataplane._rtt_law_of.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_differing_reverse_leg_builds_two_leg_laws(self, leg_builds):
+        back = self.SKEWED.reversed()
+        assert self.SKEWED.traversal[1:] != back.traversal[1:]
+        SimulatedProbe(self.SKEWED, seed=1).run(self.CFG)
+        assert leg_builds == [self.SKEWED.traversal[1:], back.traversal[1:]]
+
+    def test_cached_arrays_are_read_only(self):
+        rtt_ns, p = rtt_law(self.SKEWED, self.SKEWED.reversed())
+        for array in (rtt_ns, p):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def _paths(self, scenario):
+        rows = [path_from_nodes(scenario.topology, r.path_nodes, r.length_km,
+                                overrides=scenario.element_overrides)
+                for r in scenario.rows]
+        return [(p, scenario.probe_cfg) for p in rows] + [
+            (TestLongTrains.LOSSY, self.CFG), (TestLongTrains.HEAVY, self.CFG)]
+
+    def test_cold_and_warm_probes_agree(self, scenario):
+        assert len(scenario.rows) == 5
+        for seed, (path, cfg) in enumerate(self._paths(scenario)):
+            SimulatedProbe(path, seed=seed + 100).run(cfg)
+            warm = repr(SimulatedProbe(path, seed=seed).run(cfg))
+            dataplane._rtt_law_of.cache_clear()
+            assert repr(SimulatedProbe(path, seed=seed).run(cfg)) == warm
+
+    def test_bounded_and_evicted_law_rebuilds_to_the_same_bits(self):
+        dataplane._rtt_law_of.cache_clear()
+        paths = [PathModel((PathElement("x", fixed_latency_us=1.0,
+                                        jitter_std_ns=1.0 + i),))
+                 for i in range(LAW_CACHE_SIZE + 1)]
+        first = [a.copy() for a in rtt_law(paths[0], paths[0])]
+        for p in paths[1:]:
+            rtt_law(p, p)
+        info = dataplane._rtt_law_of.cache_info()
+        assert (info.currsize, info.misses) == (LAW_CACHE_SIZE, LAW_CACHE_SIZE + 1)
+        again = rtt_law(paths[0], paths[0])
+        assert dataplane._rtt_law_of.cache_info().misses == LAW_CACHE_SIZE + 2
+        for a, b in zip(first, again):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
