@@ -17,6 +17,7 @@ artifact files are written with sorted keys so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import json
@@ -92,8 +93,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_plan(args, scenario: Scenario) -> int:
     req = _override(scenario.request, k=args.k)
-    world = build_world(scenario)
-    decision = place(req, world.topology, world.vims)
+    # Placement reads no optical layer: it allocates on a copy of the
+    # scenario's VIMs, and the scenario needs no ROADM.
+    topology = copy.deepcopy(scenario.topology)
+    decision = place(req, topology, [n.vim for n in topology.vim_nodes()])
 
     if args.json:
         write_json(decision.to_record())

@@ -283,8 +283,8 @@ def load_scenario(path: str | Path) -> Scenario:
     # As for delays: a route's jitter is at most the root-sum-square over
     # every node, and a row, which may repeat a node, is checked apart.
     # The defaults go first, so a sum that crosses crosses at an override.
-    jitter = {nid: element_for_node(topology, nid, overrides).jitter_std_ns
-              for nid in sorted(latency, key=lambda nid: nid in overrides)}
+    jitter = {n.node_id: element_for_node(n, overrides).jitter_std_ns
+              for n in sorted(topology.nodes, key=lambda n: n.node_id in overrides)}
     squares = 0.0
     for nid, sigma in jitter.items():
         squares += sigma**2

@@ -24,6 +24,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_PROP_CONST_US_PER_KM,
+    Node,
     NodeKind,
     Topology,
     latency_graph,
@@ -413,18 +414,18 @@ class ElementParams:
 
 
 def element_for_node(
-    t: Topology,
-    node_id: str,
+    node: Node,
     overrides: dict[str, ElementParams],
 ) -> PathElement:
-    node = t.node(node_id)
-    if node_id in overrides:
-        p = overrides[node_id]
+    """The node as a path element: its override if it has one, or its
+    kind's default loss and jitter."""
+    if node.node_id in overrides:
+        p = overrides[node.node_id]
         loss, jit = p.loss_prob, p.jitter_std_ns
     else:
         loss, jit = DEFAULT_ELEMENT_PARAMS.get(node.kind, (0.0, 0.0))
     return PathElement(
-        element_id=node_id,
+        element_id=node.node_id,
         fixed_latency_us=node.fixed_latency_us,
         loss_prob=loss,
         jitter_std_ns=jit,
@@ -442,7 +443,8 @@ def path_from_nodes(
     Used by calibration setups where the fibre is patched directly between
     the listed elements rather than routed through the topology.
     """
-    elements = tuple(element_for_node(t, nid, overrides) for nid in node_ids)
+    by_id = {n.node_id: n for n in t.nodes}
+    elements = tuple(element_for_node(by_id[nid], overrides) for nid in node_ids)
     return PathModel(elements, length_km, t.prop_const_us_per_km)
 
 
@@ -468,5 +470,4 @@ def path_from_topology(
         nodes.append(pred[nodes[-1]])
     nodes.reverse()
     length = sum(g.length_km(a, b) for a, b in zip(nodes, nodes[1:]))
-    elements = tuple(element_for_node(t, nid, overrides) for nid in nodes)
-    return PathModel(elements, length, t.prop_const_us_per_km)
+    return path_from_nodes(t, nodes, length, overrides)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import logging
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -243,30 +244,29 @@ class OlsController:
             raise OpticalError(f"unknown SIP {sip_id}") from None
 
     def _route(self, a_node: str, z_node: str) -> tuple[str, ...]:
-        if a_node == z_node:
-            return ()
-        # BFS over ROADM hops; explore neighbours in link-id order and keep
-        # the first path found per node, which yields the lexicographically
-        # smallest link sequence among minimum-hop routes.
-        best: dict[str, tuple[str, ...]] = {a_node: ()}
-        frontier = [a_node]
-        while frontier and z_node not in best:
-            nxt: list[str] = []
-            layer: dict[str, tuple[str, ...]] = {}
-            for node in frontier:
-                for link_id, peer in self._adj[node]:
-                    if peer in best:
-                        continue
-                    cand = best[node] + (link_id,)
-                    if peer not in layer or cand < layer[peer]:
-                        layer[peer] = cand
-            for peer, path in layer.items():
-                best[peer] = path
-                nxt.append(peer)
-            frontier = nxt
-        if z_node not in best:
+        """The lexicographically smallest link-id sequence among the
+        minimum-hop routes from ``a_node`` to ``z_node``.
+
+        A FIFO breadth-first search over ``_adj``, whose lists are sorted
+        by link id, keeping the link and node each node was first reached
+        by. Nodes leave the queue in lexicographic order of their routes,
+        so a node's first discovery is along its smallest min-hop route.
+        """
+        pred: dict[str, tuple[str, str] | None] = {a_node: None}
+        queue = deque([a_node])
+        while queue and z_node not in pred:
+            node = queue.popleft()
+            for link_id, peer in self._adj[node]:
+                if peer not in pred:
+                    pred[peer] = (link_id, node)
+                    queue.append(peer)
+        if z_node not in pred:
             raise NoRoute(f"{a_node} -> {z_node}")
-        return best[z_node]
+        route = []
+        while pred[z_node] is not None:
+            link_id, z_node = pred[z_node]
+            route.append(link_id)
+        return tuple(reversed(route))
 
     def _provisioned(self) -> Iterator[MediaChannel]:
         return (c for c in self._channels.values()

@@ -13,9 +13,9 @@ keyed by node id next to the shared
 call reads each (layer, option) row of leg weights with one gather, and
 expands chain prefixes lazily: a popped prefix pushes its own next
 sibling and walks down to its cheapest child in place, without a push
-and a pop, while that child is what the heap would yield next. A leg
-to or from a terminal listed out of id order, such as an appended
-ingress or egress, is read pair by pair through ``weight_us`` instead.
+and a pop, while that child is what the heap would yield next. An
+access leg, from the ingress or to the egress, is read pair by pair
+through ``weight_us`` when that node is not a terminal.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import heapq
 import logging
 import math
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, attrgetter, itemgetter
@@ -66,10 +67,9 @@ class PlacementDecision(Record):
 
 
 class RttGraph:
-    """Symmetric round-trip latency between terminals of interest.
-
-    Terminals are the VIM-bearing nodes plus any configured ingress and
-    egress. Missing entries mean the pair is unreachable.
+    """Symmetric round-trip latency between nodes of interest: the VIM
+    nodes of a chain and its ingress and egress. Missing entries mean the
+    pair is unreachable.
     """
 
     def __init__(self, weights: dict[tuple[str, str], float]):
@@ -101,10 +101,12 @@ def _rtt_from(g: LatencyGraph, s: str, t: str) -> float:
     """Round trip between two distinct nodes, from the Dijkstra run of ``s``.
 
     The path cost includes the destination's own fixed latency; refund it
-    to leave links + intermediate nodes.
+    to leave links + intermediate nodes. Raises ``KeyError`` when ``t`` is
+    not a node.
     """
+    fixed = g.fixed[t]
     dist, _ = g.paths_from(s)
-    return 2.0 * (dist[t] - g.fixed[t]) if t in dist else _INF
+    return 2.0 * (dist[t] - fixed) if t in dist else _INF
 
 
 #: Weight rows of each geometry's shared graph, keyed by node id:
@@ -116,36 +118,29 @@ _rows_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
 
 
 class _TopologyRtt(RttGraph):
-    """What :func:`build_rtt_graph` returns: weights between listed
-    terminals, read from the rows memoised for the topology's geometry."""
+    """What :func:`build_rtt_graph` returns: weights from the terminals,
+    between two of them read from the rows memoised for the topology's
+    geometry."""
 
-    def __init__(self, g: LatencyGraph, terminals: list[str]):
+    def __init__(self, g: LatencyGraph, terminals: frozenset[str]):
         self._g = g
-        self._pos: dict[str, int] = {}
-        for i, t in enumerate(terminals):
-            self._pos.setdefault(t, i)
-        # Among terminals listed in ascending id order from the start, the
-        # first listed of a pair is also the smaller id.
-        n = 1
-        while n < len(terminals) and terminals[n - 1] < terminals[n]:
-            n += 1
-        self._head = frozenset(terminals[:n])
+        self._terminals = terminals
         self._rows = _rows_of.get(g) or _rows_of.setdefault(g, {})
 
     def weight_us(self, u: str, v: str) -> float | None:
         if u == v:
             return 0.0
-        pos = self._pos
-        if u not in pos or v not in pos:
-            return None
-        if pos[v] < pos[u]:
+        terminals = self._terminals
+        if v in terminals and (u not in terminals or v < u):
             u, v = v, u
+        elif u not in terminals:
+            return None
         w = _rtt_from(self._g, u, v)
         return None if w == _INF else w
 
     def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
-        head = self._head
-        if not (head.issuperset(us) and head.issuperset(vs)):
+        terminals = self._terminals
+        if not (terminals.issuperset(us) and terminals.issuperset(vs)):
             return super().legs(us, vs)
         rows = self._rows
         get = _gather(vs)
@@ -169,24 +164,32 @@ class _TopologyRtt(RttGraph):
 
 def build_rtt_graph(
     topology: Topology,
-    terminal_nodes: list[str],
+    terminals: Iterable[str],
 ) -> RttGraph:
-    """All-pairs round-trip latency over the transport topology.
+    """Round-trip latency from the terminal nodes over the transport
+    topology.
 
     One-way latency of a path is the sum of link propagation delays plus
-    the fixed latency of every intermediate node; terminal nodes do not
-    charge their own fixed latency. Edge weight is twice the one-way
-    minimum, taken from the Dijkstra run of whichever terminal of the
-    pair is listed first. The runs, and the weights read from them, are
-    memoised per geometry next to the shared
-    :func:`~metroslice.model.latency_graph`, so an unchanged topology pays
-    for each once. Raises ``KeyError`` for a terminal that is not a node.
+    the fixed latency of every intermediate node; the path's end nodes do
+    not charge their own fixed latency. Edge weight is twice the one-way
+    minimum, taken from one Dijkstra run:
+
+    - between two terminals, the run of the smaller id;
+    - between a terminal and any other node, the terminal's run;
+    - between two other nodes there is no weight (``None``).
+
+    The runs, and the weights between terminals, are memoised per
+    geometry next to the shared :func:`~metroslice.model.latency_graph`,
+    so an unchanged topology pays for each once. Raises ``KeyError`` for
+    a terminal, or a node read against one, that is not a node of the
+    topology.
     """
     g = latency_graph(topology)
-    for t in terminal_nodes:
+    terminals = frozenset(terminals)
+    for t in terminals:
         if t not in g.fixed:
             raise KeyError(t)
-    return _TopologyRtt(g, terminal_nodes)
+    return _TopologyRtt(g, terminals)
 
 
 def filter_vims(
@@ -387,13 +390,12 @@ def place(
         return PlacementDecision(None, BlockReason.NO_ELIGIBLE_VIM)
 
     # One pass over the nodes; reversed, so the first node listed for a
-    # VIM wins. The ranking reads only the eligible VIMs' entries.
+    # VIM wins. The ranking reads only the eligible VIMs' entries, and the
+    # access legs from their nodes' runs.
     vim_node = {n.vim.vim_id: n.node_id for n in reversed(topology.nodes) if n.vim}
-    terminals = sorted({vim_node[v] for v in set().union(*eligibility.values())})
-    for extra in (req.ingress, req.egress):
-        if extra is not None and extra not in terminals:
-            terminals.append(extra)
-    graph = build_rtt_graph(topology, terminals)
+    graph = build_rtt_graph(
+        topology, {vim_node[v] for v in set().union(*eligibility.values())}
+    )
 
     ranked = tuple(rank_service_chains(req, graph, eligibility, vim_node))
     chosen = next(

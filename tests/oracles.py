@@ -5,7 +5,8 @@ Floyd-Warshall over a dense matrix instead of per-source Dijkstra,
 exhaustive enumeration instead of the best-first ranking and the
 placement walk, every packet of a simulated train instead of the edges
 and a drawn histogram, a scan of every grid point over occupied
-intervals instead of first-fit's candidate set, one object per SNR
+intervals instead of first-fit's candidate set, every simple path
+instead of a breadth-first search for the OLS route, one object per SNR
 sample instead of the columnar series. Agreement between the two is
 therefore evidence, not tautology.
 
@@ -24,6 +25,7 @@ from metroslice.dataplane import CLOCK_TICK_NS, transmit_train
 from metroslice.mda import SoftFailureReport
 from metroslice.model import (
     Link,
+    LinkKind,
     Node,
     NodeKind,
     NsRequest,
@@ -265,6 +267,32 @@ class QualitySample:
     t_s: float
     snr_db: float
     prefec_ber: float
+
+
+def min_hop_route(topology, a, z):
+    """Link ids of the OLS route from ROADM ``a`` to ROADM ``z``: among
+    every simple path over fibre between ROADMs, the fewest hops, and of
+    those the lexicographically smallest link-id sequence. None when no
+    path exists."""
+    roadms = {n.node_id for n in topology.nodes if n.kind is NodeKind.ROADM}
+    fibres = [(l.link_id, *l.endpoints) for l in topology.links
+              if l.kind is LinkKind.FIBER and roadms.issuperset(l.endpoints)]
+    paths = []
+
+    def walk(node, seen, links):
+        if node == z:
+            paths.append(tuple(links))
+            return
+        for link_id, u, v in fibres:
+            for here, there in ((u, v), (v, u)):
+                if here == node and there not in seen:
+                    walk(there, seen | {there}, links + [link_id])
+
+    walk(a, {a}, [])
+    if not paths:
+        return None
+    hops = min(map(len, paths))
+    return min(p for p in paths if len(p) == hops)
 
 
 def per_sample_quality(s):

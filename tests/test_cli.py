@@ -19,6 +19,7 @@ from metroslice import cli, orchestrator
 from metroslice.cli import main
 from metroslice.config import default_scenario_path, load_scenario
 from metroslice.dataplane import MAX_DELAY_US
+from metroslice.model import MAX_K
 from metroslice.optical import SlotOutOfTunability
 
 from oracles import brute_force_place
@@ -63,6 +64,18 @@ class TestPlan:
         got = json.loads(out)["candidate"]
         assert tuple(got["vim_ids"]) == ids
         assert got["cost_us"] == pytest.approx(cost, rel=1e-12)
+
+    def test_no_roadm_needed(self, tmp_path, capsys):
+        # Placement reads no optical layer; only deploy needs the circuit.
+        path = _scenario_copy(tmp_path, "kind: ROADM", "kind: AggSwitch", "topology.yaml")
+        topo = tmp_path / "topology.yaml"
+        topo.write_text(topo.read_text().replace("kind: ROADM", "kind: AggSwitch"))
+        rc, out = _run(capsys, "--scenario", str(path), "--json", "plan")
+        assert rc == 0
+        assert json.loads(out)["candidate"]["vim_ids"] == ["vim-amen", "vim-mcen"]
+        line = _config_error(capsys, "--scenario", str(path),
+                             "--out", str(tmp_path / "out"), "deploy")
+        assert "needs at least two ROADMs" in line
 
 
 class TestDeploy:
@@ -538,6 +551,29 @@ def _run_mutated(directory, argv):
     finally:
         tracemalloc.stop()
     return rc, err.getvalue().splitlines(), peak
+
+
+class TestKBound:
+    """``k`` is bounded (``model.MAX_K``) in the request file and on
+    ``plan --k`` alike; past it, both exit 2 with one ``error:`` line
+    before any ranking."""
+
+    @pytest.mark.parametrize("k", [MAX_K, MAX_K + 1, 10**8],
+                             ids=["bound", "bound+1", "1e8"])
+    @pytest.mark.parametrize("where", ["load", "flag"])
+    def test_bound(self, tmp_path, k, where):
+        at_load = where == "load"
+        _scenario_copy(tmp_path, "k: 10\n", f"k: {k if at_load else 10}\n",
+                       "ns_request.yaml")
+        rc, lines, peak = _run_mutated(tmp_path, ["plan"] if at_load else
+                                       ["plan", "--k", str(k)])
+        if k <= MAX_K:
+            assert (rc, lines) == (0, [])
+        else:
+            assert rc == 2
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert f"k must be in [1, {MAX_K}]" in lines[0]
+        assert peak < _PEAK_BOUND
 
 
 class TestMutatedInputs:

@@ -414,6 +414,28 @@ class TestLoadScenario:
         assert sc.slot_m == 2048
 
 
+    def test_no_node_lookup_by_id(self, tmp_path, monkeypatch):
+        # A lookup by id scans the node list, so one per node is quadratic
+        # in the topology; the loader indexes the nodes once instead.
+        path = _scenario_sandbox(tmp_path)
+        chain = [f"x{i:04d}" for i in range(2000)]
+        nodes = "".join(f"  - {{id: {x}, kind: AggSwitch, fixed_latency_us: 0.315}}\n"
+                        for x in chain)
+        links = "".join(f"  - {{id: p-{a}, endpoints: [{a}, {b}], length_km: 0.0005, "
+                        "kind: Patch}\n" for a, b in zip(chain, ["sw-amen", *chain]))
+        topo = tmp_path / "topology.yaml"
+        text = topo.read_text()
+        assert "\nlinks:\n" in text and "\nvims:\n" in text
+        topo.write_text(text.replace("\nlinks:\n", nodes + "\nlinks:\n")
+                        .replace("\nvims:\n", links + "\nvims:\n"))
+        calls = []
+        node = Topology.node
+        monkeypatch.setattr(Topology, "node",
+                            lambda t, node_id: calls.append(node_id) or node(t, node_id))
+        assert len(load_scenario(path).topology.nodes) == 2009
+        assert calls == []
+
+
 class TestBuildWorld:
     def test_wiring(self, scenario):
         world = build_world(scenario)

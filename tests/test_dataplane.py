@@ -378,11 +378,11 @@ class TestPathFromTopology:
 
     def test_element_defaults_by_kind(self, scenario):
         t = scenario.topology
-        probe = element_for_node(t, "probe-a", {})
+        probe = element_for_node(t.node("probe-a"), {})
         assert (probe.loss_prob, probe.jitter_std_ns) == (0.0, 2.0)
-        sw = element_for_node(t, "sw-amen", {})
+        sw = element_for_node(t.node("sw-amen"), {})
         assert (sw.loss_prob, sw.jitter_std_ns) == (2.0e-7, 1.5)
-        rd = element_for_node(t, "roadm-1", {})
+        rd = element_for_node(t.node("roadm-1"), {})
         assert (rd.loss_prob, rd.jitter_std_ns) == (2.0e-7, 2.5)
         assert set(DEFAULT_ELEMENT_PARAMS) >= {NodeKind.PROBE_ENDPOINT, NodeKind.AGG_SWITCH, NodeKind.ROADM}
 

@@ -1,7 +1,9 @@
 """Byte-for-byte checks of the default scenario's outputs.
 
 ``tests/golden/`` holds ``metroslice --json plan`` at the request's k
-(10) and at k=11, the ``kpi.json``, ``kpi.csv``, ``events.jsonl`` and
+(10) and at k=11, the same pair for the request with its ingress at
+``probe-a`` and its egress at ``probe-b`` (``plan_access_*``), the
+``kpi.json``, ``kpi.csv``, ``events.jsonl`` and
 ``records.jsonl`` that ``deploy`` writes, the ``table1.csv`` and
 ``budget.json`` of ``table1``, and the ``degrade.csv`` and
 ``degrade.json`` of ``degrade``, all at the packaged seed. The test
@@ -21,6 +23,7 @@ differently fails here rather than being skipped.
 import contextlib
 import difflib
 import io
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from metroslice.cli import main
+from metroslice.config import default_scenario_path
 
 GOLDEN = Path(__file__).parent / "golden"
 #: Subcommand argv and the files it writes under ``--out``.
@@ -36,7 +40,8 @@ WRITERS = (
     (["table1"], ("table1.csv", "budget.json")),
     (["degrade"], ("degrade.csv", "degrade.json")),
 )
-NAMES = ("plan_k10.json", "plan_k11.json") + tuple(
+NAMES = ("plan_k10.json", "plan_k11.json",
+         "plan_access_k10.json", "plan_access_k11.json") + tuple(
     name for _, names in WRITERS for name in names
 )
 #: The writers that run simulated trains, rendered a second time.
@@ -51,11 +56,25 @@ def _stdout(argv):
     return buf.getvalue().encode("utf-8")
 
 
+def access_scenario(directory: Path) -> Path:
+    """A copy of the packaged scenario whose request enters at
+    ``probe-a`` and leaves at ``probe-b``."""
+    src = default_scenario_path().parent
+    for name in ("scenario.yaml", "topology.yaml", "ns_request.yaml"):
+        shutil.copy(src / name, directory / name)
+    with open(directory / "ns_request.yaml", "a", encoding="utf-8") as fh:
+        fh.write("ingress: probe-a\negress: probe-b\n")
+    return directory / "scenario.yaml"
+
+
 def render(out_dir: Path) -> dict[str, bytes]:
     """Each golden file's bytes as the current code writes them."""
+    access = ["--scenario", str(access_scenario(out_dir))]
     out = {
         "plan_k10.json": _stdout(["--json", "plan"]),
         "plan_k11.json": _stdout(["--json", "plan", "--k", "11"]),
+        "plan_access_k10.json": _stdout([*access, "--json", "plan"]),
+        "plan_access_k11.json": _stdout([*access, "--json", "plan", "--k", "11"]),
     }
     for argv, names in WRITERS:
         out.update(_written(out_dir, argv, names))

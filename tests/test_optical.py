@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -26,7 +26,7 @@ from metroslice.optical import (
     VirtualClock,
     configure_transponder,
 )
-from oracles import first_fit_n
+from oracles import first_fit_n, min_hop_route
 
 
 class TestFrequencySlot:
@@ -238,6 +238,39 @@ def _machine_controller():
         sips.append(Sip(f"u{i}", f"r{i}", "p1"))
         sips.append(Sip(f"t{i}", f"r{i}", "p2", MACHINE_TUNABILITY[i % 2]))
     return OlsController(Topology(nodes=nodes, links=links), sips)
+
+
+@st.composite
+def roadm_graphs(draw):
+    """Up to six ROADMs and two switches, with parallel fibres, patch
+    links, links to the switches and disconnected parts. Link ids are
+    unpadded and drawn out of listed order, so "f10" sorts before "f2"."""
+    ids = [f"r{i}" for i in range(draw(st.integers(1, 6)))]
+    nodes = [Node(r, NodeKind.ROADM) for r in ids]
+    nodes += [Node(f"x{i}", NodeKind.AGG_SWITCH) for i in range(draw(st.integers(0, 2)))]
+    ends = st.lists(st.sampled_from([n.node_id for n in nodes]),
+                    min_size=2, max_size=2, unique=True)
+    count = draw(st.integers(0, 12)) if len(nodes) > 1 else 0
+    links = [Link(f"f{lid}", tuple(draw(ends)), 1.0,
+                  draw(st.sampled_from([LinkKind.FIBER, LinkKind.FIBER, LinkKind.PATCH])))
+             for lid in draw(st.permutations(range(count)))]
+    return Topology(nodes=nodes, links=links)
+
+
+class TestRoute:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(roadm_graphs())
+    def test_matches_every_simple_path(self, t):
+        ols = OlsController(t, [])
+        roadms = [n.node_id for n in t.nodes if n.kind is NodeKind.ROADM]
+        for a in roadms:
+            for z in roadms:
+                want = min_hop_route(t, a, z)
+                if want is None:
+                    with pytest.raises(NoRoute):
+                        ols._route(a, z)
+                else:
+                    assert ols._route(a, z) == want
 
 
 class TestFirstFitCases:

@@ -318,6 +318,12 @@ class TestPlace:
         assert decision.block_reason is BlockReason.NO_ELIGIBLE_VIM
         assert decision.ranked == ()
 
+    @pytest.mark.parametrize("end", ["ingress", "egress"])
+    def test_unknown_access_node(self, scenario, world, end):
+        req = dataclasses.replace(scenario.request, **{end: "ghost"})
+        with pytest.raises(KeyError, match="ghost"):
+            place(req, world.topology, world.vims)
+
     def test_rtt_exceeded_leaves_resources_untouched(self, scenario, world):
         before = [(v.cpu_idle, v.mem_idle, v.storage_idle) for v in world.vims]
         req = NsRequest(ns_id="ns-tight", chain=scenario.request.chain,
@@ -550,6 +556,55 @@ class TestPinnedPlacements:
         assert not changed, "decisions changed:\n\n" + "\n\n".join(
             f"chain {i} {_pinned_chains()[i]}:\n{texts[i]}" for i in changed[:3])
         assert len(got) == len(want) == 36
+
+
+#: The ranking of ``TestAccessLegRuns``, costs as hex, recorded from the
+#: planner before access legs were read by rule.
+_ACCESS_RANKED = [
+    ("0x1.5a8fe0767ac32p+10", "vim-05 vim-05"),
+    ("0x1.5c33b431785a8p+10", "vim-05 vim-06"),
+    ("0x1.5c33b431785a8p+10", "vim-05 vim-07"),
+    ("0x1.5c33b431785a8p+10", "vim-06 vim-06"),
+    ("0x1.5c33b431785a8p+10", "vim-07 vim-07"),
+    ("0x1.5c33b431785a9p+10", "vim-05 vim-08"),
+    ("0x1.5c33b431785a9p+10", "vim-05 vim-09"),
+    ("0x1.5c33b431785a9p+10", "vim-08 vim-08"),
+    ("0x1.5c33b431785a9p+10", "vim-09 vim-09"),
+    ("0x1.5dd787ec75f1fp+10", "vim-06 vim-08"),
+    ("0x1.5dd787ec75f1fp+10", "vim-07 vim-08"),
+    ("0x1.5dd787ec75f20p+10", "vim-06 vim-07"),
+    ("0x1.5dd787ec75f20p+10", "vim-06 vim-09"),
+    ("0x1.5dd787ec75f20p+10", "vim-07 vim-09"),
+    ("0x1.5dd787ec75f20p+10", "vim-08 vim-09"),
+    ("0x1.b62d1b335180ep+10", "vim-02 vim-02"),
+    ("0x1.b62d1b335180ep+10", "vim-03 vim-03"),
+    ("0x1.b62d1b335180ep+10", "vim-05 vim-02"),
+    ("0x1.b62d1b335180ep+10", "vim-05 vim-03"),
+    ("0x1.b7d0eeee4f184p+10", "vim-02 vim-03"),
+    ("0x1.b7d0eeee4f184p+10", "vim-02 vim-09"),
+    ("0x1.b7d0eeee4f184p+10", "vim-03 vim-09"),
+    ("0x1.bcf6d7ed4236ep+10", "vim-09 vim-08"),
+    ("0x1.bfded3fbf5ff3p+10", "vim-04 vim-04"),
+    ("0x1.bfded3fbf5ff3p+10", "vim-05 vim-04"),
+]
+
+
+class TestAccessLegRuns:
+    """Access legs read the run of a VIM node. The ingress ``site-05``
+    hosts an eligible VIM, so its leg to another site reads the smaller
+    id's run; the egress ``roadm-09`` hosts none, so its legs read the
+    site's run. The fibre lengths are not dyadic: on this ring the two
+    runs of ``site-05``-``site-09`` and of ``site-09``-``roadm-09`` differ
+    in their last bits, and the pinned costs tell them apart."""
+
+    def test_costs_unchanged(self):
+        topology = _metro_ring(301)
+        vims = [n.vim for n in topology.vim_nodes()]
+        chain = [_vnf("v1", tag="fw", cpu=1, mem=1, sto=1),
+                 _vnf("v2", tag="nat", cpu=1, mem=1, sto=1)]
+        req = _req(chain, k=25, ingress="site-05", egress="roadm-09")
+        ranked = place(req, topology, vims).ranked
+        assert [(c.cost_us.hex(), " ".join(c.vim_ids)) for c in ranked] == _ACCESS_RANKED
 
 
 def _wide_ring(per_site, seed=40):
