@@ -49,8 +49,9 @@ MAX_DELAY_US = 2**48 * CLOCK_TICK_NS / 1000.0
 #: Largest jitter a path may have, in ns, root-sum-square over its
 #: elements. A long simulated train's RTT law spans about 20 sigma / tick
 #: bins per leg and convolves the two legs, so its cost grows with the
-#: square of sigma: at this bound about 6500 bins and 15 ms per law,
-#: paid once per distinct pair of legs (see ``rtt_law``).
+#: square of sigma: at this bound 6453 bins per leg and about 40 ms per
+#: law on a 2-core Xeon, paid once per distinct pair of legs (see
+#: ``rtt_law``).
 MAX_JITTER_STD_NS = 1000.0
 
 
@@ -282,8 +283,12 @@ def _rtt_law_of(fwd: tuple[float, float],
     lo_f, pmf_f = _leg_delay_pmf(*fwd)
     # The two directions sum the same elements, often to the same bits.
     lo_b, pmf_b = (lo_f, pmf_f) if back == fwd else _leg_delay_pmf(*back)
-    p_ab = np.convolve(pmf_f, pmf_b)
-    p_ab /= p_ab.sum()
+    # Shifted adds, the forward bins ascending: each bin's sum has the
+    # same order on every host, which np.convolve's BLAS kernel lacks.
+    p_ab = np.zeros(pmf_f.size + pmf_b.size - 1)
+    for i, w in enumerate(pmf_f.tolist()):
+        p_ab[i:i + pmf_b.size] += w * pmf_b
+    p_ab /= np.add.reduce(p_ab)
     rtt_ns = (lo_f + lo_b + np.arange(p_ab.size)) * CLOCK_TICK_NS
     rtt_ns.flags.writeable = p_ab.flags.writeable = False
     return rtt_ns, p_ab
@@ -362,18 +367,22 @@ class DegradationScenario:
                 f"duration_s / sample_period_s gives over {self.MAX_SAMPLES} samples")
 
 
+def _ber(snr_db: float) -> float:
+    return 0.5 * math.erfc(math.sqrt(10.0 ** (snr_db / 10.0) / 2.0))
+
+
 def ber_from_snr_db(snr_db):
     """Pre-FEC bit error rate of the coherent channel at a given SNR.
 
     ber = 0.5 * erfc(sqrt(snr_lin / 2)), snr_lin = 10 ** (snr_db / 10).
-    Vectorized; output lies in [0, 0.5] and decreases with SNR. The
-    series it serves are a few thousand samples long, so ``math.erfc``
-    mapped over Python floats costs less than importing scipy.
+    Vectorized; output lies in [0, 0.5] and decreases with SNR. The rule
+    maps over Python floats, so its power and ``erfc`` are libm's on
+    every host, not a SIMD kernel numpy picks by CPU; the series it
+    serves are a few thousand samples long, so that costs less than
+    importing scipy.
     """
-    snr_lin = np.power(10.0, np.asarray(snr_db, dtype=np.float64) / 10.0)
-    x = np.sqrt(snr_lin / 2.0)
-    erfc = np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size)
-    return 0.5 * erfc.reshape(x.shape)
+    x = np.asarray(snr_db, dtype=np.float64)
+    return np.fromiter(map(_ber, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def evolve_quality(s: DegradationScenario) -> QualitySeries:

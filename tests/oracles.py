@@ -7,8 +7,9 @@ placement walk, every packet of a simulated train instead of the edges
 and a drawn histogram, a scan of every grid point over occupied
 intervals instead of first-fit's candidate set, every simple path
 instead of a breadth-first search for the OLS route, one object per SNR
-sample instead of the columnar series. Agreement between the two is
-therefore evidence, not tautology.
+sample instead of the columnar series, a sum per bin in Python floats
+instead of the RTT law's shifted array adds. Agreement between the two
+is therefore evidence, not tautology.
 
 Randomized placement instances use dyadic lengths and latencies (exact
 in binary floating point) so equal costs are bitwise equal and tie
@@ -237,6 +238,19 @@ def per_packet_train(path, cfg, seed, run=0):
     return compute_stats(cfg, red, two_way_propagation_us=two_way_prop)
 
 
+def convolve_in_order(pf, pb):
+    """The convolution of two leg laws as a list: bin k sums
+    ``pf[i] * pb[k - i]`` in Python floats, ``i`` ascending, the order
+    ``dataplane.rtt_law`` keeps on every host."""
+    out = []
+    for k in range(len(pf) + len(pb) - 1):
+        total = 0.0
+        for i in range(max(0, k - len(pb) + 1), min(len(pf), k + 1)):
+            total += pf[i] * pb[k - i]
+        out.append(total)
+    return out
+
+
 def first_fit_n(live, route, tunabilities, floor_n, m):
     """Lowest free centre n >= floor_n for a width-``m`` slot, or None.
 
@@ -297,11 +311,13 @@ def min_hop_route(topology, a, z):
 
 def per_sample_quality(s):
     """The SNR ramp of a ``DegradationScenario`` as one object per sample,
-    the BER from ``math.erfc`` through ``np.vectorize``."""
+    the BER's power and ``math.erfc`` per Python float through
+    ``np.vectorize``."""
     t = np.arange(0.0, s.duration_s + s.sample_period_s / 2, s.sample_period_s)
     snr = s.snr0_db - s.ramp_db_per_s * np.maximum(0.0, t - s.ramp_start_s)
     erfc = np.vectorize(math.erfc, otypes=[np.float64])
-    ber = 0.5 * erfc(np.sqrt(np.power(10.0, snr / 10.0) / 2.0))
+    power = np.vectorize(lambda x: 10.0 ** x, otypes=[np.float64])
+    ber = 0.5 * erfc(np.sqrt(power(snr / 10.0) / 2.0))
     return [
         QualitySample(float(ti), float(si), float(bi))
         for ti, si, bi in zip(t, snr, ber)

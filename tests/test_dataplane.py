@@ -1,5 +1,6 @@
 """Dataplane simulator: delay arithmetic, loss/jitter statistics, BER curve."""
 
+import ast
 import math
 import os
 import subprocess
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
+from metroslice import dataplane
 from metroslice.dataplane import (
     CLOCK_TICK_NS,
     DEFAULT_ELEMENT_PARAMS,
@@ -30,6 +34,7 @@ from metroslice.dataplane import (
 )
 import metroslice
 from metroslice.model import Link, Node, NodeKind, Topology
+from oracles import convolve_in_order
 
 
 def _elem(eid="e", lat=0.0, loss=0.0, jit=0.0):
@@ -254,6 +259,32 @@ class TestEvolveQuality:
             DegradationScenario(ramp_db_per_s=0.1, duration_s=1.0, sample_period_s=0.0)
 
 
+#: One leg of a round trip: (jitter std, delay), both in ns; a zero
+#: jitter gives a one-bin law.
+_legs = st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 40.0)), st.floats(0.0, 1e6))
+
+
+class TestRttLawSum:
+    """``rtt_law``'s p against a sum per bin in Python floats."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(fwd=_legs, back=st.one_of(st.none(), _legs))
+    # Equal legs take the law's one-leg shortcut.
+    @example(fwd=(3.0, 1000.0), back=None)
+    @example(fwd=(0.0, 1234.0), back=(0.0, 99.0))
+    @example(fwd=(0.0, 1234.0), back=(40.0, 99.0))
+    def test_bit_for_bit_in_order(self, fwd, back):
+        back = fwd if back is None else back
+        _, p = dataplane._rtt_law_of.__wrapped__(fwd, back)
+        pf, pb = (dataplane._leg_delay_pmf(*leg)[1] for leg in (fwd, back))
+        want = np.array(convolve_in_order(pf.tolist(), pb.tolist()))
+        want /= np.add.reduce(want)
+        assert want.tobytes() == p.tobytes()
+        # And the law is the one np.convolve gives, up to summation order.
+        ref = np.convolve(pf, pb)
+        np.testing.assert_allclose(p, ref / ref.sum(), rtol=1e-12, atol=0.0)
+
+
 def _tie_grid():
     """3 x 4 ROADM grid where every hop costs 1 us of fibre plus 1 us of
     transit, so all monotone routes tie. Links are listed out of order, so
@@ -394,3 +425,22 @@ def test_runtime_import_needs_no_scipy():
     code = ("import sys, metroslice, metroslice.cli; "
             "sys.exit('scipy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+#: Calls whose result depends on the kernel the host picks: BLAS products
+#: and convolutions sum in an order set by CPU class and thread count, and
+#: numpy's SIMD ``power`` differs from libm's in the last bits.
+HOST_KERNELS = {"dot", "vdot", "inner", "matmul", "einsum", "convolve", "correlate", "power"}
+
+
+def test_package_has_no_host_selected_kernel():
+    found = []
+    for path in sorted(Path(metroslice.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.split(".")[-1] in HOST_KERNELS or "linalg." in name:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found

@@ -17,19 +17,29 @@ and say why, and which numpy wrote them, in the change log. The seeded
 files (``events.jsonl``, ``records.jsonl``, ``table1.csv``,
 ``budget.json``) depend on numpy's ``Generator`` streams, which NEP 19
 does not promise stable across numpy releases; a numpy that draws
-differently fails here rather than being skipped.
+differently fails here rather than being skipped. They and
+``degrade.csv`` depend on libm (``erfc``, ``pow``) too, but not on the
+BLAS or SIMD kernel the CPU selects: every sum runs in an order the
+code fixes (``np.add.reduce`` or a loop), and every power is libm's,
+so the same bytes come back on OpenBLAS's SSE3 kernels and on one BLAS
+thread, rendered in a fresh process below.
 """
 
 import contextlib
 import difflib
 import io
+import json
+import os
+import platform
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import metroslice
 from metroslice.cli import main
 from metroslice.config import default_scenario_path
 
@@ -110,6 +120,32 @@ def test_matches_golden(rendered, name):
 @pytest.mark.parametrize("name", [name for _, names in TWICE for name in names])
 def test_second_run_matches_golden(rerendered, name):
     _compare(name, rerendered[name])
+
+
+#: Renders the goldens and prints them as one JSON object, name to text.
+RENDER = ("import json, pathlib, sys, test_golden; "
+          "out = test_golden.render(pathlib.Path(sys.argv[1])); "
+          "print(json.dumps({name: data.decode() for name, data in out.items()}))")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 kernels")
+@pytest.mark.parametrize("setting", [
+    # SSE3 kernels, which run on any x86-64.
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="prescott"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "1"}, id="one-thread"),
+])
+def test_matches_golden_on_other_kernels(setting, tmp_path):
+    """The goldens rendered in a fresh process on other BLAS kernels."""
+    path = [str(Path(metroslice.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, **setting, PYTHONPATH=os.pathsep.join(
+        filter(None, [*path, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", RENDER, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert [name for name in NAMES
+            if got[name].encode() != (GOLDEN / name).read_bytes()] == []
 
 
 def _compare(name: str, got: bytes) -> None:

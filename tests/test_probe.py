@@ -641,13 +641,13 @@ class TestLongTrains:
             TrainStats(1000, 903, 12.3845, 12.39801572535991, 5.0517868180723,
                        87863.83046973676, 0.0001321096, 9.798),
             TrainStats(1000, 904, 12.381399999999994, 12.398089933628318,
-                       5.200191282647632, 87947.46768096404, 0.0001321251, 9.798),
+                       5.200191282647631, 87947.46768096404, 0.0001321251, 9.798),
         ],
         (CHUNK, 64): [
             TrainStats(65536, 59108, 12.375199999999998, 12.397971689111456,
-                       5.26610704499413, 54457.362513734326, 0.0005681401, 9.798),
+                       5.266107044994124, 54457.362513734326, 0.0005681401, 9.798),
             TrainStats(65536, 59051, 12.375199999999982, 12.398034197558044,
-                       5.26763687013906, 54403.93684819299, 0.000568137, 9.798),
+                       5.267636870139066, 54403.93684819299, 0.000568137, 9.798),
         ],
     }
 
