@@ -17,7 +17,6 @@ artifact files are written with sorted keys so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import json
@@ -93,9 +92,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_plan(args, scenario: Scenario) -> int:
     req = _override(scenario.request, k=args.k)
-    # Placement reads no optical layer: it allocates on a copy of the
-    # scenario's VIMs, and the scenario needs no ROADM.
-    topology = copy.deepcopy(scenario.topology)
+    # Placement reads no optical layer and allocates nothing, so it runs on
+    # the scenario's own topology, and the scenario needs no ROADM.
+    topology = scenario.topology
     decision = place(req, topology, [n.vim for n in topology.vim_nodes()])
 
     if args.json:

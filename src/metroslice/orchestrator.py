@@ -2,9 +2,11 @@
 
 WF1 instantiates a network slice: placement, NFVO admission, then the VNF
 branch and the connectivity branch (packet configuration, media channel,
-transponders) running in parallel. WF2 commissions the slice with probe
-trains and records verdicts in the MDA. All timing is simulated; KPIs are
-derived from event timestamps only.
+transponders) running in parallel. Placement only decides; WF1 makes every
+commit itself (the VIM allocations, the media channel, each transponder's
+bring-up) and registers its undo, so a failed slice takes nothing (a saga).
+WF2 commissions the slice with probe trains and records verdicts in the
+MDA. All timing is simulated; KPIs are derived from event timestamps only.
 
 KPI-1: optical connectivity provisioning (media channel to lasers ready).
 KPI-2: end-to-end connectivity (packet plus optical).
@@ -17,6 +19,7 @@ import itertools
 import logging
 import math
 from dataclasses import KW_ONLY, dataclass, field, replace
+from functools import partial
 
 from .dataplane import ElementParams, PathModel, path_from_topology
 from .mda import MdaController, MeasurementRecord
@@ -140,9 +143,10 @@ def run_wf1(
     req: NsRequest, world: World
 ) -> tuple[PlacementDecision, KpiReport | None, list[WorkflowEvent]]:
     """Instantiate a slice. Blocked requests return a three-event log and
-    no KPI report; a failure after placement rolls back the transponders
-    it configured, the media channel and the VIM allocations before it
-    raises."""
+    no KPI report, and commit nothing. A placed request allocates its VNFs
+    on the chosen VIMs, then creates the media channel and configures the
+    transponders; each commit registers its undo. A failure runs the undos
+    in reverse before it raises, an ``OpticalError`` as ``WorkflowError``."""
     timing = world.timing
     events = _EventLog()
     t0 = 0.0
@@ -187,9 +191,13 @@ def run_wf1(
     events.add(t_packet_done, "packet-controller", "packet_configured")
 
     t_optical_start = t_packet_done
-    created_mc = None
-    configured = []
+    undo = []
     try:
+        vims = {v.vim_id: v for v in world.vims}
+        for vnf, vim_id in zip(req.chain, decision.candidate.vim_ids):
+            vims[vim_id].allocate(vnf)
+            undo.append(partial(vims[vim_id].release, vnf))
+
         sips, view = world.ols.get_context()
         events.add(
             t_optical_start, "parent-controller", "m07_get_tapi_context",
@@ -208,16 +216,17 @@ def run_wf1(
             t_optical_start, "parent-controller", "m09_create_media_channel",
             a_sip=world.sip_of_tp[a_tp], z_sip=world.sip_of_tp[z_tp],
         )
-        created_mc = world.ols.create_media_channel(
+        mc = world.ols.create_media_channel(
             world.sip_of_tp[a_tp],
             world.sip_of_tp[z_tp],
             floor_n=world.slot_floor_n,
             m=world.slot_m,
         )
+        undo.append(partial(world.ols.delete_media_channel, mc.mc_id))
         t_mc_done = t_optical_start + timing.media_channel_s
         events.add(
             t_mc_done, "ols-controller", "media_channel_provisioned",
-            mc=created_mc.to_record(),
+            mc=mc.to_record(),
         )
 
         events.add(t_mc_done, "parent-controller", "m10_configure_transponders",
@@ -227,13 +236,13 @@ def run_wf1(
             clock = VirtualClock(t_tp_cursor)
             tp = configure_transponder(
                 world.transponders[tp_id],
-                created_mc.slot,
+                mc.slot,
                 world.tx_power_dbm,
                 clock,
                 config_duration_s=timing.tp_config_s,
                 laser_warmup_s=timing.laser_warmup_s,
             )
-            configured.append(tp)
+            undo.append(partial(reset_transponder, tp))
             if not timing.parallel_transponders:
                 t_tp_cursor = clock.now_s
         t_tp_done = (
@@ -244,24 +253,18 @@ def run_wf1(
         events.add(t_tp_done, "transponder", "transponders_configured",
                    tp_ids=[a_tp, z_tp])
     except Exception as exc:
-        # All or nothing: undo the transponders, the media channel and the
-        # VIM allocations that place() committed.
-        for tp in configured:
-            reset_transponder(tp)
-        if created_mc is not None:
-            world.ols.delete_media_channel(created_mc.mc_id)
-        vims = {v.vim_id: v for v in world.vims}
-        for vnf, vim_id in zip(req.chain, decision.candidate.vim_ids):
-            vims[vim_id].release(vnf)
+        # All or nothing: undo every commit so far, the latest first.
+        for step in reversed(undo):
+            step()
         if isinstance(exc, OpticalError):
             raise WorkflowError(f"optical provisioning failed: {exc}") from exc
         raise
 
-    t_optical_ready = max(tp.ready_at_s for tp in configured)
+    t_optical_ready = max(world.transponders[t].ready_at_s for t in (a_tp, z_tp))
     events.add(t_optical_ready, "transponder", "lasers_ready",
                tp_ids=[a_tp, z_tp])
     events.add(t_optical_ready, "parent-controller", "connectivity_ready",
-               mc_id=created_mc.mc_id)
+               mc_id=mc.mc_id)
 
     t_ns_ready = max(t_vnfs_done, t_optical_ready)
     events.add(t_ns_ready, "nfvo", "ns_ready", ns_id=req.ns_id)

@@ -1,11 +1,12 @@
 """Latency-aware VNF placement.
 
 Builds an RTT-weighted graph over the VIM-bearing nodes, enumerates
-service-chain candidates ordered by total RTT cost, and places the first
+service-chain candidates ordered by total RTT cost, and picks the first
 candidate that is feasible (at most one VNF of a slice per VIM). A
 request is blocked when no VIM is eligible for some VNF, when no
 candidate is feasible, or when the cheapest feasible candidate exceeds
-the slice's RTT requisite.
+the slice's RTT requisite. Placement only decides: it allocates nothing,
+and ``orchestrator.run_wf1`` commits the chosen chain.
 
 RTT weights are computed once per topology geometry: they sit in rows
 keyed by node id next to the shared
@@ -370,7 +371,7 @@ def place(
     topology: Topology,
     vims: list[VimStatus],
 ) -> PlacementDecision:
-    """Select and commit a service chain for the request.
+    """Select a service chain for the request.
 
     The ``req.k`` cheapest chains are ranked first, and only then walked
     for the first feasible one (at most one VNF per VIM). Feasibility is
@@ -380,8 +381,8 @@ def place(
     VNFs of a two-VNF chain, the V co-located chains cost 0 and fill the
     list, so ``k <= V`` blocks and ``k = V + 1`` places.
 
-    On success the chosen VIMs' idle resources are decremented; a blocked
-    request leaves every VIM untouched.
+    Placement only decides: it reads the VIMs' idle resources and changes
+    none of them, placed or blocked.
     """
     eligibility = filter_vims(req, vims)
     empty = [v for v, opts in eligibility.items() if not opts]
@@ -410,8 +411,5 @@ def place(
         )
         return PlacementDecision(None, BlockReason.RTT_EXCEEDED, ranked)
 
-    by_id = {v.vim_id: v for v in vims}
-    for vnf, vim_id in zip(req.chain, chosen.vim_ids):
-        by_id[vim_id].allocate(vnf)
     log.info("%s placed on %s (%.1f us)", req.ns_id, chosen.vim_ids, chosen.cost_us)
     return PlacementDecision(chosen, None, ranked)

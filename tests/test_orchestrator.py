@@ -22,6 +22,10 @@ from metroslice.orchestrator import (
 )
 
 
+def _idle(world):
+    return {v.vim_id: (v.cpu_idle, v.mem_idle, v.storage_idle) for v in world.vims}
+
+
 class TestWf1Defaults:
     def test_kpis(self, scenario, world):
         decision, report, events = run_wf1(scenario.request, world)
@@ -64,6 +68,19 @@ class TestWf1Defaults:
             assert tp.och == active[0].slot
             assert tp.traffic_ready(137.0)
             assert not tp.traffic_ready(136.9)
+
+    def test_allocates_the_chosen_vims(self, scenario, world):
+        # Placement only decides; WF1 takes vms-core (4/8192/200) from
+        # vim-amen and analytics (8/16384/100) from vim-mcen, and no more.
+        want = _idle(world)
+        want["vim-amen"] = (16 - 4, 32768 - 8192, 500 - 200)
+        want["vim-mcen"] = (32 - 8, 65536 - 16384, 1000 - 100)
+        cpu_before = sum(v.cpu_idle for v in world.vims)
+        run_wf1(scenario.request, world)
+        assert _idle(world) == want
+        assert cpu_before - sum(v.cpu_idle for v in world.vims) == sum(
+            v.cpu_req for v in scenario.request.chain
+        )
 
     def test_serial_transponders(self, scenario, world):
         world.timing = replace(world.timing, parallel_transponders=False)
@@ -118,24 +135,32 @@ class TestWf1Blocked:
         decision, report, _ = run_wf1(scenario.request, world)
         assert decision.placed and report is not None
 
-    @pytest.mark.parametrize("failure", ["no_slot", "one_transponder"])
+    @pytest.mark.parametrize(
+        "failure", ["no_slot", "one_transponder", "tp_a_untunable", "tp_z_untunable"]
+    )
     def test_failed_deploy_releases_vims(self, scenario, world, failure):
-        # Placement commits VIM allocations before the optical branch; a
-        # deploy that fails after it must hand every one of them back.
+        # One fault per commit point: after the VIM allocations
+        # (one_transponder), at the media channel (no_slot), after it
+        # (tp_a_untunable) and after tp-a is up (tp_z_untunable). The deploy
+        # must hand back everything it took.
+        transponders, floor_n = dict(world.transponders), world.slot_floor_n
         if failure == "no_slot":
             world.slot_floor_n = 10_000
+        elif failure == "one_transponder":
+            del world.transponders["tp-z"]
         else:
-            del world.transponders[sorted(world.transponders)[1]]
-        idle = {v.vim_id: (v.cpu_idle, v.mem_idle, v.storage_idle) for v in world.vims}
+            tp_id = "tp-a" if failure == "tp_a_untunable" else "tp-z"
+            world.transponders[tp_id] = Transponder(tp_id, tunable_n=frozenset({999}))
+        idle = _idle(world)
         with pytest.raises(WorkflowError):
             run_wf1(scenario.request, world)
-        assert {v.vim_id: (v.cpu_idle, v.mem_idle, v.storage_idle)
-                for v in world.vims} == idle
+        assert _idle(world) == idle
         assert world.ols.get_active_connections() == []
-        # The request still deploys once the fault is gone.
-        world.slot_floor_n = 0
-        fresh = build_world(scenario)
-        world.transponders, world.sip_of_tp = fresh.transponders, fresh.sip_of_tp
+        for tp in world.transponders.values():
+            assert tp == Transponder(tp.tp_id, tunable_n=tp.tunable_n)
+        # The request still deploys once the fault is gone, on the same
+        # transponders the failed deploy handed back.
+        world.transponders, world.slot_floor_n = transponders, floor_n
         decision, report, _ = run_wf1(scenario.request, world)
         assert decision.placed and report is not None
 
