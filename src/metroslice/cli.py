@@ -33,7 +33,6 @@ from .config import (
     load_scenario,
 )
 from .dataplane import evolve_quality, path_from_nodes
-from .live import live_measure, live_reflect
 from .mda import MdaController, detect_soft_failure
 from .model import aggregate_bandwidth_mbps
 from .orchestrator import WorkflowError, merge_logs, run_wf1, run_wf2
@@ -323,6 +322,8 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_measure(args, scenario: Scenario) -> int:
+    from .live import live_measure
+
     cfg = _override(scenario.probe_cfg, count=args.count,
                     ip_payload_bytes=args.payload, timeout_ms=args.timeout_ms)
     try:
@@ -345,6 +346,8 @@ def cmd_measure(args, scenario: Scenario) -> int:
 
 
 def cmd_reflect(args, scenario: Scenario | None) -> int:
+    from .live import live_reflect
+
     try:
         count = live_reflect(args.bind, max_packets=args.max_packets)
     except KeyboardInterrupt:

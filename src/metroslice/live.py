@@ -120,8 +120,11 @@ def live_measure(
     top = -1  # highest seq echoed so far
 
     def fold() -> None:
-        block = np.array(echoes, dtype=np.float64)
-        red.fold(block[0::2], block[1::2], first_tx)
+        # Stamps count from the first send, subtracted in integers: float64
+        # holds every nanosecond of an offset, but not of a raw stamp past
+        # 2**53 ns of uptime.
+        block = (np.array(echoes, dtype=np.int64) - first_tx).astype(np.float64)
+        red.fold(block[0::2], block[1::2], 0.0)
         del echoes[:]
 
     def drain(deadline: int, floor: int) -> bool:

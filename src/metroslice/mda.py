@@ -45,12 +45,12 @@ class MdaController:
     def measure_circuit(
         self,
         circuit_id: str,
-        vlan_id: int,
         max_rtt_us: float,
         probe,
         cfg: TrainConfig,
     ) -> MeasurementRecord:
-        """Run one train on the circuit and append the verdict.
+        """Run one train on the circuit and append the verdict, recorded
+        under the train's VLAN (``cfg.vlan_id``).
 
         The verdict passes iff the train completed and its minimum RTT is
         within the requisite. A probe timeout is recorded as a failed
@@ -79,7 +79,7 @@ class MdaController:
             )
         record = MeasurementRecord(
             circuit_id=circuit_id,
-            vlan_id=vlan_id,
+            vlan_id=cfg.vlan_id,
             t_virtual_s=self.clock.now_s,
             stats=stats,
             max_rtt_us=max_rtt_us,

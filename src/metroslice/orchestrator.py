@@ -333,7 +333,12 @@ def derive_kpis(events: list[WorkflowEvent]) -> KpiReport:
 
 
 def build_circuit_path(world: World) -> PathModel:
-    """Dataplane model of the slice circuit between the probe endpoints."""
+    """Dataplane model of the path WF2 probes: the minimum-latency path
+    between the probe endpoints.
+
+    It ignores the placement and the media channel's route. On the
+    packaged scenario the two coincide (``roadm-1 –fib-12– roadm-2``).
+    """
     src, dst = world.probe_endpoints
     return path_from_topology(
         world.topology, src, dst, overrides=world.element_overrides
@@ -363,7 +368,6 @@ def run_wf2(
                    circuit_id=circuit_id)
         rec = world.mda.measure_circuit(
             circuit_id,
-            world.probe_cfg.vlan_id,
             max_rtt_us=max_rtt_us,
             probe=probe,
             cfg=world.probe_cfg,

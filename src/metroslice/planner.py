@@ -12,11 +12,12 @@ RTT weights are computed once per topology geometry: they sit in rows
 keyed by node id next to the shared
 :func:`~metroslice.model.latency_graph`, and leave with it. A ranking
 call reads each (layer, option) row of leg weights with one gather, and
-expands chain prefixes lazily: a popped prefix pushes its own next
-sibling and walks down to its cheapest child in place, without a push
-and a pop, while that child is what the heap would yield next. An
-access leg, from the ingress or to the egress, is read pair by pair
-through ``weight_us`` when that node is not a terminal.
+expands chain prefixes lazily: each entry taken from the heap makes its
+own next sibling and, unless it is a complete chain, its cheapest child.
+The newest of them goes through one ``heapq.heappushpop``, which hands
+it straight back when it is the heap minimum. An access leg, from the
+ingress or to the egress, is read pair by pair through ``weight_us``
+when that node is not a terminal.
 """
 
 from __future__ import annotations
@@ -233,18 +234,20 @@ def rank_service_chains(
     with the same options, ``math.inf`` where unreachable.
 
     Expansion is lazy. The children of an option are ordered by leg plus
-    bound. A popped prefix pushes its own next sibling in its parent's
-    order, and then takes its cheapest child, found by the bound, in
-    place: while that child's key is below the heap top (or equal to it
-    with a smaller vim-id tuple) and not past the cut, the child is
-    processed at once, as the next pop would have returned it, and it
-    costs no push and pop. Otherwise the child goes on the heap. So a
-    chain found by walking down costs one pop, not one per layer, and
-    the pop order, and with it the result, is that of pushing every
-    child. The second sibling is one masked minimum, and an option's
-    children are sorted only when a third is asked for. Heap work so
-    grows with the chains found, not with their count times the layer
-    width.
+    bound. Each entry the search takes makes at most two new ones: its
+    own next sibling in its parent's order and, unless it is a complete
+    chain, its cheapest child, found by the bound. The sibling of a
+    prefix is pushed. The newest entry goes to ``heapq.heappushpop``,
+    which returns it itself when the heap is empty or it sorts below the
+    top (vim-id tuples are unique, so never equal), and otherwise the
+    top, leaving it in its place; an entry that makes none takes the
+    next with a plain pop. So a chain found by walking down costs one
+    comparison per layer, not a push and a pop, and every entry taken is
+    the one a plain pop would return after pushing every new entry: the
+    same order, and with it the same result. The second sibling is one
+    masked minimum, and an option's children are sorted only when a
+    third is asked for. Heap work so grows with the chains found, not
+    with their count times the layer width.
 
     The cut is set once, when the k-th complete chain is found: the
     costliest of the first k, plus the relative slack ``_KEY_SLACK``. The
@@ -302,66 +305,60 @@ def rank_service_chains(
     # rank among the parent's children); vim_ids are unique, so only the
     # first two are ever compared. Roots have no parent: all start in the
     # heap.
-    entry = (
+    access = (
         [0.0] * len(nodes[0]) if ingress is None else graph.legs([ingress], nodes[0])[0]
     )
     heap = [
         (w + b, (vim,), 0, j, w, None, 0.0, 0)
-        for j, (vim, w, b) in enumerate(zip(opts[0], entry, bounds[0]))
+        for j, (vim, w, b) in enumerate(zip(opts[0], access, bounds[0]))
         if w + b < _INF
     ]
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
 
     k = req.k
     done: list[tuple[float, tuple[str, ...]]] = []
     limit = _INF
-    while heap:
-        key, ids, i, j, prefix, pj, pprefix, r = pop(heap)
+    entry = pop(heap) if heap else None
+    while entry is not None:
+        key, ids, i, j, prefix, pj, pprefix, r = entry
         if key > limit:
             break
-        # Process the entry, then descend to its cheapest child for as long
-        # as that child is what the heap would yield next.
-        while True:
-            if pj is not None:
-                # Its next sibling joins the heap.
-                sums, order = kids[i - 1][pj]
-                r += 1
-                if r == len(order):
-                    extend(sums, order)
-                if r < len(order):
-                    m = order[r]
-                    if sums[m] < _INF:
-                        step = pprefix + legs[i - 1][pj][m]
-                        push(heap, (step + bounds[i][m], ids[:-1] + (opts[i][m],),
-                                    i, m, step, pj, pprefix, r))
-            if i == last:
-                cost = prefix if egress is None else prefix + bounds[last][j]
-                done.append((cost, ids))
-                if len(done) == k:
-                    limit = max(c for c, _ in done) * (1.0 + _KEY_SLACK)
-                break
+        new = None
+        if pj is not None:
+            # Its next sibling, in its parent's order.
+            sums, order = kids[i - 1][pj]
+            r += 1
+            if r == len(order):
+                extend(sums, order)
+            if r < len(order):
+                m = order[r]
+                if sums[m] < _INF:
+                    step = pprefix + legs[i - 1][pj][m]
+                    new = (step + bounds[i][m], ids[:-1] + (opts[i][m],),
+                           i, m, step, pj, pprefix, r)
+        if i == last:
+            cost = prefix if egress is None else prefix + bounds[last][j]
+            done.append((cost, ids))
+            if len(done) == k:
+                limit = max(c for c, _ in done) * (1.0 + _KEY_SLACK)
+        else:
+            if new is not None:
+                push(heap, new)
             got = kids[i].get(j)
             if got is None:
                 # The cheapest child is the one the bound came from.
                 sums = list(map(add, legs[i][j], bounds[i + 1]))
                 got = kids[i][j] = (sums, [sums.index(bounds[i][j])])
             m = got[1][0]
-            pj, pprefix, r = j, prefix, 0
-            prefix = prefix + legs[i][j][m]
-            i, j = i + 1, m
-            key = prefix + bounds[i][m]
-            ids = ids + (opts[i][m],)
-            # Below the heap top, or equal with smaller vim ids, and not
-            # past the cut: the next pop would return this child.
-            if key <= limit:
-                if not heap:
-                    continue
-                top = heap[0]
-                if key < top[0] or (key == top[0] and ids < top[1]):
-                    continue
-            push(heap, (key, ids, i, j, prefix, pj, pprefix, r))
-            break
+            step = prefix + legs[i][j][m]
+            i += 1
+            new = (step + bounds[i][m], ids + (opts[i][m],), i, m, step, j, prefix, 0)
+        # The newest entry comes straight back when it is the heap minimum.
+        if new is not None:
+            entry = pushpop(heap, new)
+        else:
+            entry = pop(heap) if heap else None
     done.sort()
     return [ServiceChainCandidate(ids, c) for c, ids in done[:k]]
 

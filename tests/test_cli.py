@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metroslice import cli, orchestrator
+from metroslice import live, orchestrator
 from metroslice.cli import main
 from metroslice.config import default_scenario_path, load_scenario
 from metroslice.dataplane import MAX_DELAY_US
@@ -315,7 +315,7 @@ class TestErrors:
         def no_socket(*args, **kwargs):
             raise AssertionError("live_measure reached")
 
-        monkeypatch.setattr(cli, "live_measure", no_socket)
+        monkeypatch.setattr(live, "live_measure", no_socket)
         rc = main(["--out", str(tmp_path), *argv])
         captured = capsys.readouterr()
         assert rc == 2
@@ -443,7 +443,7 @@ class TestErrors:
         def no_socket(*args, **kwargs):
             raise AssertionError("live_reflect reached")
 
-        monkeypatch.setattr(cli, "live_reflect", no_socket)
+        monkeypatch.setattr(live, "live_reflect", no_socket)
         with pytest.raises(SystemExit) as exc:
             main(["reflect", "--bind", "127.0.0.1:0", "--max-packets", value])
         err = capsys.readouterr().err

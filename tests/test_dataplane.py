@@ -427,6 +427,15 @@ def test_runtime_import_needs_no_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_live_out():
+    # Only ``measure`` and ``reflect`` import the live sender and reflector.
+    src = str(Path(metroslice.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, metroslice.cli; sys.exit('metroslice.live' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 #: Calls whose result depends on the kernel the host picks: BLAS products
 #: and convolutions sum in an order set by CPU class and thread count, and
 #: numpy's SIMD ``power`` differs from libm's in the last bits.

@@ -1,5 +1,6 @@
 """Live UDP sender and reflector over loopback."""
 
+import itertools
 import socket
 import threading
 import time
@@ -99,6 +100,27 @@ class TestLoopback:
             ref.received, ref.rtt_us, ref.duration_s)
         assert stats.rtt_mean_us == pytest.approx(ref.rtt_mean_us, rel=1e-12)
         assert stats.jitter_ns == pytest.approx(ref.jitter_ns, rel=1e-9)
+
+    def test_rtts_exact_past_2_53_ns_of_uptime(self, monkeypatch):
+        # A clock past 2**53 ns, where float64 cannot hold every raw stamp,
+        # stepping 1000 ns a call: every RTT and the duration are whole
+        # microseconds, and so must the statistics be.
+        ticks = itertools.count(2**60, 1000)
+        monkeypatch.setattr(live.time, "monotonic_ns", lambda: next(ticks))
+        port = _free_port()
+        thread, stop, _ = _reflector(port, max_packets=500)
+        try:
+            stats = live_measure(
+                TrainConfig(count=500, ip_payload_bytes=256, timeout_ms=10_000),
+                dst=("127.0.0.1", port),
+            )
+        finally:
+            stop.set()
+            thread.join(5.0)
+        assert stats.received == 500
+        assert round(stats.duration_s * 1e9) % 1000 == 0
+        total_us = stats.rtt_mean_us * stats.received
+        assert total_us == pytest.approx(round(total_us), abs=1e-6)
 
     def test_single_packet_has_zero_jitter(self):
         port = _free_port()

@@ -61,7 +61,7 @@ class _TimeoutProbe:
 class TestMeasureCircuit:
     def test_pass_advances_clock_by_duration(self):
         mda = MdaController(VirtualClock(7.0))
-        rec = mda.measure_circuit("mc-1", 100, max_rtt_us=200.0,
+        rec = mda.measure_circuit("mc-1", max_rtt_us=200.0,
                                   probe=_FixedProbe(_stats(rtt=100.0, duration=0.5)),
                                   cfg=TrainConfig(count=1000))
         assert rec.verdict == "pass" and rec.reason is None
@@ -71,7 +71,7 @@ class TestMeasureCircuit:
 
     def test_fail_on_rtt_bound(self):
         mda = MdaController()
-        rec = mda.measure_circuit("mc-1", 100, max_rtt_us=50.0,
+        rec = mda.measure_circuit("mc-1", max_rtt_us=50.0,
                                   probe=_FixedProbe(_stats(rtt=100.0)),
                                   cfg=TrainConfig(count=1000))
         assert rec.verdict == "fail"
@@ -79,7 +79,7 @@ class TestMeasureCircuit:
 
     def test_bound_is_inclusive(self):
         mda = MdaController()
-        rec = mda.measure_circuit("mc-1", 100, max_rtt_us=100.0,
+        rec = mda.measure_circuit("mc-1", max_rtt_us=100.0,
                                   probe=_FixedProbe(_stats(rtt=100.0)),
                                   cfg=TrainConfig(count=1000))
         assert rec.verdict == "pass"
@@ -87,7 +87,7 @@ class TestMeasureCircuit:
     def test_fully_lost_train_advances_by_timeout(self):
         dead = TrainStats(1000, 0, None, None, None, None, None)
         mda = MdaController()
-        rec = mda.measure_circuit("mc-1", 100, max_rtt_us=100.0,
+        rec = mda.measure_circuit("mc-1", max_rtt_us=100.0,
                                   probe=_FixedProbe(dead),
                                   cfg=TrainConfig(count=1000, timeout_ms=4000))
         assert rec.verdict == "fail"
@@ -97,7 +97,7 @@ class TestMeasureCircuit:
     def test_probe_timeout_recorded_not_raised(self):
         partial = _stats(rtt=90.0, duration=None, received=10, count=1000)
         mda = MdaController()
-        rec = mda.measure_circuit("mc-1", 100, max_rtt_us=200.0,
+        rec = mda.measure_circuit("mc-1", max_rtt_us=200.0,
                                   probe=_TimeoutProbe(partial),
                                   cfg=TrainConfig(count=1000, timeout_ms=2000))
         assert rec.verdict == "fail"
@@ -108,7 +108,7 @@ class TestMeasureCircuit:
     def test_repeated_measurements_monotone_in_time(self):
         mda = MdaController()
         times = [
-            mda.measure_circuit("mc-1", 100, 200.0,
+            mda.measure_circuit("mc-1", 200.0,
                                 _FixedProbe(_stats(duration=0.25)),
                                 TrainConfig(count=10)).t_virtual_s
             for _ in range(10)
