@@ -79,7 +79,9 @@ def _load_yaml(path: Path) -> dict:
             data = yaml.load(fh, Loader=_SafeLoader)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer literal longer than Python converts
+        # (sys.get_int_max_str_digits), or bytes that are not UTF-8.
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
@@ -317,8 +319,8 @@ def build_world(scenario: Scenario) -> World:
     tp_tun = frozenset(
         range(scenario.tp_tunability[0], scenario.tp_tunability[1] + 1)
     )
-    # One transponder per slice endpoint, attached to the ROADMs nearest
-    # the probe endpoints (first and second in id order by convention).
+    # One transponder per slice endpoint, attached to the first and
+    # second ROADM in id order.
     sips = [
         Sip(sip_id="sip-a", node_id=roadms[0], port="client-1", tunability=tun),
         Sip(sip_id="sip-z", node_id=roadms[1], port="client-1", tunability=tun),

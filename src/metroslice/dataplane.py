@@ -399,18 +399,7 @@ def evolve_quality(s: DegradationScenario) -> QualitySeries:
 # ---------------------------------------------------------------------------
 # Building path models from the topology
 
-#: Per-kind defaults for contributions the topology file does not carry.
-DEFAULT_ELEMENT_PARAMS: dict[NodeKind, tuple[float, float]] = {
-    # kind: (loss_prob, jitter_std_ns)
-    NodeKind.PROBE_ENDPOINT: (0.0, 2.0),
-    NodeKind.AGG_SWITCH: (2.0e-7, 1.5),
-    NodeKind.ROADM: (2.0e-7, 2.5),
-    NodeKind.AMEN: (0.0, 0.0),
-    NodeKind.MCEN: (0.0, 0.0),
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class ElementParams:
     loss_prob: float = 0.0
     jitter_std_ns: float = 0.0
@@ -422,22 +411,28 @@ class ElementParams:
             raise ValueError("jitter_std_ns must be >= 0")
 
 
+#: Per-kind defaults for contributions the topology file does not carry.
+DEFAULT_ELEMENT_PARAMS: dict[NodeKind, ElementParams] = {
+    NodeKind.PROBE_ENDPOINT: ElementParams(0.0, 2.0),
+    NodeKind.AGG_SWITCH: ElementParams(2.0e-7, 1.5),
+    NodeKind.ROADM: ElementParams(2.0e-7, 2.5),
+    NodeKind.AMEN: ElementParams(),
+    NodeKind.MCEN: ElementParams(),
+}
+
+
 def element_for_node(
     node: Node,
     overrides: dict[str, ElementParams],
 ) -> PathElement:
     """The node as a path element: its override if it has one, or its
     kind's default loss and jitter."""
-    if node.node_id in overrides:
-        p = overrides[node.node_id]
-        loss, jit = p.loss_prob, p.jitter_std_ns
-    else:
-        loss, jit = DEFAULT_ELEMENT_PARAMS.get(node.kind, (0.0, 0.0))
+    p = overrides.get(node.node_id) or DEFAULT_ELEMENT_PARAMS[node.kind]
     return PathElement(
         element_id=node.node_id,
         fixed_latency_us=node.fixed_latency_us,
-        loss_prob=loss,
-        jitter_std_ns=jit,
+        loss_prob=p.loss_prob,
+        jitter_std_ns=p.jitter_std_ns,
     )
 
 

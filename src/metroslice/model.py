@@ -334,6 +334,12 @@ class NsRequest:
     def __post_init__(self) -> None:
         if not self.chain:
             raise ValueError(f"{self.ns_id}: chain must be non-empty")
+        # Placement keys each VNF's eligible VIMs by its id.
+        seen = set()
+        for vnf in self.chain:
+            if vnf.vnf_id in seen:
+                raise ValueError(f"{self.ns_id}: vnf_id {vnf.vnf_id!r} repeats")
+            seen.add(vnf.vnf_id)
         if self.max_rtt_us <= 0:
             raise ValueError(f"{self.ns_id}: max_rtt_us must be > 0")
         if not 1 <= self.k <= MAX_K:

@@ -409,44 +409,36 @@ def configure_transponder(
             f"{tp.tp_id} cannot tune to n={slot.n} ({slot.center_thz} THz)"
         )
 
-    ln = f"{tp.tp_id}-line"
     step_dt = config_duration_s / len(CONFIG_STEPS)
     for i, (name, phase) in enumerate(CONFIG_STEPS, start=1):
         clock.advance(step_dt)
-        tp.phase = phase
         tp.step_log.append(StepEvent(i, name, phase, clock.now_s))
-        if phase is TransponderPhase.LINE_CHANNELS_CREATED:
-            # OTU4 carries ODU4 and is mapped into the OCH carrier.
-            tp.logical_channels = {
-                "line": {
-                    "otu4": f"{ln}-otu4",
-                    "odu4": f"{ln}-odu4",
-                    "och": f"{ln}-och",
-                    "mapping": [
-                        [f"{ln}-odu4", f"{ln}-otu4"],
-                        [f"{ln}-otu4", f"{ln}-och"],
-                    ],
-                },
-            }
-        elif phase is TransponderPhase.OCH_CONFIGURED:
-            tp.och = slot
-            tp.tx_power_dbm = tx_power_dbm
-        elif phase is TransponderPhase.TRANSCEIVER_CREATED:
-            tp.logical_channels["transceiver"] = f"{tp.tp_id}-xcvr"
-        elif phase is TransponderPhase.CLIENT_CHANNEL_CREATED:
-            tp.logical_channels["client"] = {"odu4": f"{tp.tp_id}-client-odu4"}
-        elif phase is TransponderPhase.ASSIGNED:
-            tp.logical_channels["assignment"] = [
-                f"{tp.tp_id}-client-odu4",
-                f"{ln}-odu4",
-            ]
+    # Nothing reads the device between steps, so it takes the state of
+    # the last one at once: OTU4 carries ODU4 and is mapped into the OCH
+    # carrier, and the client ODU4 is assigned to the line ODU4.
+    ln = f"{tp.tp_id}-line"
+    tp.phase = phase
+    tp.och = slot
+    tp.tx_power_dbm = tx_power_dbm
+    tp.logical_channels = {
+        "line": {
+            "otu4": f"{ln}-otu4",
+            "odu4": f"{ln}-odu4",
+            "och": f"{ln}-och",
+            "mapping": [
+                [f"{ln}-odu4", f"{ln}-otu4"],
+                [f"{ln}-otu4", f"{ln}-och"],
+            ],
+        },
+        "transceiver": f"{tp.tp_id}-xcvr",
+        "client": {"odu4": f"{tp.tp_id}-client-odu4"},
+        "assignment": [f"{tp.tp_id}-client-odu4", f"{ln}-odu4"],
+    }
     tp.ready_at_s = clock.now_s + laser_warmup_s
     return tp
 
 
 def reset_transponder(tp: Transponder) -> None:
-    """Undo ``configure_transponder``: back to Blank, as built."""
-    tp.phase = TransponderPhase.BLANK
-    tp.och = tp.tx_power_dbm = tp.ready_at_s = None
-    tp.logical_channels = {}
-    tp.step_log = []
+    """Undo ``configure_transponder``: back to Blank, as built. In place,
+    because the world and WF1's undo list hold the object."""
+    vars(tp).update(vars(Transponder(tp.tp_id, tp.tunable_n)))

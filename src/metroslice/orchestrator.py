@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from functools import partial
 
 from .dataplane import ElementParams, PathModel, path_from_topology
@@ -67,16 +67,10 @@ class TimingConfig:
     parallel_transponders: bool = True
 
     def __post_init__(self) -> None:
-        for name in (
-            "vnf_instantiation_s",
-            "media_channel_s",
-            "tp_config_s",
-            "laser_warmup_s",
-            "packet_config_s",
-            "orchestration_overhead_s",
-        ):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        # The bool passes too: False and True are 0 and 1.
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

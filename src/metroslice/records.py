@@ -243,8 +243,10 @@ def read_jsonl(path: str | Path, cls: type) -> typing.Iterator:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 source = f"{path}:{lineno}"
+                # ValueError includes UnicodeDecodeError; RecursionError is
+                # a line nested past the interpreter's recursion limit.
                 try:
                     rec = json.loads(line)
-                except ValueError as exc:  # UnicodeDecodeError included
+                except (ValueError, RecursionError) as exc:
                     raise ConfigError(f"{source}: invalid JSON: {exc}") from None
                 yield cls.from_record(rec, source)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import shutil
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -468,6 +469,23 @@ class TestErrors:
         assert "scenario.yaml: probe_endpoints: no path from probe-a to probe-b" in line
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python before 3.10.7 converts integers of any length")
+    @pytest.mark.parametrize("name, old, new", [
+        ("scenario.yaml", "seed: 0\n", "seed: 1" + "0" * 5000 + "\n"),
+        ("topology.yaml", "cpu_idle: 16\n", "cpu_idle: 1" + "0" * 4400 + "\n"),
+    ], ids=["scenario-seed", "topology-cpu-idle"])
+    def test_integer_too_long_to_read(self, tmp_path, capsys, name, old, new):
+        path = _scenario_copy(tmp_path, old, new, name)
+        line = _config_error(capsys, "--scenario", str(path), "plan")
+        assert line.startswith(f"error: {tmp_path / name}: invalid YAML: ")
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        path = _scenario_copy(tmp_path, "seed: 0\n", "seed: 0\n")
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        line = _config_error(capsys, "--scenario", str(path), "plan")
+        assert line.startswith(f"error: {path}: invalid YAML: 'utf-8' codec")
+
     def test_measure_zero_count(self, capsys):
         line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")
         assert "count must be in [1, 4294967295]" in line
@@ -483,15 +501,19 @@ class TestErrors:
         (lambda r: r.update(t_virtul_s=1.0), [], "unknown key t_virtul_s"),
         (lambda r: r.update(stats=[1, 2]), [], "stats: expected dict, got list"),
         (lambda r: r.update(vlan_id=None), [], "vlan_id: expected int, got NoneType"),
+        ("[" * 200000 + "]" * 200000, [], "invalid JSON"),
     ], ids=["missing-key", "not-json", "bad-type", "bad-type-tmin", "zero-count",
-            "nan", "unknown-key", "nested-as-list", "null-not-optional"])
+            "nan", "unknown-key", "nested-as-list", "null-not-optional", "too-deep"])
     def test_malformed_records_file(self, tmp_path, capsys, edit, argv, message):
         # The second line is the bad one; the error names the file and line.
+        # ``edit`` changes a good record, or is the bad line itself.
         _run(capsys, "--out", str(tmp_path), "deploy")
         path = tmp_path / "records.jsonl"
         good = path.read_text()
         bad = "{not json"
-        if edit is not None:
+        if isinstance(edit, str):
+            bad = edit
+        elif edit is not None:
             rec = json.loads(good)
             edit(rec)
             bad = json.dumps(rec)

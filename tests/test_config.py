@@ -201,6 +201,18 @@ class TestLoadNsRequest:
         with pytest.raises(ConfigError, match="non-empty"):
             load_ns_request(_write(tmp_path, doc, "req.yaml"))
 
+    def test_repeated_vnf_id(self, tmp_path):
+        # Placement keys eligibility by vnf_id, so a repeat would place the
+        # first VNF where only the second fits.
+        vnf = {"vnf_id": "v1", "type_tag": "vms-core",
+               "cpu_req": 1, "mem_req": 2, "storage_req": 3}
+        doc = {"ns_id": "ns-x", "max_rtt_us": 500.0,
+               "vnfs": [vnf, dict(vnf, type_tag="video-analytics")]}
+        p = _write(tmp_path, doc, "ns_request.yaml")
+        with pytest.raises(ConfigError) as err:
+            load_ns_request(p)
+        assert str(err.value) == f"{p}: ns-x: vnf_id 'v1' repeats"
+
     def test_missing_key_in_list_names_full_path(self, tmp_path):
         doc = {
             "ns_id": "ns-x",

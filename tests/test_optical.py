@@ -432,6 +432,13 @@ class TestTransponder:
         assert tp.logical_channels["client"] == {"odu4": "tp-x-client-odu4"}
         assert tp.logical_channels["assignment"] == ["tp-x-client-odu4", "tp-x-line-odu4"]
 
+    def test_logical_channels_in_step_order(self):
+        # Listed in the order the bring-up steps create them.
+        tp = configure_transponder(
+            Transponder("tp-x"), FrequencySlot(8), 0.0, VirtualClock(), 2.0, 125.0
+        )
+        assert list(tp.logical_channels) == ["line", "transceiver", "client", "assignment"]
+
     def test_zero_warmup_ready_after_config(self):
         clock = VirtualClock()
         tp = configure_transponder(
