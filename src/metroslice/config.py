@@ -73,9 +73,32 @@ _MAX_TUNABILITY_STEPS = 4096
 _SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+#: Deepest nesting of sequences and mappings a file may have; the packaged
+#: files reach 4. libyaml's composer recurses on the C stack once per
+#: level, and some tens of thousands of levels crash the interpreter.
+_MAX_DEPTH = 32
+
+
+def _check_depth(path: Path, fh) -> None:
+    """Refuse a stream nested past ``_MAX_DEPTH``, from its parse events
+    alone: the parser keeps its nesting on a heap stack, not the C stack,
+    so it survives any depth."""
+    depth = 0
+    for event in yaml.parse(fh, Loader=_SafeLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                line = event.start_mark.line + 1
+                raise ConfigError(f"{path}:{line}: nested deeper than {_MAX_DEPTH}")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def _load_yaml(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
+            _check_depth(path, fh)
+            fh.seek(0)
             data = yaml.load(fh, Loader=_SafeLoader)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
@@ -83,6 +106,9 @@ def _load_yaml(path: Path) -> dict:
         # ValueError: an integer literal longer than Python converts
         # (sys.get_int_max_str_digits), or bytes that are not UTF-8.
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    except RecursionError:
+        # The pure-Python composer recurses once per level too.
+        raise ConfigError(f"{path}: nested deeper than {_MAX_DEPTH}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return data
@@ -136,6 +162,11 @@ class Scenario:
                              f"{_MAX_TUNABILITY_STEPS} grid steps")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        labels = set()
+        for i, row in enumerate(self.rows):
+            if row.label in labels:
+                raise ValueError(f"calibration_rows[{i}].label: {row.label!r} repeats")
+            labels.add(row.label)
         for key, rng in (("sip_tunability_n", self.sip_tunability),
                          ("tp_tunability_n", self.tp_tunability)):
             if len(rng) != 2 or rng[0] > rng[1]:

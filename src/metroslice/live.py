@@ -36,7 +36,6 @@ from .probe import (
     MAGIC,
     VERSION,
     ProbeError,
-    ProbePacket,
     ProbeTimeout,
     TrainConfig,
     TrainReduction,
@@ -109,9 +108,8 @@ def live_measure(
     that deadline, so unsent packets count as lost against cfg.count.
     """
     n = cfg.count
-    payload = bert_payload(cfg.bert_type, cfg.bert_payload_len)
-    wire = bytearray(ProbePacket(cfg.train_id, 0, n, cfg.vlan_id, 0,
-                                 payload=payload).encode())
+    # The header is left blank here: each send packs all of it.
+    wire = bytearray(HEADER_LEN) + bert_payload(cfg.bert_type, cfg.bert_payload_len)
     buf = bytearray(65535)
     seen = bytearray((n + 7) // 8)
     echoes = array("Q")  # (tx, rx) pairs not yet folded

@@ -268,46 +268,35 @@ def run_wf1(
     return decision, report, log_events
 
 
+#: Each KPI and phase as (start label, end label): the time from the first
+#: event with the start label to the first with the end label. The KPIs
+#: are named as ``KpiReport``'s fields; the rest are its phases, in order.
+SPANS = {
+    "kpi1_s": ("m07_get_tapi_context", "lasers_ready"),
+    "kpi2_s": ("m05_connectivity_request", "connectivity_ready"),
+    "kpi3_s": ("m01_retrieve_ns_descriptors", "ns_ready"),
+    "orchestration_overhead": ("m01_retrieve_ns_descriptors",
+                               "m04_vnf_instantiation_dispatch"),
+    "vnf_instantiation": ("m04_vnf_instantiation_dispatch", "vnfs_instantiated"),
+    "packet_config": ("m06_packet_config_request", "packet_configured"),
+    "media_channel": ("m09_create_media_channel", "media_channel_provisioned"),
+    "transponder_config": ("m10_configure_transponders", "transponders_configured"),
+    "laser_warmup": ("transponders_configured", "lasers_ready"),
+}
+
+
 def derive_kpis(events: list[WorkflowEvent]) -> KpiReport:
     """Compute the KPI report purely from workflow event timestamps."""
     t = {}
     for e in events:
         t.setdefault(e.label, e.t_virtual_s)
-    required = (
-        "m01_retrieve_ns_descriptors",
-        "m04_vnf_instantiation_dispatch",
-        "m05_connectivity_request",
-        "m06_packet_config_request",
-        "packet_configured",
-        "m07_get_tapi_context",
-        "m09_create_media_channel",
-        "media_channel_provisioned",
-        "m10_configure_transponders",
-        "transponders_configured",
-        "lasers_ready",
-        "connectivity_ready",
-        "vnfs_instantiated",
-        "ns_ready",
-    )
+    required = dict.fromkeys(itertools.chain.from_iterable(SPANS.values()))
     missing = [label for label in required if label not in t]
     if missing:
         raise IncompleteLog(f"missing workflow markers: {missing}")
 
-    phases = {
-        "orchestration_overhead": t["m04_vnf_instantiation_dispatch"]
-        - t["m01_retrieve_ns_descriptors"],
-        "vnf_instantiation": t["vnfs_instantiated"]
-        - t["m04_vnf_instantiation_dispatch"],
-        "packet_config": t["packet_configured"] - t["m06_packet_config_request"],
-        "media_channel": t["media_channel_provisioned"]
-        - t["m09_create_media_channel"],
-        "transponder_config": t["transponders_configured"]
-        - t["m10_configure_transponders"],
-        "laser_warmup": t["lasers_ready"] - t["transponders_configured"],
-    }
-    kpi1 = t["lasers_ready"] - t["m07_get_tapi_context"]
-    kpi2 = t["connectivity_ready"] - t["m05_connectivity_request"]
-    kpi3 = t["ns_ready"] - t["m01_retrieve_ns_descriptors"]
+    phases = {name: t[end] - t[start] for name, (start, end) in SPANS.items()}
+    kpis = {name: phases.pop(name) for name in ("kpi1_s", "kpi2_s", "kpi3_s")}
     # The transponder-free setup figure is the serial sum of the remaining
     # phases, not a timeline difference: it answers "how long would setup
     # take if transponders were free", independent of branch overlap.
@@ -317,13 +306,7 @@ def derive_kpis(events: list[WorkflowEvent]) -> KpiReport:
         + phases["packet_config"]
         + phases["media_channel"]
     )
-    return KpiReport(
-        kpi1_s=kpi1,
-        kpi2_s=kpi2,
-        kpi3_s=kpi3,
-        excl_transponder_s=excl_tp,
-        phases=phases,
-    )
+    return KpiReport(**kpis, excl_transponder_s=excl_tp, phases=phases)
 
 
 def build_circuit_path(world: World) -> PathModel:

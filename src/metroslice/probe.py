@@ -230,32 +230,7 @@ def generate_train(cfg: TrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# Echoes and statistics
-
-
-@dataclass
-class EchoSet:
-    """Per-packet (tx, rx) timestamps of one train, lost packets flagged.
-
-    Backed by arrays so million-packet trains stay cheap. ``rx_ns`` is
-    undefined where ``received`` is False.
-    """
-
-    seq: np.ndarray
-    tx_ns: np.ndarray
-    rx_ns: np.ndarray
-    received: np.ndarray
-
-    def reduce(self) -> "TrainReduction":
-        """The whole set folded as one block."""
-        red = TrainReduction()
-        if self.tx_ns.size:
-            got = self.received
-            tx, rx = self.tx_ns, self.rx_ns
-            if not got.all():
-                tx, rx = tx[got], rx[got]
-            red.fold(tx, rx, float(self.tx_ns.min()))
-        return red
+# Train reductions and statistics
 
 
 @dataclass
@@ -381,15 +356,15 @@ class TrainStats(Record):
 
 def compute_stats(
     cfg: TrainConfig,
-    echoes: EchoSet | TrainReduction,
+    red: TrainReduction,
     two_way_propagation_us: float | None = None,
 ) -> TrainStats:
-    """Reduce per-packet echoes (or their reduction) to train statistics.
+    """Turn a train's reduction into its statistics.
 
-    Order-insensitive: only the (tx, rx) pairs matter. A fully lost train
-    yields loss 1.0 with undefined RTT rather than an error.
+    Order-insensitive: only the (tx, rx) pairs folded into ``red`` matter.
+    A fully lost train yields loss 1.0 with undefined RTT rather than an
+    error.
     """
-    red = echoes.reduce() if isinstance(echoes, EchoSet) else echoes
     received = red.received
     if received == 0:
         return TrainStats(cfg.count, 0, None, None, None, None, None,

@@ -29,10 +29,10 @@ from metroslice.optical import FrequencySlot, OlsController, Sip, SpectrumCollis
 from metroslice.orchestrator import TimingConfig, run_wf1
 from metroslice.planner import place
 from metroslice.probe import (
-    EchoSet,
     ProbePacket,
     SimulatedProbe,
     TrainConfig,
+    TrainReduction,
     compute_stats,
     decode_packet,
     latency_budget,
@@ -279,12 +279,9 @@ def test_criterion_08_probe_exactness(scenario, capsys):
     received = np.ones(n, dtype=bool)
     received[123_456] = False
     tx = np.arange(n, dtype=np.float64) * 1000.0
-    echoes = EchoSet(
-        seq=np.arange(n, dtype=np.int64),
-        tx_ns=tx,
-        rx_ns=tx + 8000.0,
-        received=received,
-    )
+    rx = tx + 8000.0
+    echoes = TrainReduction()
+    echoes.fold(tx[received], rx[received], float(tx.min()))
     stats = compute_stats(cfg, echoes)
     assert stats.loss_rate == 1.0e-6
 

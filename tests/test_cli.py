@@ -5,7 +5,9 @@ import copy
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -485,6 +487,24 @@ class TestErrors:
         path.write_bytes(path.read_bytes() + b"# \xff\n")
         line = _config_error(capsys, "--scenario", str(path), "plan")
         assert line.startswith(f"error: {path}: invalid YAML: 'utf-8' codec")
+
+    def test_yaml_nested_too_deep(self, tmp_path):
+        # libyaml's composer once overflowed the C stack on this file and
+        # killed the interpreter, so the run gets a process of its own.
+        depth = 100_000
+        path = _scenario_copy(tmp_path, "seed: 0\n",
+                              "seed: " + "[" * depth + "]" * depth + "\n")
+        src = str(Path(live.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys; from metroslice.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run([sys.executable, "-c", code, "--scenario", str(path), "plan"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        text = path.read_text()
+        line = text.count("\n", 0, text.index("seed: [")) + 1
+        assert run.stderr.splitlines() == [f"error: {path}:{line}: nested deeper than 32"]
 
     def test_measure_zero_count(self, capsys):
         line = _config_error(capsys, "measure", "--dst", "127.0.0.1:9", "--count", "0")

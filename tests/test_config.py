@@ -391,13 +391,17 @@ class TestLoadScenario:
          r"scenario\.yaml: optical\.slot_m: spans more than 4096 grid steps$"),
         (lambda doc: doc["optical"].update(slot_m=2049),
          r"scenario\.yaml: optical\.slot_m: spans more than 4096 grid steps$"),
+        # table1 would write two rows of one label, and the budget would
+        # read the 41 km row's statistics as the 2 m row's.
+        (lambda doc: doc["calibration_rows"][3].update(label="optical-2m"),
+         r"scenario\.yaml: calibration_rows\[3\]\.label: 'optical-2m' repeats$"),
     ], ids=["trains_per_row", "loss_prob", "jitter_std_ns", "slot_m",
             "tunability_items", "override_node", "bool_as_int", "nan",
             "inf", "int_past_float", "series_too_long", "top_level_key",
             "section_key", "row_key", "override_key", "jitter_past_bound", "row_jitter_past_bound",
             "slot_floor_past_tunability", "disjoint_tunability", "negative_seed",
             "sip_tunability_too_wide", "tp_tunability_too_wide", "slot_m_huge",
-            "slot_m_too_wide"])
+            "slot_m_too_wide", "repeated_row_label"])
     def test_rejected_at_load(self, tmp_path, mutate, match):
         path = _scenario_sandbox(tmp_path, mutate)
         tracemalloc.start()

@@ -14,12 +14,16 @@ from metroslice.cli import main
 from metroslice.live import PortBindFailure, live_measure, live_reflect
 from metroslice.probe import (
     HEADER_STRUCT,
+    IP_UDP_HEADER_BYTES,
     MAGIC,
     VERSION,
+    BertType,
     ProbeTimeout,
     TrainConfig,
     TrainReduction,
+    bert_payload,
     compute_stats,
+    decode_packet,
 )
 
 
@@ -342,6 +346,28 @@ class TestLoopback:
         assert partial is not None
         assert partial.received == 0
         assert partial.loss_rate == 1.0
+
+    def test_sent_datagrams_decode(self):
+        # A peer that never echoes keeps every datagram of a train shorter
+        # than the window; each decodes with the reference codec.
+        cfg = TrainConfig(count=10, ip_payload_bytes=200, train_id=7, vlan_id=321,
+                          bert_type=BertType.INCREMENTING, timeout_ms=100)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink:
+            sink.bind(("127.0.0.1", 0))
+            with pytest.raises(ProbeTimeout):
+                live_measure(cfg, dst=sink.getsockname())
+            sent = []
+            while True:
+                try:
+                    sent.append(sink.recv(65535, socket.MSG_DONTWAIT))
+                except BlockingIOError:
+                    break
+        payload = bert_payload(cfg.bert_type, cfg.bert_payload_len)
+        assert [len(buf) for buf in sent] == [cfg.ip_payload_bytes - IP_UDP_HEADER_BYTES] * 10
+        pkts = [decode_packet(buf) for buf in sent]
+        assert [p.seq for p in pkts] == list(range(cfg.count))
+        assert {(p.train_id, p.count, p.vlan_id, p.flags, p.payload) for p in pkts} == {
+            (7, 10, 321, 0, payload)}
 
     def test_bind_conflict(self):
         port = _free_port()

@@ -1,5 +1,6 @@
 """Workflows: WF1 provisioning timeline, KPI derivation, WF2 commissioning."""
 
+import ast
 import random
 from dataclasses import replace
 
@@ -251,6 +252,19 @@ class TestDeriveKpis:
         truncated = [e for e in events if e.label != "ns_ready"]
         with pytest.raises(IncompleteLog):
             derive_kpis(truncated)
+
+    def test_empty_log_names_every_marker(self):
+        with pytest.raises(IncompleteLog) as exc:
+            derive_kpis([])
+        named = ast.literal_eval(str(exc.value).removeprefix("missing workflow markers: "))
+        assert sorted(named) == sorted([
+            "m01_retrieve_ns_descriptors", "m04_vnf_instantiation_dispatch",
+            "m05_connectivity_request", "m06_packet_config_request",
+            "packet_configured", "m07_get_tapi_context", "m09_create_media_channel",
+            "media_channel_provisioned", "m10_configure_transponders",
+            "transponders_configured", "lasers_ready", "connectivity_ready",
+            "vnfs_instantiated", "ns_ready",
+        ])
 
 
 class TestWf2:

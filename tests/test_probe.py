@@ -30,7 +30,6 @@ from metroslice.probe import (
     MAX_TRAIN_COUNT,
     SCALAR_BLOCK,
     BertType,
-    EchoSet,
     LatencyBudget,
     NegativeBudget,
     ProbeError,
@@ -183,19 +182,19 @@ class TestGenerateTrain:
 
 
 def _echoes(rows):
-    """EchoSet from [(seq, tx_ns, rx_ns | None), ...]."""
+    """[(seq, tx_ns, rx_ns | None), ...] folded as one block."""
     n = len(rows)
-    seq = np.empty(n, dtype=np.int64)
     tx = np.empty(n, dtype=np.float64)
     rx = np.zeros(n, dtype=np.float64)
     got = np.zeros(n, dtype=bool)
-    for i, (s, t, r) in enumerate(rows):
-        seq[i] = s
+    for i, (_, t, r) in enumerate(rows):
         tx[i] = t
         if r is not None:
             rx[i] = r
             got[i] = True
-    return EchoSet(seq, tx, rx, got)
+    red = TrainReduction()
+    red.fold(tx[got], rx[got], float(tx.min()))
+    return red
 
 
 class TestComputeStats:
@@ -532,7 +531,9 @@ class TestTrainReduction:
         rx = tx + 800_000.0 + rng.normal(0.0, 5.0, n)
         got = rng.random(n) > 0.01
         cfg = TrainConfig(count=n)
-        st = compute_stats(cfg, EchoSet(np.arange(n), tx, rx, got))
+        red = TrainReduction()
+        red.fold(tx[got], rx[got], float(tx.min()))
+        st = compute_stats(cfg, red)
         rtt = rx[got] - tx[got]
         assert st.received == int(got.sum())
         assert st.rtt_us == float(rtt.min()) / 1000.0
