@@ -187,7 +187,7 @@ def cmd_table1(args, scenario: Scenario) -> int:
         )
         probe = SimulatedProbe(path, seed=scenario.seed + idx)
         first = first_stats[row.label] = probe.run(cfg)
-        # Fold the trains as they come, summed in train order like sum(),
+        # Fold the trains as they come, summed left to right in train order,
         # so a row holds one train whatever ``trains`` is. Each mean is
         # over the trains that define it: RTT, jitter, throughput.
         totals, defined, lost = [0.0, 0.0, 0.0], [0, 0, 0], 0

@@ -49,6 +49,7 @@ from .model import (
     Topology,
     VimStatus,
     latency_graph,
+    sum_left_to_right,
     validate_topology,
 )
 from .optical import DEFAULT_SLOT_M, OlsController, Sip, Transponder, VirtualClock
@@ -292,7 +293,7 @@ def load_scenario(path: str | Path) -> Scenario:
                     f"{path}: calibration_rows[{i}].path: unknown node {nid!r}"
                 )
         # A row may list a node more than once, so it is checked apart.
-        fixed = sum(latency[nid] for nid in row.path_nodes)
+        fixed = sum_left_to_right([latency[nid] for nid in row.path_nodes])
         if fixed > MAX_DELAY_US:
             raise ConfigError(f"{path}: calibration_rows[{i}].path: {_TOO_LONG}")
         if fixed + row.length_km * topology.prop_const_us_per_km > MAX_DELAY_US:
@@ -326,7 +327,8 @@ def load_scenario(path: str | Path) -> Scenario:
                    if nid in overrides else "topology")
             raise ConfigError(f"{path}: {key}: {_TOO_JITTERY}")
     for i, row in enumerate(scenario.rows):
-        if math.sqrt(sum(jitter[nid]**2 for nid in row.path_nodes)) > MAX_JITTER_STD_NS:
+        squares = [jitter[nid]**2 for nid in row.path_nodes]
+        if math.sqrt(sum_left_to_right(squares)) > MAX_JITTER_STD_NS:
             raise ConfigError(f"{path}: calibration_rows[{i}].path: {_TOO_JITTERY}")
     return scenario
 

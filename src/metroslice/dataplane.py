@@ -28,6 +28,7 @@ from .model import (
     NodeKind,
     Topology,
     latency_graph,
+    sum_left_to_right,
 )
 
 #: Hardware timestamping granularity: one tick of the 322 MHz capture clock.
@@ -101,7 +102,7 @@ class PathModel:
         return 1.0 - surv
 
     def jitter_std_ns(self) -> float:
-        return math.sqrt(sum(e.jitter_std_ns**2 for e in self.elements))
+        return math.sqrt(sum_left_to_right([e.jitter_std_ns**2 for e in self.elements]))
 
     @functools.cached_property
     def traversal(self) -> tuple[float, float, float]:
@@ -119,7 +120,7 @@ class PathModel:
 
 def one_way_delay_us(p: PathModel) -> float:
     """Deterministic one-way latency of the path, excluding jitter."""
-    fixed = sum(e.fixed_latency_us for e in p.elements)
+    fixed = sum_left_to_right([e.fixed_latency_us for e in p.elements])
     return fixed + p.length_km * p.prop_const_us_per_km
 
 
@@ -473,5 +474,5 @@ def path_from_topology(
     while nodes[-1] != src:
         nodes.append(pred[nodes[-1]])
     nodes.reverse()
-    length = sum(g.length_km(a, b) for a, b in zip(nodes, nodes[1:]))
+    length = sum_left_to_right([g.length_km(a, b) for a, b in zip(nodes, nodes[1:])])
     return path_from_nodes(t, nodes, length, overrides)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dataplane import QualitySeries
+from .model import sum_left_to_right
 from .optical import VirtualClock
 from .probe import ProbeTimeout, TrainConfig, TrainStats
 from .records import Record, read_jsonl, write_jsonl
@@ -164,7 +165,7 @@ def detect_soft_failure(
     t, snr, ber = series.t_s, series.snr_db, series.prefec_ber
     if len(snr) < cfg.baseline_window:
         return SoftFailureReport(detected=False)
-    baseline = sum(snr[: cfg.baseline_window]) / cfg.baseline_window
+    baseline = sum_left_to_right(snr[: cfg.baseline_window]) / cfg.baseline_window
     threshold = baseline - cfg.delta_db
 
     t_detect = None

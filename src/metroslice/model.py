@@ -146,6 +146,20 @@ class Topology:
         return [n for n in self.nodes if n.vim is not None]
 
 
+def sum_left_to_right(values: Iterable):
+    """``values`` added left to right, starting from the integer 0.
+
+    That is the order of the builtin ``sum`` on Python 3.10 and 3.11.
+    From 3.12 ``sum`` compensates float rounding (gh-100425), so its total
+    can differ in the last bit. The package totals Python numbers here,
+    never with ``sum``, so the artifacts do not depend on the interpreter.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def geometry(t: Topology) -> tuple:
     """Everything a :class:`LatencyGraph` reads from a topology, as a
     hashable value: node ids, their fixed latencies, link endpoints, link
@@ -375,7 +389,7 @@ class DemandProfile:
 
 def aggregate_bandwidth_mbps(d: DemandProfile) -> float:
     """Total offered load in Mb/s: sum of channel_count * per_channel rate."""
-    return float(sum(e.channel_count * e.per_channel_mbps for e in d.entries))
+    return float(sum_left_to_right([e.channel_count * e.per_channel_mbps for e in d.entries]))
 
 
 def check_ptz_bound(measured_rtt_ms: float, d: DemandProfile) -> bool:

@@ -10,14 +10,16 @@ and ``orchestrator.run_wf1`` commits the chosen chain.
 
 RTT weights are computed once per topology geometry: they sit in rows
 keyed by node id next to the shared
-:func:`~metroslice.model.latency_graph`, and leave with it. A ranking
-call reads each (layer, option) row of leg weights with one gather, and
-expands chain prefixes lazily: each entry taken from the heap makes its
-own next sibling and, unless it is a complete chain, its cheapest child.
-The newest of them goes through one ``heapq.heappushpop``, which hands
-it straight back when it is the heap minimum. An access leg, from the
-ingress or to the egress, is read pair by pair through ``weight_us``
-when that node is not a terminal.
+:func:`~metroslice.model.latency_graph`, and leave with it. So do the
+bounds and child orders of the chain suffixes that rankings on that
+geometry derived, keyed by the suffix's VIM nodes and the egress. A
+ranking call reads each (layer, option) row of leg weights with one
+gather, and expands chain prefixes lazily: each entry taken from the
+heap makes its own next sibling and, unless it is a complete chain, its
+cheapest child. The newest of them goes through one
+``heapq.heappushpop``, which hands it straight back when it is the heap
+minimum. An access leg, from the ingress or to the egress, is read pair
+by pair through ``weight_us`` when that node is not a terminal.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ class RttGraph:
             for u in us
         ]
 
+    def suffixes(
+        self, layers: list[tuple[str, ...]], egress: str | None
+    ) -> tuple[dict, tuple]:
+        """Where a ranking over ``layers`` (each one's nodes) to ``egress``
+        keeps the bounds and child orders of its chain suffixes, and the
+        head of their keys. Weights given by value keep nothing: a new
+        dict per call."""
+        return {}, ()
+
 
 def _gather(keys: list[str]):
     """``row -> tuple(row[k] for k in keys)``, as one C-level call."""
@@ -118,6 +129,22 @@ _rows_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
     weakref.WeakKeyDictionary()
 )
 
+#: What rankings derive from their layers alone, per geometry: for each
+#: chain suffix, the bounds of its first layer and the child orders of
+#: that layer's options (see :func:`rank_service_chains`). Keyed weakly
+#: like ``_rows_of``; each geometry keeps its last ``SUFFIX_CACHE_SIZE``
+#: suffixes.
+_suffixes_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
+    weakref.WeakKeyDictionary()
+)
+
+#: Chain suffixes kept per geometry: twice the 64 distinct ones that 36
+#: chains of 2-4 VNFs read on a ring of 12 VIMs. A suffix holds a bound
+#: per option of its first layer and a child order per option expanded:
+#: about 36 KB on a ring of 200 VIMs at k = 10, and at most about 0.35 MB
+#: there, were every option's children all ordered.
+SUFFIX_CACHE_SIZE = 128
+
 
 class _TopologyRtt(RttGraph):
     """What :func:`build_rtt_graph` returns: weights from the terminals,
@@ -128,6 +155,7 @@ class _TopologyRtt(RttGraph):
         self._g = g
         self._terminals = terminals
         self._rows = _rows_of.get(g) or _rows_of.setdefault(g, {})
+        self._suffixes = _suffixes_of.get(g) or _suffixes_of.setdefault(g, {})
 
     def weight_us(self, u: str, v: str) -> float | None:
         if u == v:
@@ -139,6 +167,18 @@ class _TopologyRtt(RttGraph):
             return None
         w = _rtt_from(self._g, u, v)
         return None if w == _INF else w
+
+    def suffixes(
+        self, layers: list[tuple[str, ...]], egress: str | None
+    ) -> tuple[dict, tuple]:
+        # The legs between layers come from the rows only when every layer
+        # node is a terminal. The egress leg reads the smaller id's run
+        # when the egress is a terminal too, and each VIM node's run when
+        # it is not; the two can differ in their last bits.
+        terminals = self._terminals
+        if not all(map(terminals.issuperset, layers)):
+            return {}, ()
+        return self._suffixes, (egress, egress in terminals)
 
     def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
         terminals = self._terminals
@@ -230,8 +270,8 @@ def rank_service_chains(
     1998): a backward pass finds the cheapest completion from each VIM of
     each layer, and a heap of chain prefixes keyed on prefix cost plus
     that bound yields complete chains in (nearly) ascending cost. Leg
-    weights are read as one row per (layer, option), shared by layers
-    with the same options, ``math.inf`` where unreachable.
+    weights are read as one row per (layer, option), shared by a run of
+    layers with the same options, ``math.inf`` where unreachable.
 
     Expansion is lazy. The children of an option are ordered by leg plus
     bound. Each entry the search takes makes at most two new ones: its
@@ -258,39 +298,62 @@ def rank_service_chains(
     result equals sorting every combination, because weights are
     non-negative and each kept chain's cost is the same left-to-right
     sum.
+
+    The bounds of each chain suffix and the child orders of its first
+    layer depend only on the geometry, the suffix's VIM nodes and the
+    egress, so a graph from :func:`build_rtt_graph` keeps them per
+    geometry (the last ``SUFFIX_CACHE_SIZE`` suffixes) and a recurring
+    request pays only for its own heap walk. An order is only ever
+    extended, and its prefix is the same however far it was extended, so
+    the result does not depend on what earlier calls left there.
     """
     ingress, egress = req.ingress, req.egress
     opts = [eligibility[vnf.vnf_id] for vnf in req.chain]
     if not all(opts):
         return []
-    nodes = [list(map(vim_node.__getitem__, layer)) for layer in opts]
+    nodes = [tuple(map(vim_node.__getitem__, layer)) for layer in opts]
     last = len(opts) - 1
 
     # legs[i][j][m]: weight from option j of layer i to option m of layer
-    # i + 1.
-    shared: dict[tuple, list[tuple[float, ...]]] = {}
+    # i + 1. A run of equal layers reads one table.
     legs = []
-    for a, b in zip(nodes, nodes[1:]):
-        key = (tuple(a), tuple(b))
-        if key not in shared:
-            shared[key] = graph.legs(a, b)
-        legs.append(shared[key])
-    # bounds[i][j]: cheapest completion from option j of layer i, egress
-    # leg included; bounds[last] is the egress leg alone, or zeros.
-    bounds = [
-        [0.0] * len(nodes[-1]) if egress is None else graph.legs([egress], nodes[-1])[0]
-    ]
-    for i in reversed(range(last)):
-        after = bounds[0]
-        bounds.insert(0, [min(map(add, row, after)) for row in legs[i]])
+    for i in range(last):
+        a, b = nodes[i], nodes[i + 1]
+        legs.append(legs[-1] if i and a == b == nodes[i - 1] else graph.legs(a, b))
+    # Per chain suffix, from the egress back: bounds[i][j], the cheapest
+    # completion from option j of layer i, egress leg included (bounds[last]
+    # is the egress leg alone, or zeros); and kids[i][j], the order of the
+    # children of option j of layer i by (leg + bound, index), as far as
+    # known. Both are functions of the suffix's layers and the egress
+    # alone, so they are kept per geometry and shared: an order only grows.
+    # The children's leg plus bound each, which an order extends from,
+    # stays in this call.
+    memo, key = graph.suffixes(nodes, egress)
+    bounds: list = [None] * (last + 1)
+    kids: list = [None] * (last + 1)
+    scored = [[None] * len(layer) for layer in nodes]
+    for i in reversed(range(last + 1)):
+        key = (nodes[i], key)
+        got = memo.get(key)
+        if got is None:
+            if i < last:
+                after = bounds[i + 1]
+                b = [min(map(add, row, after)) for row in legs[i]]
+            elif egress is None:
+                b = [0.0] * len(nodes[i])
+            else:
+                b = graph.legs([egress], nodes[i])[0]
+            if len(memo) >= SUFFIX_CACHE_SIZE:
+                del memo[next(iter(memo))]
+            got = memo[key] = (b, {})
+        bounds[i], kids[i] = got
 
-    # kids[i][j]: the children of option j of layer i, as their leg plus
-    # bound each and their order by (leg + bound, index) as far as known.
-    kids: list[dict[int, tuple[list[float], list[int]]]] = [{} for _ in range(last)]
-
-    def extend(sums: list[float], order: list[int]) -> None:
-        """Order one more child: the second by a masked minimum, the rest
-        by one sort."""
+    def extend(i: int, j: int, order: list[int]) -> None:
+        """Order one more child of option j of layer i: the second by a
+        masked minimum, the rest by one sort."""
+        sums = scored[i][j]
+        if sums is None:
+            sums = scored[i][j] = list(map(add, legs[i][j], bounds[i + 1]))
         if len(order) == 1:
             rest = sums.copy()
             rest[order[0]] = _INF
@@ -326,17 +389,18 @@ def rank_service_chains(
             break
         new = None
         if pj is not None:
-            # Its next sibling, in its parent's order.
-            sums, order = kids[i - 1][pj]
+            # Its next sibling, in its parent's order; none past the
+            # unreachable ones, which sort last.
+            order = kids[i - 1][pj]
             r += 1
             if r == len(order):
-                extend(sums, order)
+                extend(i - 1, pj, order)
             if r < len(order):
                 m = order[r]
-                if sums[m] < _INF:
-                    step = pprefix + legs[i - 1][pj][m]
-                    new = (step + bounds[i][m], ids[:-1] + (opts[i][m],),
-                           i, m, step, pj, pprefix, r)
+                step = pprefix + legs[i - 1][pj][m]
+                est = step + bounds[i][m]
+                if est < _INF:
+                    new = (est, ids[:-1] + (opts[i][m],), i, m, step, pj, pprefix, r)
         if i == last:
             cost = prefix if egress is None else prefix + bounds[last][j]
             done.append((cost, ids))
@@ -345,12 +409,12 @@ def rank_service_chains(
         else:
             if new is not None:
                 push(heap, new)
-            got = kids[i].get(j)
-            if got is None:
+            order = kids[i].get(j)
+            if order is None:
                 # The cheapest child is the one the bound came from.
-                sums = list(map(add, legs[i][j], bounds[i + 1]))
-                got = kids[i][j] = (sums, [sums.index(bounds[i][j])])
-            m = got[1][0]
+                sums = scored[i][j] = list(map(add, legs[i][j], bounds[i + 1]))
+                order = kids[i][j] = [sums.index(bounds[i][j])]
+            m = order[0]
             step = prefix + legs[i][j][m]
             i += 1
             new = (step + bounds[i][m], ids + (opts[i][m],), i, m, step, j, prefix, 0)

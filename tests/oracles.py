@@ -330,9 +330,10 @@ def per_sample_detect(series, cfg):
     ``delta_db``, and the FEC crossing interpolated between samples."""
     if len(series) < cfg.baseline_window:
         return SoftFailureReport(detected=False)
-    baseline = (
-        sum(q.snr_db for q in series[: cfg.baseline_window]) / cfg.baseline_window
-    )
+    baseline = 0  # summed left to right from 0, as Python 3.10's sum() does
+    for q in series[: cfg.baseline_window]:
+        baseline += q.snr_db
+    baseline /= cfg.baseline_window
     threshold = baseline - cfg.delta_db
     t_detect = None
     run = 0

@@ -49,6 +49,12 @@ class TestDelayArithmetic:
     def test_empty_path_is_zero(self):
         assert one_way_delay_us(PathModel(elements=(), length_km=0.0)) == 0.0
 
+    def test_fixed_latency_sums_left_to_right(self):
+        # Left to right, ten 0.1 us add up to one ulp below 1; the builtin
+        # sum of Python 3.12 and later compensates and returns 1.0.
+        p = PathModel(elements=tuple(_elem(lat=0.1) for _ in range(10)), length_km=0.0)
+        assert one_way_delay_us(p) == 0.9999999999999999
+
     def test_fixed_latency_sums_with_propagation(self):
         p = PathModel(elements=(_elem(lat=1.5), _elem(lat=2.5)), length_km=10.0)
         assert one_way_delay_us(p) == pytest.approx(4.0 + 48.99, rel=1e-12)
@@ -440,6 +446,19 @@ def test_cli_import_leaves_live_out():
 #: and convolutions sum in an order set by CPU class and thread count, and
 #: numpy's SIMD ``power`` differs from libm's in the last bits.
 HOST_KERNELS = {"dot", "vdot", "inner", "matmul", "einsum", "convolve", "correlate", "power"}
+
+
+def test_package_calls_no_builtin_sum():
+    # From Python 3.12 the builtin sum compensates float rounding, so its
+    # total can differ in the last bit from 3.10's and 3.11's; the package
+    # totals with model.sum_left_to_right instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(metroslice.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "sum"
+    ]
+    assert not found, found
 
 
 def test_package_has_no_host_selected_kernel():

@@ -1,7 +1,9 @@
 """MDA controller: measurement store, verdicts, soft-failure detection."""
 
+import functools
 import json
 import math
+import operator
 import random
 from dataclasses import replace
 
@@ -424,7 +426,7 @@ class TestColumnarMatchesPerSample:
         rng = random.Random(1)
         window = [rng.uniform(22.0, 22.5) for _ in range(16)]
         cfg = DetectorConfig(delta_db=0.5, consecutive=1, baseline_window=16)
-        in_order = sum(window) / 16 - 0.5
+        in_order = functools.reduce(operator.add, window, 0) / 16 - 0.5
         for other in (float(np.sum(window)), math.fsum(window)):
             assert other / 16 - 0.5 != in_order
             x = min(in_order, other / 16 - 0.5)

@@ -16,6 +16,7 @@ from metroslice.model import (
     Topology,
     VimStatus,
     VnfDescriptor,
+    latency_graph,
 )
 from metroslice.planner import (
     BlockReason,
@@ -295,6 +296,71 @@ class TestRankingMatchesExhaustive:
         zero = 12 + 14 * shared_node
         assert [c.cost_us for c in got] == [0.0] * min(k, zero) + [
             0.25] * (k - min(k, zero))
+
+
+def _ranked_as_placed(req, topology, vims):
+    """``rank_service_chains`` on the graph :func:`place` builds, and the
+    exhaustive sort on that graph's weights, costs as hex."""
+    vim_node = {n.vim.vim_id: n.node_id for n in reversed(topology.nodes) if n.vim}
+    eligibility = filter_vims(req, vims)
+    graph = build_rtt_graph(
+        topology, {vim_node[v] for opts in eligibility.values() for v in opts})
+    got = rank_service_chains(req, graph, eligibility, vim_node)
+    want = exhaustive_rank(req, graph, eligibility, vim_node, req.ingress, req.egress)
+    return ([(c.cost_us.hex(), c.vim_ids) for c in got],
+            [(cost.hex(), ids) for cost, ids in want])
+
+
+@st.composite
+def memo_instances(draw):
+    """A connected topology of 2-7 nodes, most hosting a VIM, with
+    fibre lengths that are not dyadic (so runs from either end of a pair
+    can differ in their last bits); a chain of 1-4 VNFs whose CPU needs
+    decide eligibility; an optional ingress and egress on any node; and
+    one VIM whose idle CPU changes after the first two rankings."""
+    n = draw(st.integers(2, 7))
+    tags = ("a", "b")
+    nodes = []
+    for i in range(n):
+        vim = None
+        if draw(st.booleans()) or i == 0:
+            vim = VimStatus(f"vim-{i}", draw(st.integers(0, 4)), 10**6, 10**6,
+                            frozenset(draw(st.sets(st.sampled_from(tags), min_size=1))))
+        nodes.append(Node(f"n{i}", NodeKind.AMEN, draw(st.integers(0, 3)) / 7, vim=vim))
+    lengths = st.integers(1, 60).map(lambda x: x / 7)
+    links = [Link(f"l{i}", (f"n{draw(st.integers(0, i - 1))}", f"n{i}"), draw(lengths))
+             for i in range(1, n)]
+    for i in range(draw(st.integers(0, 3))):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        links.append(Link(f"c{i}", (f"n{a}", f"n{b}"), draw(lengths)))
+    chain = [_vnf(f"v{i}", tag=draw(st.sampled_from(tags)), cpu=draw(st.integers(1, 3)),
+                  mem=1, sto=1)
+             for i in range(draw(st.integers(1, 4)))]
+    access = st.one_of(st.none(), st.sampled_from([x.node_id for x in nodes]))
+    req = _req(chain, k=draw(st.integers(1, 30)), ingress=draw(access), egress=draw(access))
+    vims = [x.vim for x in nodes if x.vim]
+    change = (draw(st.integers(0, len(vims) - 1)), draw(st.integers(0, 4)))
+    return req, Topology(nodes=nodes, links=links), vims, change
+
+
+class TestRankingMemo:
+    """Rankings through :func:`build_rtt_graph` keep each chain suffix's
+    bounds and child orders per geometry. Cold, warm, and after one VIM's
+    eligibility changes, each ranking equals the exhaustive sort, bitwise."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(memo_instances())
+    def test_cold_warm_and_changed_equal_exhaustive(self, inst):
+        from metroslice import planner
+
+        req, topology, vims, (v, cpu) = inst
+        planner._suffixes_of.pop(latency_graph(topology), None)
+        cold = _ranked_as_placed(req, topology, vims)
+        assert cold[0] == cold[1]
+        assert _ranked_as_placed(req, topology, vims) == cold
+        vims[v].cpu_idle = cpu
+        got, want = _ranked_as_placed(req, topology, vims)
+        assert got == want
 
 
 class TestPlace:
@@ -701,7 +767,7 @@ class TestRowMemo:
         import weakref
 
         from metroslice import planner
-        from metroslice.model import GRAPH_CACHE_SIZE, latency_graph
+        from metroslice.model import GRAPH_CACHE_SIZE
 
         t = _uniform_ring(5, ("fw", "nat"))
         vims = [n.vim for n in t.nodes]
@@ -720,3 +786,93 @@ class TestRowMemo:
             latency_graph(t)
         gc.collect()
         assert len(planner._rows_of) == 0
+        assert len(planner._suffixes_of) == 0
+
+
+class TestSuffixMemo:
+    """The bounds and child orders of chain suffixes are kept per
+    geometry, keyed by the suffix's VIM nodes and the egress, in at most
+    ``SUFFIX_CACHE_SIZE`` entries."""
+
+    def test_egress_eligible_then_not(self):
+        # On this ring site-05 hosts no vms-core VIM, and the run of
+        # site-05 reaches site-09 one ulp away from the run of site-09.
+        # Both requests end on the vms-core sites (03, 07, 09) and egress
+        # at site-05. For the fw chain site-05 is an eligible VIM node, so
+        # a terminal, and its legs read the smaller id's run; for the cache
+        # chain it is not, and they read each VIM node's run. One suffix,
+        # two egress legs.
+        from metroslice import planner
+
+        topology = _metro_ring(301)
+        vims = [n.vim for n in topology.vim_nodes()]
+        both = build_rtt_graph(topology, ["site-05", "site-09"])
+        alone = build_rtt_graph(topology, ["site-09"])
+        assert both.weight_us("site-09", "site-05") != alone.weight_us("site-09", "site-05")
+        requests = [
+            _req([_vnf(f"v{i}", tag=t, cpu=1, mem=1, sto=1)
+                  for i, t in enumerate((first, "vms-core"))], k=25, egress="site-05")
+            for first in ("fw", "cache")
+        ]
+        for order in (requests, requests[::-1]):
+            planner._suffixes_of.pop(latency_graph(topology), None)
+            for req in order:
+                got, want = _ranked_as_placed(req, topology, vims)
+                assert got == want
+
+    def test_layer_nodes_outside_the_terminals_keep_nothing(self):
+        # A graph built for s0 alone has no weight between two other
+        # nodes, so its legs are not the geometry's: a ranking on it must
+        # leave nothing that a ranking on the full graph would read. There,
+        # k=18 keeps the 6 co-located chains and the 12 of one hop; child
+        # orders left by the first graph would skip some of the latter.
+        t = _uniform_ring(6, ("fw",))
+        t.links[0].length_km = 9.375  # a geometry no other test builds
+        vim_node = {n.vim.vim_id: n.node_id for n in t.nodes}
+        chain = [_vnf("v1", tag="fw"), _vnf("v2", tag="fw")]
+        eligibility = {vnf.vnf_id: sorted(vim_node) for vnf in chain}
+        req = _req(chain, k=18)
+        for terminals in (["s0"], sorted(vim_node.values())):
+            graph = build_rtt_graph(t, terminals)
+            got = rank_service_chains(req, graph, eligibility, vim_node)
+            want = exhaustive_rank(req, graph, eligibility, vim_node)
+            assert [(c.cost_us, c.vim_ids) for c in got] == want
+        assert len(want) == 18
+
+    def test_retained_memory_is_bounded(self):
+        # 24 VIMs whose idle CPU is 1..24, so a VNF needing c CPUs has the
+        # 25 - c VIMs from vim-(c-1) up: 600 chains of three such VNFs make
+        # about a thousand distinct suffixes. Each suffix keeps at most V bounds
+        # and V child orders of at most V indices; with list, dict and
+        # float overheads that stays under V * (8 V + 200) bytes.
+        import gc
+        import tracemalloc
+
+        from metroslice import planner
+
+        t = _uniform_ring(24, ("fw",))
+        t.links[0].length_km = 17.125  # a geometry no other test builds
+        vims = [n.vim for n in t.nodes]
+        for i, v in enumerate(vims):
+            v.cpu_idle = i + 1
+        rng = random.Random(5)
+        shapes = rng.sample([(a, b, c) for a in range(1, 25) for b in range(1, 25)
+                             for c in range(1, 25)], 600)
+
+        def req(cpus):
+            return _req([_vnf(f"v{i}", tag="fw", cpu=c) for i, c in enumerate(cpus)])
+
+        place(req((1, 1, 1)), t, vims)  # fills the rows of every pair
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for cpus in shapes:
+                place(req(cpus), t, vims)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        memo = planner._suffixes_of[latency_graph(t)]
+        assert len(memo) == planner.SUFFIX_CACHE_SIZE
+        assert retained < planner.SUFFIX_CACHE_SIZE * 24 * (8 * 24 + 200)
