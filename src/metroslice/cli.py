@@ -451,13 +451,17 @@ def main(argv: list[str] | None = None) -> int:
         # blocked placement, not a bad input.
         _error(args, exc)
         return 1
+    except MemoryError:
+        # The input was valid, but this host cannot hold its run.
+        _error(args, "out of memory")
+        return 1
 
 
-def _error(args, exc: Exception) -> None:
+def _error(args, message: Exception | str) -> None:
     if args.json:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
+        print(json.dumps({"error": str(message)}, sort_keys=True))
     else:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -107,10 +108,20 @@ class PathModel:
     @functools.cached_property
     def traversal(self) -> tuple[float, float, float]:
         """``(loss_prob(), jitter_std_ns(), one-way delay in ns)``, computed
-        on first use and kept, so a simulated train pays for them once."""
+        on first use and kept with the model. :func:`path_from_nodes`
+        shares a model between the probes over one circuit, so only the
+        first train over a new circuit pays for them."""
         return self.loss_prob(), self.jitter_std_ns(), one_way_delay_us(self) * 1000.0
 
     def reversed(self) -> "PathModel":
+        """The same elements walked the other way, built on the first call
+        and kept, so ``p.reversed() is p.reversed()``. The reverse keeps
+        no reference back: a model and its reverse form no cycle, and are
+        freed as soon as their last user drops them."""
+        return self._reverse
+
+    @functools.cached_property
+    def _reverse(self) -> "PathModel":
         return PathModel(
             tuple(reversed(self.elements)),
             self.length_km,
@@ -437,6 +448,26 @@ def element_for_node(
     )
 
 
+#: Distinct path models :func:`path_from_nodes` keeps, the least
+#: recently used evicted first. An entry with its key, its reverse and
+#: both legs' ``traversal`` holds 1.9 KB on the benchmark's ring circuits
+#: (5.5 elements on average) and 2.5 KB on a six-element calibration row
+#: (``tracemalloc``), so a full memo holds at most about 0.65 MB.
+#: ``table1`` probes five circuits, and one slice_churn episode of the
+#: benchmark about 70 distinct ones.
+PATH_CACHE_SIZE = 256
+
+_paths: OrderedDict[tuple, PathModel] = OrderedDict()
+
+
+def _exact(x) -> object:
+    """A number as a key part equal only to numbers of the same type and
+    bits. ``1 == 1.0`` and ``0.0 == -0.0``, yet each pair builds models
+    whose fields differ: a row of length ``-0.0`` reports a two-way
+    propagation of ``-0.0``. A zero's ``repr`` tells its type and sign."""
+    return (x, type(x)) if x else repr(x)
+
+
 def path_from_nodes(
     t: Topology,
     node_ids: list[str],
@@ -447,10 +478,31 @@ def path_from_nodes(
 
     Used by calibration setups where the fibre is patched directly between
     the listed elements rather than routed through the topology.
+
+    Equal inputs return one shared model, with its reverse and
+    ``traversal`` computed once for every probe over it. The key is the
+    inputs' value, never the topology object: each listed node's id, kind,
+    fixed latency and override, the length and the propagation constant,
+    so a topology copied or edited in place gets the model of its current
+    values. The ``PATH_CACHE_SIZE`` most recently used models are kept.
     """
     by_id = {n.node_id: n for n in t.nodes}
-    elements = tuple(element_for_node(by_id[nid], overrides) for nid in node_ids)
-    return PathModel(elements, length_km, t.prop_const_us_per_km)
+    nodes = [by_id[nid] for nid in node_ids]
+    key = [_exact(length_km), _exact(t.prop_const_us_per_km)]
+    for n in nodes:
+        p = overrides.get(n.node_id)
+        key.append((n.node_id, n.kind, _exact(n.fixed_latency_us),
+                    p and (_exact(p.loss_prob), _exact(p.jitter_std_ns))))
+    key = tuple(key)
+    path = _paths.get(key)
+    if path is None:
+        elements = tuple(element_for_node(n, overrides) for n in nodes)
+        path = _paths[key] = PathModel(elements, length_km, t.prop_const_us_per_km)
+        if len(_paths) > PATH_CACHE_SIZE:
+            _paths.popitem(last=False)
+    else:
+        _paths.move_to_end(key)
+    return path
 
 
 def path_from_topology(
@@ -464,7 +516,8 @@ def path_from_topology(
     Traversed nodes (endpoints included) contribute their fixed latency,
     loss and jitter; traversed links contribute propagation length.
     The route is read back through the predecessors of the memoised
-    Dijkstra run from ``src``.
+    Dijkstra run from ``src``, and its model is the one
+    :func:`path_from_nodes` shares for that node list and length.
     """
     g = latency_graph(t)
     dist, pred = g.paths_from(src)

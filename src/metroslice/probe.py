@@ -465,6 +465,12 @@ class SimulatedProbe:
     receive times; see ``_long_train``. Its middle draws from the RTT law
     of the two legs, which ``dataplane.rtt_law`` keeps by value, so
     probes on paths of equal jitter and delay build it once between them.
+
+    The reverse leg is ``path.reversed()``, which the model keeps, and
+    each leg's loss, jitter and delay are its ``traversal``, computed once
+    per model. A probe over a model that ``dataplane.path_from_nodes``
+    shared with an earlier probe so pays for neither, and its first train
+    costs what its later ones do.
     """
 
     def __init__(self, path: PathModel, seed: int):

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metroslice import live, orchestrator
+from metroslice import cli, live, orchestrator
 from metroslice.cli import main
 from metroslice.config import default_scenario_path, load_scenario
 from metroslice.dataplane import MAX_DELAY_US
@@ -213,6 +213,28 @@ class TestTable1:
         assert traced_peak(400) - traced_peak(4) < 32 * 2**10
 
 
+    def test_edited_override_gets_its_own_paths(self, tmp_path, capsys):
+        # Path models are shared by value: a run on an edited copy must not
+        # reuse the default run's models, nor leave its own to the next.
+        data = default_scenario_path().parent
+        for name in ("scenario.yaml", "topology.yaml", "ns_request.yaml"):
+            shutil.copy(data / name, tmp_path / name)
+        sc = yaml.safe_load((tmp_path / "scenario.yaml").read_text())
+        sc["dataplane"] = {"element_overrides": {
+            "sw-mcen": {"loss_prob": 2.0e-7, "jitter_std_ns": 1.75}}}
+        (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(sc))
+        golden = Path(__file__).parent / "golden" / "table1.csv"
+
+        runs = [("default", []), ("edited", ["--scenario", str(tmp_path / "scenario.yaml")]),
+                ("again", [])]
+        for out, argv in runs:
+            rc, _ = _run(capsys, *argv, "--out", str(tmp_path / out), "table1")
+            assert rc == 0
+        table = {out: (tmp_path / out / "table1.csv").read_bytes() for out, _ in runs}
+        assert table["default"] == table["again"] == golden.read_bytes()
+        assert table["edited"] != table["default"]
+
+
 class TestDegrade:
     def test_default_ramp(self, tmp_path, capsys):
         rc, out = _run(capsys, "--out", str(tmp_path), "--json", "degrade")
@@ -325,6 +347,22 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_out_of_memory(self, capsys, monkeypatch, as_json):
+        def exhausted(args, scenario):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_plan", exhausted)
+        rc = main(["--json", "plan"] if as_json else ["plan"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        if as_json:
+            assert captured.err == ""
+            assert json.loads(captured.out) == {"error": "out of memory"}
+        else:
+            assert captured.out == ""
+            assert captured.err == "error: out of memory\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["--duration", "nan"], "duration_s must be finite"),

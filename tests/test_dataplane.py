@@ -1,10 +1,13 @@
 """Dataplane simulator: delay arithmetic, loss/jitter statistics, BER curve."""
 
 import ast
+import copy
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from metroslice.dataplane import (
     DEFAULT_ELEMENT_PARAMS,
     DegradationScenario,
     ElementParams,
+    PATH_CACHE_SIZE,
     NoPath,
     PathElement,
     PathModel,
@@ -34,6 +38,7 @@ from metroslice.dataplane import (
 )
 import metroslice
 from metroslice.model import Link, Node, NodeKind, Topology
+from metroslice.probe import SimulatedProbe, TrainConfig
 from oracles import convolve_in_order
 
 
@@ -422,6 +427,102 @@ class TestPathFromTopology:
         rd = element_for_node(t.node("roadm-1"), {})
         assert (rd.loss_prob, rd.jitter_std_ns) == (2.0e-7, 2.5)
         assert set(DEFAULT_ELEMENT_PARAMS) >= {NodeKind.PROBE_ENDPOINT, NodeKind.AGG_SWITCH, NodeKind.ROADM}
+
+
+class TestPathMemo:
+    """``path_from_nodes`` shares one model per value of its inputs."""
+
+    ROW = ["probe-a", "sw-amen", "roadm-1", "roadm-2", "sw-mcen", "probe-b"]
+    OVERRIDES = {"roadm-1": ElementParams(loss_prob=1e-6, jitter_std_ns=3.0)}
+
+    @staticmethod
+    def _by_hand(t, node_ids, length_km, overrides):
+        elements = tuple(element_for_node(t.node(n), overrides) for n in node_ids)
+        return PathModel(elements, length_km, t.prop_const_us_per_km)
+
+    def test_equal_inputs_share_one_model(self, scenario):
+        t = scenario.topology
+        p = path_from_nodes(t, self.ROW, 80.0, self.OVERRIDES)
+        assert path_from_nodes(t, list(self.ROW), 80.0, dict(self.OVERRIDES)) is p
+        assert path_from_nodes(copy.deepcopy(t), self.ROW, 80.0, self.OVERRIDES) is p
+        routed = path_from_topology(t, "probe-a", "probe-b", {})
+        assert path_from_topology(copy.deepcopy(t), "probe-a", "probe-b", {}) is routed
+
+    @pytest.mark.parametrize("edit", ["kind", "fixed_latency_us", "override",
+                                      "length_km", "prop_const_us_per_km"])
+    def test_a_changed_value_gets_its_own_model(self, scenario, edit):
+        t = copy.deepcopy(scenario.topology)
+        overrides, length = dict(self.OVERRIDES), 80.0
+        before = path_from_nodes(t, self.ROW, length, overrides)
+        if edit == "kind":
+            t.node("sw-amen").kind = NodeKind.ROADM
+        elif edit == "fixed_latency_us":
+            t.node("roadm-2").fixed_latency_us += 1.0
+        elif edit == "override":
+            overrides["roadm-1"] = ElementParams(loss_prob=1e-6, jitter_std_ns=3.5)
+        elif edit == "length_km":
+            length = 80.5
+        else:
+            t.prop_const_us_per_km = 5.0
+        after = path_from_nodes(t, self.ROW, length, overrides)
+        assert after is not before and after != before
+        assert after == self._by_hand(t, self.ROW, length, overrides)
+
+    def test_each_zero_keeps_its_type_and_sign(self, scenario):
+        t, row = scenario.topology, ["probe-a", "probe-b"]
+        cfg = TrainConfig(count=100)
+        models = []
+        for length in (0.0, -0.0, 0, 0.0, -0.0):
+            p = path_from_nodes(t, row, length, {})
+            assert repr(p.length_km) == repr(length)
+            prop = SimulatedProbe(p, seed=1).run(cfg).two_way_propagation_us
+            assert math.copysign(1.0, prop) == math.copysign(1.0, length)
+            models.append(p)
+        assert len({id(p) for p in models}) == 3
+        assert models[3] is models[0] and models[4] is models[1]
+
+    def test_reverse_is_built_once(self):
+        p = PathModel((_elem("a", lat=1.0), _elem("b", lat=2.0)), 3.0)
+        assert p.reversed() is p.reversed()
+        assert [e.element_id for e in p.reversed().elements] == ["b", "a"]
+
+    def test_model_and_reverse_form_no_cycle(self):
+        p = PathModel((_elem("a", lat=1.0), _elem("b", jit=2.0)), 3.0)
+        p.traversal, p.reversed().traversal
+        alive = weakref.ref(p), weakref.ref(p.reversed())
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del p
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_memo_is_bounded_least_recently_used_first(self, scenario):
+        t, row = scenario.topology, ["probe-a", "probe-b"]
+        first = path_from_nodes(t, row, 1e6, {})
+        second = path_from_nodes(t, row, 1e6 + 1, {})
+        for i in range(PATH_CACHE_SIZE + 10):
+            path_from_nodes(t, row, 1e6 + 2 + i, {})
+            assert path_from_nodes(t, row, 1e6, {}) is first  # kept: used last
+            assert len(dataplane._paths) <= PATH_CACHE_SIZE
+        assert len(dataplane._paths) == PATH_CACHE_SIZE
+        rebuilt = path_from_nodes(t, row, 1e6 + 1, {})
+        assert rebuilt is not second and rebuilt == second
+
+    @pytest.mark.parametrize("count", [1000, 1_000_000])
+    def test_shared_model_trains_as_one_built_by_hand(self, scenario, count):
+        t, cfg = scenario.topology, TrainConfig(count=count)
+        for row in scenario.rows:
+            shared = path_from_nodes(t, row.path_nodes, row.length_km,
+                                     scenario.element_overrides)
+            SimulatedProbe(shared, seed=3).run(cfg)
+            fresh = self._by_hand(t, row.path_nodes, row.length_km,
+                                  scenario.element_overrides)
+            assert fresh is not shared
+            assert (repr(SimulatedProbe(shared, seed=5).run(cfg))
+                    == repr(SimulatedProbe(fresh, seed=5).run(cfg)))
 
 
 def test_runtime_import_needs_no_scipy():
