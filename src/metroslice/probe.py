@@ -59,10 +59,10 @@ MAX_TRAIN_COUNT = 2**32 - 1
 #: Packets per block of the simulated train kernel.
 CHUNK = 1 << 16
 
-#: Largest block the simulated kernel sends as Python lists rather than
-#: arrays. Below it, NumPy's fixed cost per call outweighs the per-packet
-#: cost of Python floats (measured crossover; see ``_simulate_block``).
-SCALAR_BLOCK = 16
+#: Largest block the simulated kernel sends, and ``TrainReduction.fold``
+#: sums, as Python lists rather than arrays: the longest that
+#: ``np.add.reduce`` sums left to right, as Python does.
+SCALAR_BLOCK = 7
 
 
 class ProbeError(Exception):
@@ -258,37 +258,44 @@ class TrainReduction:
         """Add one block: the (tx, rx) pairs it received, and the earliest
         tx of every packet it sent.
 
-        Lists or arrays: a list block takes its minima and maxima in
-        Python, but its mean and squared deviations still come from
-        ``np.add.reduce`` over exact elementwise products, so both forms
-        give the same reduction. Neither here nor in
-        :meth:`fold_histogram` does a sum go through ``np.dot``, whose
-        BLAS kernel picks its summation order by CPU and thread count.
+        Lists or arrays, with the same bits. A list of at most
+        ``SCALAR_BLOCK`` packets sums its RTTs and squared deviations in
+        Python floats, left to right from 0; anything longer sums with
+        ``np.add.reduce``. Up to 7 elements NumPy's pairwise sum is that
+        same left-to-right loop (``test_add_reduce_is_left_to_right`` pins
+        it on the installed NumPy); from 8 it keeps 8 partial sums.
+        Neither here nor in :meth:`fold_histogram` does a sum go through
+        ``np.dot``, whose BLAS kernel picks its summation order by CPU and
+        thread count.
         """
         self.first_tx_ns = min(self.first_tx_ns, sent_from_ns)
         n = len(rx_ns)
         if n == 0:
             return
-        if isinstance(rx_ns, list):
-            rtt_list = [rx - tx for rx, tx in zip(rx_ns, tx_ns)]
-            rtt = np.array(rtt_list)
-            lo, first, last = min(rtt_list), min(rx_ns), max(rx_ns)
+        if isinstance(rx_ns, list) and n <= SCALAR_BLOCK:
+            rtt = [rx - tx for rx, tx in zip(rx_ns, tx_ns)]
+            total = 0
+            for r in rtt:
+                total += r
+            mean = total / n
+            m2 = 0
+            for r in rtt:
+                dev = r - mean
+                m2 += dev * dev
+            lo, first, last = min(rtt), min(rx_ns), max(rx_ns)
         else:
+            rx_ns = np.asarray(rx_ns)
             rtt = rx_ns - tx_ns
-            lo, first, last = rtt.min(), rx_ns.min(), rx_ns.max()
-        # ndarray.mean's own sum and division, without its Python wrapper.
-        mean = float(np.add.reduce(rtt)) / n
-        rtt -= mean
+            lo = float(np.minimum.reduce(rtt))
+            first = float(np.minimum.reduce(rx_ns))
+            last = float(np.maximum.reduce(rx_ns))
+            # ndarray.mean's own sum and division, without its Python wrapper.
+            mean = float(np.add.reduce(rtt)) / n
+            rtt -= mean
+            m2 = float(np.add.reduce(np.square(rtt, out=rtt)))
         # Python and NumPy break a tie between -0.0 and 0.0 differently;
         # adding 0.0 makes every zero +0.0, and leaves other values alone.
-        self.merge(TrainReduction(
-            received=n,
-            rtt_min_ns=float(lo) + 0.0,
-            rtt_mean_ns=mean,
-            rtt_m2=float(np.add.reduce(np.square(rtt, out=rtt))),
-            first_rx_ns=float(first) + 0.0,
-            last_rx_ns=float(last) + 0.0,
-        ))
+        self._add(n, mean, m2, lo + 0.0, first + 0.0, last + 0.0)
 
     def fold_histogram(self, rtt_ns: np.ndarray, counts: np.ndarray, n: int) -> None:
         """Add ``n`` > 0 packets known only by their RTT histogram:
@@ -298,26 +305,29 @@ class TrainReduction:
         rtt, weight = rtt_ns[got], counts[got].astype(np.float64)
         mean = float(np.add.reduce(weight * rtt)) / n
         dev = rtt - mean
-        self.merge(TrainReduction(
-            received=n,
-            rtt_min_ns=float(rtt[0]),
-            rtt_mean_ns=mean,
-            rtt_m2=float(np.add.reduce(weight * dev * dev)),
-        ))
+        self._add(n, mean, float(np.add.reduce(weight * dev * dev)), float(rtt[0]),
+                  math.inf, -math.inf)
 
     def merge(self, other: "TrainReduction") -> None:
         """Combine ``other`` into this reduction."""
-        na, nb = self.received, other.received
-        n = na + nb
-        if nb:
-            delta = other.rtt_mean_ns - self.rtt_mean_ns
-            self.rtt_mean_ns += delta * nb / n
-            self.rtt_m2 += other.rtt_m2 + delta * delta * na * nb / n
-        self.received = n
-        self.rtt_min_ns = min(self.rtt_min_ns, other.rtt_min_ns)
-        self.first_rx_ns = min(self.first_rx_ns, other.first_rx_ns)
-        self.last_rx_ns = max(self.last_rx_ns, other.last_rx_ns)
+        if other.received:
+            self._add(other.received, other.rtt_mean_ns, other.rtt_m2, other.rtt_min_ns,
+                      other.first_rx_ns, other.last_rx_ns)
         self.first_tx_ns = min(self.first_tx_ns, other.first_tx_ns)
+
+    def _add(self, nb: int, mean: float, m2: float, rtt_min_ns: float,
+             first_rx_ns: float, last_rx_ns: float) -> None:
+        """The pairwise update by a block of ``nb`` > 0 packets, given by
+        its parts, with no ``TrainReduction`` built for it."""
+        na = self.received
+        n = na + nb
+        delta = mean - self.rtt_mean_ns
+        self.rtt_mean_ns += delta * nb / n
+        self.rtt_m2 += m2 + delta * delta * na * nb / n
+        self.received = n
+        self.rtt_min_ns = min(self.rtt_min_ns, rtt_min_ns)
+        self.first_rx_ns = min(self.first_rx_ns, first_rx_ns)
+        self.last_rx_ns = max(self.last_rx_ns, last_rx_ns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -450,6 +460,15 @@ def latency_budget(
 # Simulated measurement backend
 
 
+def train_rng(seed: int, run: int) -> np.random.Generator:
+    """The generator run ``run`` of a probe seeded ``seed`` draws from:
+    the one ``np.random.default_rng`` builds from
+    ``SeedSequence(entropy=seed, spawn_key=(run, 0))``, without its
+    dispatch on the seed's type."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(run, 0))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 class SimulatedProbe:
     """Round-trip train measurement over a dataplane path model.
 
@@ -458,7 +477,7 @@ class SimulatedProbe:
     independently. With zero jitter and zero loss the measured RTT is
     exactly twice the one-way delay, up to clock-tick quantization.
 
-    Run ``r`` draws from ``SeedSequence(entropy=seed, spawn_key=(r, 0))``.
+    Run ``r`` draws from ``train_rng(seed, r)``.
     A train of at most ``CHUNK`` packets is simulated packet by packet in
     one block, forward then reverse. A longer train is simulated packet
     by packet only at its edges, which alone set the first and last
@@ -482,9 +501,7 @@ class SimulatedProbe:
     def run(self, cfg: TrainConfig) -> TrainStats:
         run = self._runs
         self._runs += 1
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(run, 0))
-        )
+        rng = train_rng(self.seed, run)
         if cfg.count <= CHUNK:
             red = TrainReduction()
             _simulate_block(self.path, self._back_path, cfg.wire_slot_ns, 0,

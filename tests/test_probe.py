@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metroslice import dataplane
@@ -22,6 +22,7 @@ from metroslice.dataplane import (
     rtt_law,
     transmit_train,
 )
+from metroslice.model import sum_left_to_right
 from metroslice.probe import (
     CHUNK,
     FRAME_OVERHEAD_BYTES,
@@ -493,7 +494,72 @@ class TestScalarBlocks:
         assert probe.run(cfg) == per_packet_train(path, cfg, seed, run)
 
 
+_summands = st.one_of(
+    # Any finite magnitude, subnormals and signed zeros included.
+    st.floats(allow_nan=False, allow_infinity=False),
+    # Comparable magnitudes, whose rounding depends on the order of the adds.
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(_summands, min_size=1, max_size=SCALAR_BLOCK))
+@example([-0.0])  # the sum of negative zeros is +0.0, as from a start of 0
+@example([0.1, 0.2, 0.3])  # 0.1 + (0.2 + 0.3) would give other bits
+@example([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, -1e16])
+def test_add_reduce_is_left_to_right(values):
+    """The rule ``TrainReduction.fold`` relies on: up to ``SCALAR_BLOCK``
+    values, NumPy's ``np.add.reduce`` is the left-to-right Python sum, so
+    a block folded as a list and as an array give the same bits."""
+    total = sum_left_to_right(values)
+    assume(math.isfinite(total))
+    assert _bits([np.add.reduce(np.array(values))]) == _bits([total])
+
+
+def _reduction_bits(red: TrainReduction) -> tuple:
+    fields = vars(red)
+    return fields.pop("received"), _bits(list(fields.values()))
+
+
+_stamps = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(min_value=-1e6, max_value=1e6))
+
+
 class TestTrainReduction:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(_stamps, _stamps), min_size=1, max_size=SCALAR_BLOCK),
+           prior=st.one_of(st.none(), _values))
+    # An RTT of -0.0 (received at -0.0, sent at 0.0) ties one of +0.0,
+    # and so do the receive times.
+    @example(pairs=[(0.0, -0.0), (0.0, 0.0)], prior=None)
+    @example(pairs=[(0.0, 0.0), (0.0, -0.0)], prior=[0.0, 5.0])
+    @example(pairs=[(0.0, -0.0)] * SCALAR_BLOCK, prior=[-0.0])
+    def test_list_fold_equals_array_fold_bitwise(self, pairs, prior):
+        tx, rx = [p[0] for p in pairs], [p[1] for p in pairs]
+        red_list, red_array = TrainReduction(), TrainReduction()
+        if prior is not None:
+            for red in (red_list, red_array):
+                red.fold(np.zeros(len(prior)), np.array(prior), 0.0)
+        red_list.fold(tx, rx, 1.0)
+        red_array.fold(np.array(tx), np.array(rx), 1.0)
+        assert _reduction_bits(red_list) == _reduction_bits(red_array)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=20), _values)
+    def test_merge_is_the_pairwise_update_in_order(self, first, second):
+        # The artifacts' last bits depend on the order of these operations,
+        # also when the reduction merged into is empty.
+        a, b = TrainReduction(), TrainReduction()
+        a.fold(np.zeros(len(first)), np.array(first), 0.0)
+        b.fold(np.zeros(len(second)), np.array(second), 0.0)
+        na, nb = a.received, b.received
+        delta = b.rtt_mean_ns - a.rtt_mean_ns
+        mean = a.rtt_mean_ns + delta * nb / (na + nb)
+        m2 = a.rtt_m2 + (b.rtt_m2 + delta * delta * na * nb / (na + nb))
+        a.merge(b)
+        assert _bits([a.rtt_mean_ns, a.rtt_m2]) == _bits([mean, m2])
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_values, st.lists(st.integers(min_value=0, max_value=300), max_size=8))
     @example([0.0, -0.0, 1.0], [])  # Python and NumPy break this tie apart
