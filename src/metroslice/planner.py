@@ -12,8 +12,10 @@ RTT weights are computed once per topology geometry: they sit in rows
 keyed by node id next to the shared
 :func:`~metroslice.model.latency_graph`, and leave with it. So do the
 bounds and child orders of the chain suffixes that rankings on that
-geometry derived, keyed by the suffix's VIM nodes and the egress. A
-ranking call reads each (layer, option) row of leg weights with one
+geometry derived, keyed by the suffix's VIM nodes and the egress, and
+so do the rankings themselves, keyed by everything else a ranking reads:
+a recurring request is answered without a search. A ranking call that
+does search reads each (layer, option) row of leg weights with one
 gather, and expands chain prefixes lazily: each entry taken from the
 heap makes its own next sibling and, unless it is a complete chain, its
 cheapest child. The newest of them goes through one
@@ -92,14 +94,15 @@ class RttGraph:
             for u in us
         ]
 
-    def suffixes(
-        self, layers: list[tuple[str, ...]], egress: str | None
-    ) -> tuple[dict, tuple]:
-        """Where a ranking over ``layers`` (each one's nodes) to ``egress``
-        keeps the bounds and child orders of its chain suffixes, and the
-        head of their keys. Weights given by value keep nothing: a new
-        dict per call."""
-        return {}, ()
+    def memos(
+        self, layers: list[tuple[str, ...]], ingress: str | None, egress: str | None
+    ) -> tuple[dict, dict, tuple, tuple]:
+        """Where a ranking over ``layers`` (each one's nodes) from
+        ``ingress`` to ``egress`` keeps the bounds and child orders of its
+        chain suffixes, and where it keeps its answer; then the head of
+        the suffixes' keys and that of the answer's. Weights given by
+        value keep nothing: new dicts per call."""
+        return {}, {}, (), ()
 
 
 def _gather(keys: list[str]):
@@ -145,6 +148,24 @@ _suffixes_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
 #: there, were every option's children all ordered.
 SUFFIX_CACHE_SIZE = 128
 
+#: What rankings returned, per geometry: each one's candidates, keyed by
+#: the rest of what it read (see :func:`rank_service_chains`). Keyed
+#: weakly like ``_rows_of``; each geometry keeps its last
+#: ``RANKING_CACHE_SIZE`` rankings of at most ``RANKING_MAX_LEN``
+#: candidates.
+_rankings_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
+    weakref.WeakKeyDictionary()
+)
+
+#: Rankings kept per geometry: the 35 distinct ones of one slice_churn
+#: episode on a ring fit more than three times over.
+RANKING_CACHE_SIZE = 128
+
+#: The longest ranking kept. ``k`` may reach ``model.MAX_K``, and a
+#: ranking that long would hold megabytes; one of 64 chains of three
+#: VNFs on 24 VIMs holds about 13 KB, key included.
+RANKING_MAX_LEN = 64
+
 
 class _TopologyRtt(RttGraph):
     """What :func:`build_rtt_graph` returns: weights from the terminals,
@@ -156,6 +177,7 @@ class _TopologyRtt(RttGraph):
         self._terminals = terminals
         self._rows = _rows_of.get(g) or _rows_of.setdefault(g, {})
         self._suffixes = _suffixes_of.get(g) or _suffixes_of.setdefault(g, {})
+        self._rankings = _rankings_of.get(g) or _rankings_of.setdefault(g, {})
 
     def weight_us(self, u: str, v: str) -> float | None:
         if u == v:
@@ -168,17 +190,18 @@ class _TopologyRtt(RttGraph):
         w = _rtt_from(self._g, u, v)
         return None if w == _INF else w
 
-    def suffixes(
-        self, layers: list[tuple[str, ...]], egress: str | None
-    ) -> tuple[dict, tuple]:
+    def memos(
+        self, layers: list[tuple[str, ...]], ingress: str | None, egress: str | None
+    ) -> tuple[dict, dict, tuple, tuple]:
         # The legs between layers come from the rows only when every layer
-        # node is a terminal. The egress leg reads the smaller id's run
-        # when the egress is a terminal too, and each VIM node's run when
-        # it is not; the two can differ in their last bits.
+        # node is a terminal. An access leg reads the smaller id's run
+        # when its end is a terminal too, and each VIM node's run when it
+        # is not; the two can differ in their last bits.
         terminals = self._terminals
         if not all(map(terminals.issuperset, layers)):
-            return {}, ()
-        return self._suffixes, (egress, egress in terminals)
+            return {}, {}, (), ()
+        tail = (egress, egress in terminals)
+        return self._suffixes, self._rankings, tail, (ingress, ingress in terminals, tail)
 
     def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
         terminals = self._terminals
@@ -302,16 +325,31 @@ def rank_service_chains(
     The bounds of each chain suffix and the child orders of its first
     layer depend only on the geometry, the suffix's VIM nodes and the
     egress, so a graph from :func:`build_rtt_graph` keeps them per
-    geometry (the last ``SUFFIX_CACHE_SIZE`` suffixes) and a recurring
-    request pays only for its own heap walk. An order is only ever
-    extended, and its prefix is the same however far it was extended, so
-    the result does not depend on what earlier calls left there.
+    geometry (the last ``SUFFIX_CACHE_SIZE`` suffixes) and a request
+    whose suffixes recur pays only for its own heap walk. An order is
+    only ever extended, and its prefix is the same however far it was
+    extended, so the result does not depend on what earlier calls left
+    there.
+
+    The whole answer depends only on the geometry, each layer's VIM ids
+    and their nodes, the ingress and the egress, whether each of the two
+    is a terminal of the graph (which decides the run an access leg
+    reads), and ``k``. Such a graph keeps it under those (the last
+    ``RANKING_CACHE_SIZE`` answers, none longer than ``RANKING_MAX_LEN``),
+    so a recurring request skips the backward pass and the heap walk and
+    gets a new list of the same candidates.
     """
-    ingress, egress = req.ingress, req.egress
+    ingress, egress, k = req.ingress, req.egress, req.k
     opts = [eligibility[vnf.vnf_id] for vnf in req.chain]
     if not all(opts):
         return []
     nodes = [tuple(map(vim_node.__getitem__, layer)) for layer in opts]
+    memo, answers, key, ends = graph.memos(nodes, ingress, egress)
+    # The VIM ids name the candidates, and the geometry does not hold them.
+    question = (ends, k, tuple(map(tuple, opts)), tuple(nodes))
+    answer = answers.get(question)
+    if answer is not None:
+        return list(answer)
     last = len(opts) - 1
 
     # legs[i][j][m]: weight from option j of layer i to option m of layer
@@ -328,7 +366,6 @@ def rank_service_chains(
     # alone, so they are kept per geometry and shared: an order only grows.
     # The children's leg plus bound each, which an order extends from,
     # stays in this call.
-    memo, key = graph.suffixes(nodes, egress)
     bounds: list = [None] * (last + 1)
     kids: list = [None] * (last + 1)
     scored = [[None] * len(layer) for layer in nodes]
@@ -379,7 +416,6 @@ def rank_service_chains(
     heapq.heapify(heap)
     push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
 
-    k = req.k
     done: list[tuple[float, tuple[str, ...]]] = []
     limit = _INF
     entry = pop(heap) if heap else None
@@ -424,7 +460,12 @@ def rank_service_chains(
         else:
             entry = pop(heap) if heap else None
     done.sort()
-    return [ServiceChainCandidate(ids, c) for c, ids in done[:k]]
+    ranked = [ServiceChainCandidate(ids, c) for c, ids in done[:k]]
+    if len(ranked) <= RANKING_MAX_LEN:
+        if len(answers) >= RANKING_CACHE_SIZE:
+            del answers[next(iter(answers))]
+        answers[question] = tuple(ranked)
+    return ranked
 
 
 def place(

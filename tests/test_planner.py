@@ -787,6 +787,7 @@ class TestRowMemo:
         gc.collect()
         assert len(planner._rows_of) == 0
         assert len(planner._suffixes_of) == 0
+        assert len(planner._rankings_of) == 0
 
 
 class TestSuffixMemo:
@@ -816,6 +817,7 @@ class TestSuffixMemo:
         ]
         for order in (requests, requests[::-1]):
             planner._suffixes_of.pop(latency_graph(topology), None)
+            planner._rankings_of.pop(latency_graph(topology), None)
             for req in order:
                 got, want = _ranked_as_placed(req, topology, vims)
                 assert got == want
@@ -876,3 +878,153 @@ class TestSuffixMemo:
         memo = planner._suffixes_of[latency_graph(t)]
         assert len(memo) == planner.SUFFIX_CACHE_SIZE
         assert retained < planner.SUFFIX_CACHE_SIZE * 24 * (8 * 24 + 200)
+
+
+class TestAnswerMemo:
+    """Whole rankings are kept per geometry, keyed by each layer's VIM ids
+    and nodes, the ingress and the egress, whether each of the two is a
+    terminal, and ``k``: at most ``RANKING_CACHE_SIZE`` of them, none
+    longer than ``RANKING_MAX_LEN`` candidates."""
+
+    def test_each_topology_names_its_own_vims(self):
+        # Renaming the VIMs leaves the geometry, so the shared graph and
+        # every weight, as they were; only the ids tell the answers apart.
+        from metroslice import planner
+
+        topology = _metro_ring(301)
+        renamed = dataclasses.replace(topology, nodes=[
+            dataclasses.replace(n, vim=dataclasses.replace(
+                n.vim, vim_id=n.vim.vim_id.replace("vim-", "dc-")))
+            if n.vim else n
+            for n in topology.nodes])
+        assert latency_graph(renamed) is latency_graph(topology)
+        req = _req([_vnf("v1", tag="fw", cpu=1, mem=1, sto=1),
+                    _vnf("v2", tag="nat", cpu=1, mem=1, sto=1)], k=10)
+        pairs = [(t, [n.vim for n in t.vim_nodes()]) for t in (topology, renamed)]
+        for order in (pairs, pairs[::-1]):
+            planner._rankings_of.pop(latency_graph(topology), None)
+            got = {}
+            for t, vims in order:
+                decision = place(req, t, vims)
+                prefix = "vim-" if t is topology else "dc-"
+                assert decision.ranked
+                assert all(v.startswith(prefix) for c in decision.ranked
+                           for v in c.vim_ids)
+                got[prefix] = [(c.cost_us, " ".join(c.vim_ids)) for c in decision.ranked]
+            assert got["dc-"] == [(c, ids.replace("vim-", "dc-")) for c, ids in got["vim-"]]
+
+    @pytest.mark.parametrize("end", ["ingress", "egress"])
+    def test_access_leg_run_is_part_of_the_key(self, end):
+        # As in TestSuffixMemo.test_egress_eligible_then_not: the run of
+        # site-05 reaches site-09 one ulp away from the run of site-09. One
+        # layer set on the vms-core sites, with site-05 at one end of the
+        # chain, ranked on a graph whose terminals hold site-05 and on one
+        # whose terminals do not: two answers to one question but the flag.
+        from metroslice import planner
+
+        topology = _metro_ring(301)
+        vim_node = {n.vim.vim_id: n.node_id for n in topology.vim_nodes()}
+        layer = ["vim-03", "vim-07", "vim-09"]
+        chain = [_vnf("v1"), _vnf("v2")]
+        eligibility = {vnf.vnf_id: layer for vnf in chain}
+        req = _req(chain, k=9, **{end: "site-05"})
+        sites = [vim_node[v] for v in layer]
+        graphs = [build_rtt_graph(topology, sites + ["site-05"]),
+                  build_rtt_graph(topology, sites)]
+        wants = [exhaustive_rank(req, g, eligibility, vim_node, req.ingress, req.egress)
+                 for g in graphs]
+        assert wants[0] != wants[1]
+        for order in (graphs, graphs[::-1]):
+            planner._rankings_of.pop(latency_graph(topology), None)
+            for graph in order:
+                got = rank_service_chains(req, graph, eligibility, vim_node)
+                assert [(c.cost_us, c.vim_ids) for c in got] == wants[graphs.index(graph)]
+
+    def test_callers_cannot_edit_a_kept_answer(self):
+        t = _uniform_ring(6, ("fw", "nat"))
+        t.links[0].length_km = 7.625  # a geometry no other test builds
+        vim_node = {n.vim.vim_id: n.node_id for n in t.nodes}
+        chain = [_vnf("v1", tag="fw"), _vnf("v2", tag="nat")]
+        eligibility = {vnf.vnf_id: sorted(vim_node) for vnf in chain}
+        graph = build_rtt_graph(t, sorted(vim_node.values()))
+        req = _req(chain, k=12)
+        first = rank_service_chains(req, graph, eligibility, vim_node)
+        want = list(first)
+        first.reverse()
+        first.pop()
+        second = rank_service_chains(req, graph, eligibility, vim_node)
+        assert second == want
+        second.clear()
+        assert rank_service_chains(req, graph, eligibility, vim_node) == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(memo_instances())
+    def test_warm_suffixes_without_the_answer(self, inst):
+        # A kept answer hides the suffix memo from a repeated request, so
+        # drop the answers before each ranking: cold, warm, and after one
+        # VIM's eligibility changes, the search still equals the
+        # exhaustive sort, bitwise.
+        from metroslice import planner
+
+        req, topology, vims, (v, cpu) = inst
+        g = latency_graph(topology)
+        planner._suffixes_of.pop(g, None)
+        results = []
+        for change in (False, False, True):
+            if change:
+                vims[v].cpu_idle = cpu
+            planner._rankings_of.pop(g, None)
+            got, want = _ranked_as_placed(req, topology, vims)
+            assert got == want
+            results.append(got)
+        assert results[1] == results[0]
+
+    def test_retained_memory_is_bounded(self):
+        # The 24-VIM ring of TestSuffixMemo, at k = RANKING_MAX_LEN: 600
+        # chains of three VNFs, each with thousands of complete chains,
+        # so every answer holds the longest ranking kept. An answer keeps
+        # its key (each layer's ids and nodes, at most 2 * 3 * 24
+        # references) and L candidates (the object, its dict, the id
+        # tuple and the cost); with overheads that stays under
+        # 2 KB + 300 L bytes; CPython 3.11 holds about 13 KB at L = 64.
+        import gc
+        import tracemalloc
+
+        from metroslice import planner
+
+        t = _uniform_ring(24, ("fw",))
+        t.links[0].length_km = 19.125  # a geometry no other test builds
+        vims = [n.vim for n in t.nodes]
+        for i, v in enumerate(vims):
+            v.cpu_idle = i + 1
+        rng = random.Random(6)
+        shapes = rng.sample([(a, b, c) for a in range(1, 13) for b in range(1, 13)
+                             for c in range(1, 13)], 600)
+        cap = planner.RANKING_MAX_LEN
+
+        def req(cpus, k=cap):
+            return _req([_vnf(f"v{i}", tag="fw", cpu=c) for i, c in enumerate(cpus)], k=k)
+
+        place(req((1, 1, 1)), t, vims)  # fills the rows of every pair
+        gc.collect()
+        memo = planner._rankings_of[latency_graph(t)]
+        tracemalloc.start()
+        try:
+            for cpus in shapes:
+                assert len(place(req(cpus), t, vims).ranked) == cap
+            gc.collect()
+            assert len(memo) == planner.RANKING_CACHE_SIZE
+            held = tracemalloc.get_traced_memory()[0]
+            answers = dict(memo)
+            memo.clear()
+            del answers
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < retained < planner.RANKING_CACHE_SIZE * (2000 + 300 * cap)
+        # One candidate more than the cap is not kept; the cap itself is.
+        place(req((1, 1, 1), k=cap + 1), t, vims)
+        assert len(memo) == 0
+        place(req((1, 1, 1)), t, vims)
+        assert len(memo) == 1
