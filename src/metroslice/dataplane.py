@@ -12,13 +12,18 @@ Delay model, one way:
 Loss per traversal:      1 - prod(1 - loss_prob_i)
 Jitter std per traversal: root-sum-square of element jitter_std_ns
 Timestamps are quantized to the capture clock tick (322 MHz, 3.1 ns).
+
+Two values are memoised for the life of the process, each in a
+:func:`~metroslice.model.memo` that ``model.clear_memos()`` empties:
+the path models of :func:`path_from_nodes`, keyed by the exact value of
+their inputs, and the RTT laws of :func:`rtt_law`, keyed by each leg's
+jitter and delay. Equal inputs so share one object.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,6 +34,7 @@ from .model import (
     NodeKind,
     Topology,
     latency_graph,
+    memo,
     sum_left_to_right,
 )
 
@@ -292,7 +298,7 @@ def _leg_delay_pmf(sigma: float, delay_ns: float) -> tuple[int, np.ndarray]:
 LAW_CACHE_SIZE = 16
 
 
-@functools.lru_cache(maxsize=LAW_CACHE_SIZE)
+@memo(LAW_CACHE_SIZE)
 def _rtt_law_of(fwd: tuple[float, float],
                 back: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     lo_f, pmf_f = _leg_delay_pmf(*fwd)
@@ -460,15 +466,27 @@ def element_for_node(
 #: benchmark about 70 distinct ones.
 PATH_CACHE_SIZE = 256
 
-_paths: OrderedDict[tuple, PathModel] = OrderedDict()
 
-
-def _exact(x) -> object:
+def _exact(x) -> tuple:
     """A number as a key part equal only to numbers of the same type and
-    bits. ``1 == 1.0`` and ``0.0 == -0.0``, yet each pair builds models
-    whose fields differ: a row of length ``-0.0`` reports a two-way
-    propagation of ``-0.0``. A zero's ``repr`` tells its type and sign."""
-    return (x, type(x)) if x else repr(x)
+    bits, the number itself first. ``1 == 1.0`` and ``0.0 == -0.0``, yet
+    each pair builds models whose fields differ: a row of length ``-0.0``
+    reports a two-way propagation of ``-0.0``. A zero's ``repr`` tells
+    its sign."""
+    return (x, type(x)) if x else (x, type(x), repr(x))
+
+
+@memo(PATH_CACHE_SIZE)
+def _path_of(key: tuple) -> PathModel:
+    """The model of a :func:`path_from_nodes` key, built from the numbers
+    the key holds."""
+    (length_km, *_), (prop, *_), *nodes = key
+    elements = []
+    for node_id, kind, (fixed, *_), p in nodes:
+        d = DEFAULT_ELEMENT_PARAMS[kind]
+        loss, jitter = (d.loss_prob, d.jitter_std_ns) if p is None else (p[0][0], p[1][0])
+        elements.append(PathElement(node_id, fixed, loss, jitter))
+    return PathModel(tuple(elements), length_km, prop)
 
 
 def path_from_nodes(
@@ -490,22 +508,12 @@ def path_from_nodes(
     values. The ``PATH_CACHE_SIZE`` most recently used models are kept.
     """
     by_id = {n.node_id: n for n in t.nodes}
-    nodes = [by_id[nid] for nid in node_ids]
     key = [_exact(length_km), _exact(t.prop_const_us_per_km)]
-    for n in nodes:
-        p = overrides.get(n.node_id)
-        key.append((n.node_id, n.kind, _exact(n.fixed_latency_us),
+    for nid in node_ids:
+        n, p = by_id[nid], overrides.get(nid)
+        key.append((nid, n.kind, _exact(n.fixed_latency_us),
                     p and (_exact(p.loss_prob), _exact(p.jitter_std_ns))))
-    key = tuple(key)
-    path = _paths.get(key)
-    if path is None:
-        elements = tuple(element_for_node(n, overrides) for n in nodes)
-        path = _paths[key] = PathModel(elements, length_km, t.prop_const_us_per_km)
-        if len(_paths) > PATH_CACHE_SIZE:
-            _paths.popitem(last=False)
-    else:
-        _paths.move_to_end(key)
-    return path
+    return _path_of(tuple(key))
 
 
 def path_from_topology(

@@ -3,6 +3,9 @@
 Covers the transport topology (nodes, links, per-element latency
 contributions), VIM resource snapshots, VNF chains with their latency
 requisite, and the video-surveillance demand profile used for sizing.
+
+It also holds the package's one rule for memos: every process-wide memo
+is a :func:`memo`, and :func:`clear_memos` empties them all.
 """
 
 from __future__ import annotations
@@ -187,6 +190,12 @@ class LatencyGraph:
     path's cost covers its links, its intermediate nodes and its
     destination, but not its source. Built from a topology's
     :func:`geometry`.
+
+    The graph also holds what the planner derives from its geometry
+    alone, and so leaves with it: ``rows``, the round-trip weights between
+    terminals; ``suffixes``, the bounds and child orders of chain
+    suffixes; and ``rankings``, whole answers. See
+    :mod:`metroslice.planner`.
     """
 
     def __init__(self, geom: tuple):
@@ -206,6 +215,9 @@ class LatencyGraph:
             self._adj[a][z] = (lat, length_km)
             self._adj.setdefault(z, {})[a] = (lat, length_km)
         self._runs: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+        self.rows: dict[str, dict[str, float]] = {}
+        self.suffixes: dict[tuple, tuple] = {}
+        self.rankings: dict[tuple, tuple] = {}
 
     def length_km(self, a: str, b: str) -> float:
         """Fibre length of the link kept between two adjacent nodes."""
@@ -243,11 +255,33 @@ class LatencyGraph:
         return run
 
 
+#: The package's process-wide memos, in the order they were made.
+_MEMOS: list = []
+
+
+def memo(maxsize: int):
+    """``functools.lru_cache(maxsize=maxsize)``, registered so that
+    :func:`clear_memos` empties it. Every process-wide memo of the
+    package is one; the per-geometry ones hang on a :class:`LatencyGraph`
+    and leave with it."""
+    def register(f):
+        _MEMOS.append(functools.lru_cache(maxsize=maxsize)(f))
+        return _MEMOS[-1]
+    return register
+
+
+def clear_memos() -> None:
+    """Empty every memo of the package. The latency graphs go, and with
+    them the per-geometry memos, so each later call computes afresh."""
+    for cached in _MEMOS:
+        cached.cache_clear()
+
+
 #: Distinct geometries whose graphs :func:`latency_graph` keeps.
 GRAPH_CACHE_SIZE = 8
 
 
-_graph_of = functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)(LatencyGraph)
+_graph_of = memo(GRAPH_CACHE_SIZE)(LatencyGraph)
 
 
 def latency_graph(t: Topology) -> LatencyGraph:

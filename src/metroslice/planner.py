@@ -8,13 +8,14 @@ candidate is feasible, or when the cheapest feasible candidate exceeds
 the slice's RTT requisite. Placement only decides: it allocates nothing,
 and ``orchestrator.run_wf1`` commits the chosen chain.
 
-RTT weights are computed once per topology geometry: they sit in rows
-keyed by node id next to the shared
-:func:`~metroslice.model.latency_graph`, and leave with it. So do the
-bounds and child orders of the chain suffixes that rankings on that
-geometry derived, keyed by the suffix's VIM nodes and the egress, and
-so do the rankings themselves, keyed by everything else a ranking reads:
-a recurring request is answered without a search. A ranking call that
+RTT weights are computed once per topology geometry: they sit in the
+``rows`` of the shared :func:`~metroslice.model.latency_graph`, keyed by
+node id, and leave with it. So do the bounds and child orders of the
+chain suffixes that rankings on that geometry derived, in its
+``suffixes``, keyed by the suffix's VIM nodes and the egress, and so do
+the rankings themselves, in its ``rankings``, keyed by everything else a
+ranking reads: a recurring request is answered without a search. The
+last two drop their oldest entry first. A ranking call that
 does search reads each (layer, option) row of leg weights with one
 gather, and expands chain prefixes lazily: each entry taken from the
 heap makes its own next sibling and, unless it is a complete chain, its
@@ -29,7 +30,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -125,37 +125,12 @@ def _rtt_from(g: LatencyGraph, s: str, t: str) -> float:
     return 2.0 * (dist[t] - fixed) if t in dist else _INF
 
 
-#: Weight rows of each geometry's shared graph, keyed by node id:
-#: ``rows[u][v]`` comes from the run of the smaller id of u and v. Keyed
-#: weakly, so a geometry's rows leave with its graph's LRU entry.
-_rows_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
-    weakref.WeakKeyDictionary()
-)
-
-#: What rankings derive from their layers alone, per geometry: for each
-#: chain suffix, the bounds of its first layer and the child orders of
-#: that layer's options (see :func:`rank_service_chains`). Keyed weakly
-#: like ``_rows_of``; each geometry keeps its last ``SUFFIX_CACHE_SIZE``
-#: suffixes.
-_suffixes_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
-    weakref.WeakKeyDictionary()
-)
-
 #: Chain suffixes kept per geometry: twice the 64 distinct ones that 36
 #: chains of 2-4 VNFs read on a ring of 12 VIMs. A suffix holds a bound
 #: per option of its first layer and a child order per option expanded:
 #: about 36 KB on a ring of 200 VIMs at k = 10, and at most about 0.35 MB
 #: there, were every option's children all ordered.
 SUFFIX_CACHE_SIZE = 128
-
-#: What rankings returned, per geometry: each one's candidates, keyed by
-#: the rest of what it read (see :func:`rank_service_chains`). Keyed
-#: weakly like ``_rows_of``; each geometry keeps its last
-#: ``RANKING_CACHE_SIZE`` rankings of at most ``RANKING_MAX_LEN``
-#: candidates.
-_rankings_of: weakref.WeakKeyDictionary[LatencyGraph, dict] = (
-    weakref.WeakKeyDictionary()
-)
 
 #: Rankings kept per geometry: the 35 distinct ones of one slice_churn
 #: episode on a ring fit more than three times over.
@@ -167,17 +142,24 @@ RANKING_CACHE_SIZE = 128
 RANKING_MAX_LEN = 64
 
 
+def _keep(memo: dict, size: int, key, value):
+    """``memo[key] = value``, first dropping the oldest entry when
+    ``memo`` already holds ``size``; returns ``value``."""
+    if len(memo) >= size:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 class _TopologyRtt(RttGraph):
     """What :func:`build_rtt_graph` returns: weights from the terminals,
-    between two of them read from the rows memoised for the topology's
-    geometry."""
+    between two of them read from the ``rows`` of the topology's shared
+    graph. ``rows[u][v]`` comes from the run of the smaller id of u and
+    v."""
 
     def __init__(self, g: LatencyGraph, terminals: frozenset[str]):
         self._g = g
         self._terminals = terminals
-        self._rows = _rows_of.get(g) or _rows_of.setdefault(g, {})
-        self._suffixes = _suffixes_of.get(g) or _suffixes_of.setdefault(g, {})
-        self._rankings = _rankings_of.get(g) or _rankings_of.setdefault(g, {})
 
     def weight_us(self, u: str, v: str) -> float | None:
         if u == v:
@@ -200,14 +182,14 @@ class _TopologyRtt(RttGraph):
         terminals = self._terminals
         if not all(map(terminals.issuperset, layers)):
             return {}, {}, (), ()
-        tail = (egress, egress in terminals)
-        return self._suffixes, self._rankings, tail, (ingress, ingress in terminals, tail)
+        g, tail = self._g, (egress, egress in terminals)
+        return g.suffixes, g.rankings, tail, (ingress, ingress in terminals, tail)
 
     def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
         terminals = self._terminals
         if not (terminals.issuperset(us) and terminals.issuperset(vs)):
             return super().legs(us, vs)
-        rows = self._rows
+        rows = self._g.rows
         get = _gather(vs)
         try:
             return list(map(get, map(rows.__getitem__, us)))
@@ -244,7 +226,7 @@ def build_rtt_graph(
     - between two other nodes there is no weight (``None``).
 
     The runs, and the weights between terminals, are memoised per
-    geometry next to the shared :func:`~metroslice.model.latency_graph`,
+    geometry on the shared :func:`~metroslice.model.latency_graph`,
     so an unchanged topology pays for each once. Raises ``KeyError`` for
     a terminal, or a node read against one, that is not a node of the
     topology.
@@ -380,9 +362,7 @@ def rank_service_chains(
                 b = [0.0] * len(nodes[i])
             else:
                 b = graph.legs([egress], nodes[i])[0]
-            if len(memo) >= SUFFIX_CACHE_SIZE:
-                del memo[next(iter(memo))]
-            got = memo[key] = (b, {})
+            got = _keep(memo, SUFFIX_CACHE_SIZE, key, (b, {}))
         bounds[i], kids[i] = got
 
     def extend(i: int, j: int, order: list[int]) -> None:
@@ -462,9 +442,7 @@ def rank_service_chains(
     done.sort()
     ranked = [ServiceChainCandidate(ids, c) for c, ids in done[:k]]
     if len(ranked) <= RANKING_MAX_LEN:
-        if len(answers) >= RANKING_CACHE_SIZE:
-            del answers[next(iter(answers))]
-        answers[question] = tuple(ranked)
+        _keep(answers, RANKING_CACHE_SIZE, question, tuple(ranked))
     return ranked
 
 

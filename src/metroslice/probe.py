@@ -22,7 +22,6 @@ or PRBS-31 seeded with 0x7FFFFFFF).
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -41,6 +40,7 @@ from .dataplane import (
     serialization_delay_ns,
     transmit_train,
 )
+from .model import memo
 from .records import Record
 
 MAGIC = 0x4D485052
@@ -141,7 +141,7 @@ def prbs31_bytes(n: int) -> bytes:
     return bytes(out)
 
 
-@functools.lru_cache(maxsize=32)
+@memo(32)
 def bert_payload(bert_type: BertType, n: int) -> bytes:
     if n <= 0:
         return b""

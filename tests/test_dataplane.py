@@ -506,8 +506,8 @@ class TestPathMemo:
         for i in range(PATH_CACHE_SIZE + 10):
             path_from_nodes(t, row, 1e6 + 2 + i, {})
             assert path_from_nodes(t, row, 1e6, {}) is first  # kept: used last
-            assert len(dataplane._paths) <= PATH_CACHE_SIZE
-        assert len(dataplane._paths) == PATH_CACHE_SIZE
+            assert dataplane._path_of.cache_info().currsize <= PATH_CACHE_SIZE
+        assert dataplane._path_of.cache_info().currsize == PATH_CACHE_SIZE
         rebuilt = path_from_nodes(t, row, 1e6 + 1, {})
         assert rebuilt is not second and rebuilt == second
 

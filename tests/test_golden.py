@@ -9,7 +9,7 @@
 ``degrade.json`` of ``degrade``, all at the packaged seed. The test
 regenerates them in process and compares bytes, then renders
 ``deploy`` and ``table1`` once more in the same process, over warm
-memos. After a change that alters them on purpose, rewrite them with
+memos, and every file again with every memo bypassed. After a change that alters them on purpose, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -112,9 +112,38 @@ def rerendered(rendered, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def bypassed(tmp_path_factory):
+    """Every file rendered with each registered memo that a package module
+    holds replaced by the function it wraps: each ``latency_graph`` call
+    builds a fresh graph, whose per-geometry memos start empty, and no
+    process-wide memo is read or filled."""
+    from metroslice import model
+
+    memos = {id(m): m for m in model._MEMOS}
+    before = [m.cache_info() for m in memos.values()]
+    found = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name == "metroslice" or name.startswith("metroslice."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in memos:
+                        mp.setattr(module, attr, value.__wrapped__)
+                        found.add(id(value))
+        assert found == set(memos)
+        out = render(tmp_path_factory.mktemp("golden-bypassed"))
+    assert [m.cache_info() for m in memos.values()] == before
+    return out
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_matches_golden(rendered, name):
     _compare(name, rendered[name])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_matches_golden_with_every_memo_bypassed(bypassed, name):
+    _compare(name, bypassed[name])
 
 
 @pytest.mark.parametrize("name", [name for _, names in TWICE for name in names])

@@ -291,7 +291,7 @@ class TestLatencyGraphMemo:
         assert _route(t, "a", "b") == (["a", "b"], 1.0)
 
     def test_cache_stays_bounded(self):
-        model._graph_of.cache_clear()
+        model.clear_memos()
         base = _clean_topology()
         graphs = []
         for i in range(GRAPH_CACHE_SIZE + 3):

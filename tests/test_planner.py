@@ -351,10 +351,8 @@ class TestRankingMemo:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(memo_instances())
     def test_cold_warm_and_changed_equal_exhaustive(self, inst):
-        from metroslice import planner
-
         req, topology, vims, (v, cpu) = inst
-        planner._suffixes_of.pop(latency_graph(topology), None)
+        latency_graph(topology).suffixes.clear()
         cold = _ranked_as_placed(req, topology, vims)
         assert cold[0] == cold[1]
         assert _ranked_as_placed(req, topology, vims) == cold
@@ -766,28 +764,31 @@ class TestRowMemo:
         import gc
         import weakref
 
-        from metroslice import planner
+        from metroslice import model
         from metroslice.model import GRAPH_CACHE_SIZE
 
         t = _uniform_ring(5, ("fw", "nat"))
         vims = [n.vim for n in t.nodes]
         place(self._request(), t, vims)
         first = weakref.ref(latency_graph(t))
-        assert first() in planner._rows_of
+        assert first().rows
+        placed = [first]
         for i in range(GRAPH_CACHE_SIZE):
             t.links[0].length_km = 11.0 + i
             place(self._request(), t, vims)
+            placed.append(weakref.ref(latency_graph(t)))
         gc.collect()
         assert first() is None
-        assert len(planner._rows_of) <= GRAPH_CACHE_SIZE
-        # Graphs that no placement read hold no rows.
+        assert model._graph_of.cache_info().currsize <= GRAPH_CACHE_SIZE
+        # Graphs that no placement read hold no rows, suffixes or rankings,
+        # and the graphs placements filled have left with theirs.
+        graphs = []
         for i in range(GRAPH_CACHE_SIZE):
             t.links[0].length_km = 31.0 + i
-            latency_graph(t)
+            graphs.append(latency_graph(t))
         gc.collect()
-        assert len(planner._rows_of) == 0
-        assert len(planner._suffixes_of) == 0
-        assert len(planner._rankings_of) == 0
+        assert [ref() for ref in placed] == [None] * len(placed)
+        assert [(g.rows, g.suffixes, g.rankings) for g in graphs] == [({}, {}, {})] * len(graphs)
 
 
 class TestSuffixMemo:
@@ -803,8 +804,6 @@ class TestSuffixMemo:
         # a terminal, and its legs read the smaller id's run; for the cache
         # chain it is not, and they read each VIM node's run. One suffix,
         # two egress legs.
-        from metroslice import planner
-
         topology = _metro_ring(301)
         vims = [n.vim for n in topology.vim_nodes()]
         both = build_rtt_graph(topology, ["site-05", "site-09"])
@@ -816,8 +815,8 @@ class TestSuffixMemo:
             for first in ("fw", "cache")
         ]
         for order in (requests, requests[::-1]):
-            planner._suffixes_of.pop(latency_graph(topology), None)
-            planner._rankings_of.pop(latency_graph(topology), None)
+            latency_graph(topology).suffixes.clear()
+            latency_graph(topology).rankings.clear()
             for req in order:
                 got, want = _ranked_as_placed(req, topology, vims)
                 assert got == want
@@ -875,7 +874,7 @@ class TestSuffixMemo:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        memo = planner._suffixes_of[latency_graph(t)]
+        memo = latency_graph(t).suffixes
         assert len(memo) == planner.SUFFIX_CACHE_SIZE
         assert retained < planner.SUFFIX_CACHE_SIZE * 24 * (8 * 24 + 200)
 
@@ -889,8 +888,6 @@ class TestAnswerMemo:
     def test_each_topology_names_its_own_vims(self):
         # Renaming the VIMs leaves the geometry, so the shared graph and
         # every weight, as they were; only the ids tell the answers apart.
-        from metroslice import planner
-
         topology = _metro_ring(301)
         renamed = dataclasses.replace(topology, nodes=[
             dataclasses.replace(n, vim=dataclasses.replace(
@@ -902,7 +899,7 @@ class TestAnswerMemo:
                     _vnf("v2", tag="nat", cpu=1, mem=1, sto=1)], k=10)
         pairs = [(t, [n.vim for n in t.vim_nodes()]) for t in (topology, renamed)]
         for order in (pairs, pairs[::-1]):
-            planner._rankings_of.pop(latency_graph(topology), None)
+            latency_graph(topology).rankings.clear()
             got = {}
             for t, vims in order:
                 decision = place(req, t, vims)
@@ -920,8 +917,6 @@ class TestAnswerMemo:
         # layer set on the vms-core sites, with site-05 at one end of the
         # chain, ranked on a graph whose terminals hold site-05 and on one
         # whose terminals do not: two answers to one question but the flag.
-        from metroslice import planner
-
         topology = _metro_ring(301)
         vim_node = {n.vim.vim_id: n.node_id for n in topology.vim_nodes()}
         layer = ["vim-03", "vim-07", "vim-09"]
@@ -935,7 +930,7 @@ class TestAnswerMemo:
                  for g in graphs]
         assert wants[0] != wants[1]
         for order in (graphs, graphs[::-1]):
-            planner._rankings_of.pop(latency_graph(topology), None)
+            latency_graph(topology).rankings.clear()
             for graph in order:
                 got = rank_service_chains(req, graph, eligibility, vim_node)
                 assert [(c.cost_us, c.vim_ids) for c in got] == wants[graphs.index(graph)]
@@ -964,29 +959,28 @@ class TestAnswerMemo:
         # drop the answers before each ranking: cold, warm, and after one
         # VIM's eligibility changes, the search still equals the
         # exhaustive sort, bitwise.
-        from metroslice import planner
-
         req, topology, vims, (v, cpu) = inst
         g = latency_graph(topology)
-        planner._suffixes_of.pop(g, None)
+        g.suffixes.clear()
         results = []
         for change in (False, False, True):
             if change:
                 vims[v].cpu_idle = cpu
-            planner._rankings_of.pop(g, None)
+            g.rankings.clear()
             got, want = _ranked_as_placed(req, topology, vims)
             assert got == want
             results.append(got)
         assert results[1] == results[0]
 
     def test_retained_memory_is_bounded(self):
-        # The 24-VIM ring of TestSuffixMemo, at k = RANKING_MAX_LEN: 600
-        # chains of three VNFs, each with thousands of complete chains,
-        # so every answer holds the longest ranking kept. An answer keeps
-        # its key (each layer's ids and nodes, at most 2 * 3 * 24
-        # references) and L candidates (the object, its dict, the id
-        # tuple and the cost); with overheads that stays under
-        # 2 KB + 300 L bytes; CPython 3.11 holds about 13 KB at L = 64.
+        # The 24-VIM ring of TestSuffixMemo, at k = RANKING_MAX_LEN: twice
+        # RANKING_CACHE_SIZE chains of three VNFs, each with thousands of
+        # complete chains, so the memo fills and every answer holds the
+        # longest ranking kept. An answer keeps its key (each layer's ids
+        # and nodes, at most 2 * 3 * 24 references) and L candidates (the
+        # object, its dict, the id tuple and the cost); with overheads
+        # that stays under 2 KB + 300 L bytes; CPython 3.11 holds about
+        # 13 KB at L = 64.
         import gc
         import tracemalloc
 
@@ -999,7 +993,7 @@ class TestAnswerMemo:
             v.cpu_idle = i + 1
         rng = random.Random(6)
         shapes = rng.sample([(a, b, c) for a in range(1, 13) for b in range(1, 13)
-                             for c in range(1, 13)], 600)
+                             for c in range(1, 13)], 2 * planner.RANKING_CACHE_SIZE)
         cap = planner.RANKING_MAX_LEN
 
         def req(cpus, k=cap):
@@ -1007,7 +1001,7 @@ class TestAnswerMemo:
 
         place(req((1, 1, 1)), t, vims)  # fills the rows of every pair
         gc.collect()
-        memo = planner._rankings_of[latency_graph(t)]
+        memo = latency_graph(t).rankings
         tracemalloc.start()
         try:
             for cpus in shapes:
