@@ -193,8 +193,7 @@ class LatencyGraph:
 
     The graph also holds what the planner derives from its geometry
     alone, and so leaves with it: ``rows``, the round-trip weights between
-    terminals; ``suffixes``, the bounds and child orders of chain
-    suffixes; and ``rankings``, whole answers. See
+    terminals, and ``rankings``, whole answers. See
     :mod:`metroslice.planner`.
     """
 
@@ -216,7 +215,6 @@ class LatencyGraph:
             self._adj.setdefault(z, {})[a] = (lat, length_km)
         self._runs: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         self.rows: dict[str, dict[str, float]] = {}
-        self.suffixes: dict[tuple, tuple] = {}
         self.rankings: dict[tuple, tuple] = {}
 
     def length_km(self, a: str, b: str) -> float:

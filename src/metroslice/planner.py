@@ -10,16 +10,13 @@ and ``orchestrator.run_wf1`` commits the chosen chain.
 
 RTT weights are computed once per topology geometry: they sit in the
 ``rows`` of the shared :func:`~metroslice.model.latency_graph`, keyed by
-node id, and leave with it. So do the bounds and child orders of the
-chain suffixes that rankings on that geometry derived, in its
-``suffixes``, keyed by the suffix's VIM nodes and the egress, and so do
-the rankings themselves, in its ``rankings``, keyed by everything else a
-ranking reads: a recurring request is answered without a search. The
-last two drop their oldest entry first. A ranking call that
-does search reads each (layer, option) row of leg weights with one
-gather, and expands chain prefixes lazily: each entry taken from the
-heap makes its own next sibling and, unless it is a complete chain, its
-cheapest child. The newest of them goes through one
+node id, and leave with it. So do the rankings, in its ``rankings``,
+keyed by everything a ranking reads, oldest dropped first: a recurring
+request is answered without a search. A ranking call that does search
+keeps nothing else between calls. It reads each (layer, option) row of
+leg weights with one gather, and expands chain prefixes lazily: each
+entry taken from the heap makes its own next sibling and, unless it is
+a complete chain, its cheapest child. The newest of them goes through one
 ``heapq.heappushpop``, which hands it straight back when it is the heap
 minimum. An access leg, from the ingress or to the egress, is read pair
 by pair through ``weight_us`` when that node is not a terminal.
@@ -96,13 +93,12 @@ class RttGraph:
 
     def memos(
         self, layers: list[tuple[str, ...]], ingress: str | None, egress: str | None
-    ) -> tuple[dict, dict, tuple, tuple]:
+    ) -> tuple[dict, tuple]:
         """Where a ranking over ``layers`` (each one's nodes) from
-        ``ingress`` to ``egress`` keeps the bounds and child orders of its
-        chain suffixes, and where it keeps its answer; then the head of
-        the suffixes' keys and that of the answer's. Weights given by
-        value keep nothing: new dicts per call."""
-        return {}, {}, (), ()
+        ``ingress`` to ``egress`` keeps its answer, and the head of the
+        answer's key. Weights given by value keep nothing: a new dict per
+        call."""
+        return {}, ()
 
 
 def _gather(keys: list[str]):
@@ -125,13 +121,6 @@ def _rtt_from(g: LatencyGraph, s: str, t: str) -> float:
     return 2.0 * (dist[t] - fixed) if t in dist else _INF
 
 
-#: Chain suffixes kept per geometry: twice the 64 distinct ones that 36
-#: chains of 2-4 VNFs read on a ring of 12 VIMs. A suffix holds a bound
-#: per option of its first layer and a child order per option expanded:
-#: about 36 KB on a ring of 200 VIMs at k = 10, and at most about 0.35 MB
-#: there, were every option's children all ordered.
-SUFFIX_CACHE_SIZE = 128
-
 #: Rankings kept per geometry: the 35 distinct ones of one slice_churn
 #: episode on a ring fit more than three times over.
 RANKING_CACHE_SIZE = 128
@@ -140,15 +129,6 @@ RANKING_CACHE_SIZE = 128
 #: ranking that long would hold megabytes; one of 64 chains of three
 #: VNFs on 24 VIMs holds about 13 KB, key included.
 RANKING_MAX_LEN = 64
-
-
-def _keep(memo: dict, size: int, key, value):
-    """``memo[key] = value``, first dropping the oldest entry when
-    ``memo`` already holds ``size``; returns ``value``."""
-    if len(memo) >= size:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
 
 
 class _TopologyRtt(RttGraph):
@@ -174,16 +154,16 @@ class _TopologyRtt(RttGraph):
 
     def memos(
         self, layers: list[tuple[str, ...]], ingress: str | None, egress: str | None
-    ) -> tuple[dict, dict, tuple, tuple]:
+    ) -> tuple[dict, tuple]:
         # The legs between layers come from the rows only when every layer
         # node is a terminal. An access leg reads the smaller id's run
         # when its end is a terminal too, and each VIM node's run when it
         # is not; the two can differ in their last bits.
         terminals = self._terminals
         if not all(map(terminals.issuperset, layers)):
-            return {}, {}, (), ()
-        g, tail = self._g, (egress, egress in terminals)
-        return g.suffixes, g.rankings, tail, (ingress, ingress in terminals, tail)
+            return {}, ()
+        return self._g.rankings, (
+            ingress, ingress in terminals, egress, egress in terminals)
 
     def legs(self, us: list[str], vs: list[str]) -> list[tuple[float, ...]]:
         terminals = self._terminals
@@ -304,29 +284,21 @@ def rank_service_chains(
     non-negative and each kept chain's cost is the same left-to-right
     sum.
 
-    The bounds of each chain suffix and the child orders of its first
-    layer depend only on the geometry, the suffix's VIM nodes and the
-    egress, so a graph from :func:`build_rtt_graph` keeps them per
-    geometry (the last ``SUFFIX_CACHE_SIZE`` suffixes) and a request
-    whose suffixes recur pays only for its own heap walk. An order is
-    only ever extended, and its prefix is the same however far it was
-    extended, so the result does not depend on what earlier calls left
-    there.
-
-    The whole answer depends only on the geometry, each layer's VIM ids
-    and their nodes, the ingress and the egress, whether each of the two
-    is a terminal of the graph (which decides the run an access leg
-    reads), and ``k``. Such a graph keeps it under those (the last
-    ``RANKING_CACHE_SIZE`` answers, none longer than ``RANKING_MAX_LEN``),
-    so a recurring request skips the backward pass and the heap walk and
-    gets a new list of the same candidates.
+    The answer depends only on the geometry, each layer's VIM ids and
+    their nodes, the ingress and the egress, whether each of the two is
+    a terminal of the graph (which decides the run an access leg reads),
+    and ``k``. A graph from :func:`build_rtt_graph` keeps it per geometry
+    under those (the last ``RANKING_CACHE_SIZE`` answers, none longer
+    than ``RANKING_MAX_LEN``), so a recurring request skips the backward
+    pass and the heap walk and gets a new list of the same candidates.
+    Bounds and child orders are built afresh by each call that searches.
     """
     ingress, egress, k = req.ingress, req.egress, req.k
     opts = [eligibility[vnf.vnf_id] for vnf in req.chain]
     if not all(opts):
         return []
     nodes = [tuple(map(vim_node.__getitem__, layer)) for layer in opts]
-    memo, answers, key, ends = graph.memos(nodes, ingress, egress)
+    answers, ends = graph.memos(nodes, ingress, egress)
     # The VIM ids name the candidates, and the geometry does not hold them.
     question = (ends, k, tuple(map(tuple, opts)), tuple(nodes))
     answer = answers.get(question)
@@ -340,37 +312,20 @@ def rank_service_chains(
     for i in range(last):
         a, b = nodes[i], nodes[i + 1]
         legs.append(legs[-1] if i and a == b == nodes[i - 1] else graph.legs(a, b))
-    # Per chain suffix, from the egress back: bounds[i][j], the cheapest
-    # completion from option j of layer i, egress leg included (bounds[last]
-    # is the egress leg alone, or zeros); and kids[i][j], the order of the
-    # children of option j of layer i by (leg + bound, index), as far as
-    # known. Both are functions of the suffix's layers and the egress
-    # alone, so they are kept per geometry and shared: an order only grows.
-    # The children's leg plus bound each, which an order extends from,
-    # stays in this call.
-    bounds: list = [None] * (last + 1)
-    kids: list = [None] * (last + 1)
-    scored = [[None] * len(layer) for layer in nodes]
-    for i in reversed(range(last + 1)):
-        key = (nodes[i], key)
-        got = memo.get(key)
-        if got is None:
-            if i < last:
-                after = bounds[i + 1]
-                b = [min(map(add, row, after)) for row in legs[i]]
-            elif egress is None:
-                b = [0.0] * len(nodes[i])
-            else:
-                b = graph.legs([egress], nodes[i])[0]
-            got = _keep(memo, SUFFIX_CACHE_SIZE, key, (b, {}))
-        bounds[i], kids[i] = got
+    # bounds[i][j]: cheapest completion from option j of layer i, egress
+    # leg included; bounds[last] is the egress leg alone, or zeros.
+    bounds = [
+        [0.0] * len(nodes[-1]) if egress is None else graph.legs([egress], nodes[-1])[0]
+    ]
+    for table in reversed(legs):
+        bounds.insert(0, [min(map(add, row, bounds[0])) for row in table])
+    # kids[i][j]: the children of option j of layer i, as their leg plus
+    # bound each and their order by (leg + bound, index) as far as known.
+    kids: list[dict[int, tuple[list[float], list[int]]]] = [{} for _ in range(last)]
 
-    def extend(i: int, j: int, order: list[int]) -> None:
-        """Order one more child of option j of layer i: the second by a
-        masked minimum, the rest by one sort."""
-        sums = scored[i][j]
-        if sums is None:
-            sums = scored[i][j] = list(map(add, legs[i][j], bounds[i + 1]))
+    def extend(sums: list[float], order: list[int]) -> None:
+        """Order one more child: the second by a masked minimum, the rest
+        by one sort."""
         if len(order) == 1:
             rest = sums.copy()
             rest[order[0]] = _INF
@@ -407,10 +362,10 @@ def rank_service_chains(
         if pj is not None:
             # Its next sibling, in its parent's order; none past the
             # unreachable ones, which sort last.
-            order = kids[i - 1][pj]
+            sums, order = kids[i - 1][pj]
             r += 1
             if r == len(order):
-                extend(i - 1, pj, order)
+                extend(sums, order)
             if r < len(order):
                 m = order[r]
                 step = pprefix + legs[i - 1][pj][m]
@@ -425,12 +380,12 @@ def rank_service_chains(
         else:
             if new is not None:
                 push(heap, new)
-            order = kids[i].get(j)
-            if order is None:
+            got = kids[i].get(j)
+            if got is None:
                 # The cheapest child is the one the bound came from.
-                sums = scored[i][j] = list(map(add, legs[i][j], bounds[i + 1]))
-                order = kids[i][j] = [sums.index(bounds[i][j])]
-            m = order[0]
+                sums = list(map(add, legs[i][j], bounds[i + 1]))
+                got = kids[i][j] = (sums, [sums.index(bounds[i][j])])
+            m = got[1][0]
             step = prefix + legs[i][j][m]
             i += 1
             new = (step + bounds[i][m], ids + (opts[i][m],), i, m, step, j, prefix, 0)
@@ -442,7 +397,9 @@ def rank_service_chains(
     done.sort()
     ranked = [ServiceChainCandidate(ids, c) for c, ids in done[:k]]
     if len(ranked) <= RANKING_MAX_LEN:
-        _keep(answers, RANKING_CACHE_SIZE, question, tuple(ranked))
+        if len(answers) >= RANKING_CACHE_SIZE:
+            del answers[next(iter(answers))]
+        answers[question] = tuple(ranked)
     return ranked
 
 

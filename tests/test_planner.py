@@ -16,6 +16,7 @@ from metroslice.model import (
     Topology,
     VimStatus,
     VnfDescriptor,
+    clear_memos,
     latency_graph,
 )
 from metroslice.planner import (
@@ -344,18 +345,23 @@ def memo_instances(draw):
 
 
 class TestRankingMemo:
-    """Rankings through :func:`build_rtt_graph` keep each chain suffix's
-    bounds and child orders per geometry. Cold, warm, and after one VIM's
-    eligibility changes, each ranking equals the exhaustive sort, bitwise."""
+    """Rankings through :func:`build_rtt_graph` keep their rows and their
+    answers per geometry. Cold, with the rows warm but no answer kept, as
+    a kept answer, and after one VIM's eligibility changes, each ranking
+    equals the exhaustive sort, bitwise."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(memo_instances())
     def test_cold_warm_and_changed_equal_exhaustive(self, inst):
         req, topology, vims, (v, cpu) = inst
-        latency_graph(topology).suffixes.clear()
+        g = latency_graph(topology)
+        g.rows.clear()
+        g.rankings.clear()
         cold = _ranked_as_placed(req, topology, vims)
         assert cold[0] == cold[1]
-        assert _ranked_as_placed(req, topology, vims) == cold
+        g.rankings.clear()
+        assert _ranked_as_placed(req, topology, vims) == cold  # rows warm, no answer
+        assert _ranked_as_placed(req, topology, vims) == cold  # the kept answer
         vims[v].cpu_idle = cpu
         got, want = _ranked_as_placed(req, topology, vims)
         assert got == want
@@ -780,7 +786,7 @@ class TestRowMemo:
         gc.collect()
         assert first() is None
         assert model._graph_of.cache_info().currsize <= GRAPH_CACHE_SIZE
-        # Graphs that no placement read hold no rows, suffixes or rankings,
+        # Graphs that no placement read hold no rows or rankings,
         # and the graphs placements filled have left with theirs.
         graphs = []
         for i in range(GRAPH_CACHE_SIZE):
@@ -788,45 +794,14 @@ class TestRowMemo:
             graphs.append(latency_graph(t))
         gc.collect()
         assert [ref() for ref in placed] == [None] * len(placed)
-        assert [(g.rows, g.suffixes, g.rankings) for g in graphs] == [({}, {}, {})] * len(graphs)
-
-
-class TestSuffixMemo:
-    """The bounds and child orders of chain suffixes are kept per
-    geometry, keyed by the suffix's VIM nodes and the egress, in at most
-    ``SUFFIX_CACHE_SIZE`` entries."""
-
-    def test_egress_eligible_then_not(self):
-        # On this ring site-05 hosts no vms-core VIM, and the run of
-        # site-05 reaches site-09 one ulp away from the run of site-09.
-        # Both requests end on the vms-core sites (03, 07, 09) and egress
-        # at site-05. For the fw chain site-05 is an eligible VIM node, so
-        # a terminal, and its legs read the smaller id's run; for the cache
-        # chain it is not, and they read each VIM node's run. One suffix,
-        # two egress legs.
-        topology = _metro_ring(301)
-        vims = [n.vim for n in topology.vim_nodes()]
-        both = build_rtt_graph(topology, ["site-05", "site-09"])
-        alone = build_rtt_graph(topology, ["site-09"])
-        assert both.weight_us("site-09", "site-05") != alone.weight_us("site-09", "site-05")
-        requests = [
-            _req([_vnf(f"v{i}", tag=t, cpu=1, mem=1, sto=1)
-                  for i, t in enumerate((first, "vms-core"))], k=25, egress="site-05")
-            for first in ("fw", "cache")
-        ]
-        for order in (requests, requests[::-1]):
-            latency_graph(topology).suffixes.clear()
-            latency_graph(topology).rankings.clear()
-            for req in order:
-                got, want = _ranked_as_placed(req, topology, vims)
-                assert got == want
+        assert [(g.rows, g.rankings) for g in graphs] == [({}, {})] * len(graphs)
 
     def test_layer_nodes_outside_the_terminals_keep_nothing(self):
         # A graph built for s0 alone has no weight between two other
         # nodes, so its legs are not the geometry's: a ranking on it must
         # leave nothing that a ranking on the full graph would read. There,
-        # k=18 keeps the 6 co-located chains and the 12 of one hop; child
-        # orders left by the first graph would skip some of the latter.
+        # k=18 keeps the 6 co-located chains and the 12 of one hop; an
+        # answer left by the first graph would lack some of the latter.
         t = _uniform_ring(6, ("fw",))
         t.links[0].length_km = 9.375  # a geometry no other test builds
         vim_node = {n.vim.vim_id: n.node_id for n in t.nodes}
@@ -839,44 +814,6 @@ class TestSuffixMemo:
             want = exhaustive_rank(req, graph, eligibility, vim_node)
             assert [(c.cost_us, c.vim_ids) for c in got] == want
         assert len(want) == 18
-
-    def test_retained_memory_is_bounded(self):
-        # 24 VIMs whose idle CPU is 1..24, so a VNF needing c CPUs has the
-        # 25 - c VIMs from vim-(c-1) up: 600 chains of three such VNFs make
-        # about a thousand distinct suffixes. Each suffix keeps at most V bounds
-        # and V child orders of at most V indices; with list, dict and
-        # float overheads that stays under V * (8 V + 200) bytes.
-        import gc
-        import tracemalloc
-
-        from metroslice import planner
-
-        t = _uniform_ring(24, ("fw",))
-        t.links[0].length_km = 17.125  # a geometry no other test builds
-        vims = [n.vim for n in t.nodes]
-        for i, v in enumerate(vims):
-            v.cpu_idle = i + 1
-        rng = random.Random(5)
-        shapes = rng.sample([(a, b, c) for a in range(1, 25) for b in range(1, 25)
-                             for c in range(1, 25)], 600)
-
-        def req(cpus):
-            return _req([_vnf(f"v{i}", tag="fw", cpu=c) for i, c in enumerate(cpus)])
-
-        place(req((1, 1, 1)), t, vims)  # fills the rows of every pair
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for cpus in shapes:
-                place(req(cpus), t, vims)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        memo = latency_graph(t).suffixes
-        assert len(memo) == planner.SUFFIX_CACHE_SIZE
-        assert retained < planner.SUFFIX_CACHE_SIZE * 24 * (8 * 24 + 200)
 
 
 class TestAnswerMemo:
@@ -911,8 +848,33 @@ class TestAnswerMemo:
             assert got["dc-"] == [(c, ids.replace("vim-", "dc-")) for c, ids in got["vim-"]]
 
     @pytest.mark.parametrize("end", ["ingress", "egress"])
+    def test_access_end_eligible_then_not(self, end):
+        # On this ring site-05 hosts no vms-core VIM, and the run of
+        # site-05 reaches site-09 one ulp away from the run of site-09.
+        # Both requests put the vms-core sites (03, 07, 09) next to an
+        # access end at site-05. For the fw chain site-05 is an eligible
+        # VIM node, so a terminal, and its legs read the smaller id's run;
+        # for the cache chain it is not, and they read each VIM node's run.
+        topology = _metro_ring(301)
+        vims = [n.vim for n in topology.vim_nodes()]
+        both = build_rtt_graph(topology, ["site-05", "site-09"])
+        alone = build_rtt_graph(topology, ["site-09"])
+        assert both.weight_us("site-09", "site-05") != alone.weight_us("site-09", "site-05")
+        requests = []
+        for first in ("fw", "cache"):
+            types = (first, "vms-core") if end == "egress" else ("vms-core", first)
+            requests.append(_req([_vnf(f"v{i}", tag=t, cpu=1, mem=1, sto=1)
+                                  for i, t in enumerate(types)], k=25, **{end: "site-05"}))
+        for order in (requests, requests[::-1]):
+            latency_graph(topology).rankings.clear()
+            for req in order:
+                ranked = place(req, topology, vims).ranked
+                got, want = _ranked_as_placed(req, topology, vims)
+                assert [(c.cost_us.hex(), c.vim_ids) for c in ranked] == got == want
+
+    @pytest.mark.parametrize("end", ["ingress", "egress"])
     def test_access_leg_run_is_part_of_the_key(self, end):
-        # As in TestSuffixMemo.test_egress_eligible_then_not: the run of
+        # As in test_access_end_eligible_then_not: the run of
         # site-05 reaches site-09 one ulp away from the run of site-09. One
         # layer set on the vms-core sites, with site-05 at one end of the
         # chain, ranked on a graph whose terminals hold site-05 and on one
@@ -952,30 +914,11 @@ class TestAnswerMemo:
         second.clear()
         assert rank_service_chains(req, graph, eligibility, vim_node) == want
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(memo_instances())
-    def test_warm_suffixes_without_the_answer(self, inst):
-        # A kept answer hides the suffix memo from a repeated request, so
-        # drop the answers before each ranking: cold, warm, and after one
-        # VIM's eligibility changes, the search still equals the
-        # exhaustive sort, bitwise.
-        req, topology, vims, (v, cpu) = inst
-        g = latency_graph(topology)
-        g.suffixes.clear()
-        results = []
-        for change in (False, False, True):
-            if change:
-                vims[v].cpu_idle = cpu
-            g.rankings.clear()
-            got, want = _ranked_as_placed(req, topology, vims)
-            assert got == want
-            results.append(got)
-        assert results[1] == results[0]
-
     def test_retained_memory_is_bounded(self):
-        # The 24-VIM ring of TestSuffixMemo, at k = RANKING_MAX_LEN: twice
-        # RANKING_CACHE_SIZE chains of three VNFs, each with thousands of
-        # complete chains, so the memo fills and every answer holds the
+        # 24 VIMs whose idle CPU is 1..24, so a VNF needing c CPUs has the
+        # 25 - c VIMs from vim-(c-1) up. At k = RANKING_MAX_LEN, twice
+        # RANKING_CACHE_SIZE chains of three such VNFs, each with thousands
+        # of complete chains, so the memo fills and every answer holds the
         # longest ranking kept. An answer keeps its key (each layer's ids
         # and nodes, at most 2 * 3 * 24 references) and L candidates (the
         # object, its dict, the id tuple and the cost); with overheads
@@ -1022,3 +965,72 @@ class TestAnswerMemo:
         assert len(memo) == 0
         place(req((1, 1, 1)), t, vims)
         assert len(memo) == 1
+
+
+def _churn(clear, plays=1):
+    """Decision texts of a seeded run of place, allocate and release on
+    one ring, as in a round of the benchmark's slice churn, played
+    ``plays`` times from the same idle VIMs after ``clear_memos()``; with
+    ``clear``, the memos are emptied before every placement too. Also
+    counts the placements whose eligibility differs from the idle VIMs'.
+
+    Each VIM has 12 idle CPUs and each VNF needs 1 to 8, so eligibility
+    changes as VIMs fill and empty. Requests come with no access legs,
+    with both on ROADMs, or with both on VIM sites.
+    """
+    topology = _metro_ring(303)
+    vims = [n.vim for n in topology.vim_nodes()]
+    by_id = {v.vim_id: v for v in vims}
+    rng = random.Random(32)
+    chains = _pinned_chains()
+    ends = [(None, None), ("roadm-02", "roadm-09"), ("site-05", "site-09")]
+    requests = []
+    for _ in range(90):
+        chain = [_vnf(f"vnf-{j}-{t}", tag=t, cpu=rng.randint(1, 8), mem=1, sto=1)
+                 for j, t in enumerate(rng.choice(chains))]
+        max_rtt = rng.choice((400.0, 2000.0, 10000.0))
+        ingress, egress = rng.choice(ends)
+        requests.append(_req(chain, max_rtt=max_rtt, k=10, ingress=ingress, egress=egress))
+    picks = [rng.random() for _ in requests]
+    idle = [dataclasses.replace(v, cpu_idle=12) for v in vims]
+    texts, changed = [], 0
+    clear_memos()
+    for _ in range(plays):
+        for v in vims:
+            v.cpu_idle = 12
+        live, pending, taken = [], list(requests), iter(picks)
+        op = 0
+        while pending:
+            op += 1
+            if live and (len(live) >= 8 or op % 3 == 0):
+                req, candidate = live.pop(int(next(taken) * len(live)))
+                for vnf, vim_id in zip(req.chain, candidate.vim_ids):
+                    by_id[vim_id].release(vnf)
+                continue
+            req = pending.pop(0)
+            changed += filter_vims(req, vims) != filter_vims(req, idle)
+            if clear:
+                clear_memos()
+            decision = place(req, topology, vims)
+            texts.append(_decision_text(decision))
+            if decision.placed:
+                for vnf, vim_id in zip(req.chain, decision.candidate.vim_ids):
+                    by_id[vim_id].allocate(vnf)
+                live.append((req, decision.candidate))
+    return texts, changed
+
+
+class TestMemosUnderChurn:
+    """The memos hold up while VIMs fill and empty: every decision of a
+    churn sequence, played twice over kept memos, equals the one made
+    right after ``model.clear_memos()``."""
+
+    def test_decisions_equal_cleared_ones(self):
+        kept, _ = _churn(clear=False, plays=2)
+        cleared, changed = _churn(clear=True)
+        assert kept == cleared * 2
+        # The sequence exercises what it claims: eligibility that changes,
+        # and placed and blocked requests both.
+        assert changed >= 30
+        reasons = {text.split("\n", 1)[0] for text in cleared}
+        assert {"placed", "NoValidSC", "RttExceeded"} <= reasons
