@@ -183,7 +183,8 @@ class OlsController:
         return sips, view
 
     def get_active_connections(self) -> list[MediaChannel]:
-        return sorted(self._provisioned(), key=lambda c: c.mc_id)
+        """The live channels in creation order."""
+        return list(self._provisioned())
 
     def create_media_channel(
         self,
@@ -290,23 +291,29 @@ class OlsController:
         m: int,
     ) -> FrequencySlot:
         # With a tunable SIP the answer is in the tunable sets' common n at
-        # or above the floor, walked up from the floor in the shorter one.
+        # or above the floor, walked up from the floor in the shorter one,
+        # and each candidate is checked against every channel ever created.
         # With two untunable SIPs it is the floor or, when n - 1 collides
         # and n does not, the right edge of a channel sharing a route
-        # link, so one always exists.
+        # link, so one always exists. One sweep of the route's live slots
+        # in left-edge order finds it: a slot that overlaps the candidate
+        # moves it past the slot's right edge, and the first slot that
+        # starts clear of the candidate ends the sweep.
         tunable = [self._tuning[s.sip_id] for s in (sa, sz) if s.tunability]
         if tunable:
             walk = min(tunable, key=len)
             candidates = (n for n in walk[bisect.bisect_left(walk, floor_n):]
                           if _tunes(sa.tunability, n) and _tunes(sz.tunability, n))
         else:
-            edges = {floor_n}
-            edges.update(
-                c.slot.n + c.slot.m + m
-                for c in self._provisioned()
-                if any(link_id in c.route for link_id in route)
-            )
-            candidates = sorted(n for n in edges if n >= floor_n)
+            links = set(route)
+            n = floor_n
+            for lo, hi in sorted(c.slot.interval for c in self._provisioned()
+                                 if not links.isdisjoint(c.route)):
+                if lo >= n + m:
+                    break
+                if hi > n - m:
+                    n = hi + m
+            return FrequencySlot(n=n, m=m)
         for n in candidates:
             slot = FrequencySlot(n=n, m=m)
             if self._first_collision(route, slot) is None:

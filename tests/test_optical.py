@@ -1,5 +1,6 @@
 """Optical layer: flexgrid slots, OLS provisioning, transponder bring-up."""
 
+import itertools
 import random
 
 import pytest
@@ -185,6 +186,15 @@ class TestOlsProvisioning:
         for _ in range(3):
             assert ols._route("r1", "r2") == ("l-a0", "l-b2")
 
+    def test_active_connections_in_creation_order(self):
+        # Ids pass four digits here, where "mc-10000" sorts before
+        # "mc-9998" as a string.
+        ols = _ring_controller()
+        ols._next_id = itertools.count(9998)
+        mcs = [ols.create_media_channel("sip-1", "sip-2") for _ in range(3)]
+        assert [mc.mc_id for mc in mcs] == ["mc-9998", "mc-9999", "mc-10000"]
+        assert ols.get_active_connections() == mcs
+
     def test_context_views(self, scenario, world):
         sips, view = world.ols.get_context()
         assert [s.sip_id for s in sips] == ["sip-a", "sip-z"]
@@ -307,6 +317,31 @@ class TestFirstFitCases:
                 ols.create_media_channel("a", "z", floor_n=floor)
         else:
             assert ols.create_media_channel("a", "z", floor_n=floor).slot.n == want
+
+
+class TestUntunableFirstFitOnALine:
+    """First-fit between two untunable SIPs on the line r1-r2-r3, whose
+    route has two links, against ``oracles.first_fit_n``. The route
+    carries a live channel on both links at n=0, a live channel on f-12
+    alone at n=12, and two deleted channels; m=4 throughout."""
+
+    @pytest.mark.parametrize("floor, want", [(2, 20), (-20, -20)],
+                             ids=["floor-in-live-slot", "floor-free"])
+    def test_matches_oracle(self, floor, want):
+        nodes = [Node(f"r{i}", NodeKind.ROADM) for i in (1, 2, 3)]
+        links = [Link("f-12", ("r1", "r2"), 10.0), Link("f-23", ("r2", "r3"), 10.0)]
+        ols = OlsController(Topology(nodes=nodes, links=links),
+                            [Sip(f"u{i}", f"r{i}", "p1") for i in (1, 2, 3)])
+        live = [ols.create_media_channel("u1", "u3", slot=FrequencySlot(0)),
+                ols.create_media_channel("u1", "u2", slot=FrequencySlot(12))]
+        for a, z, n in (("u1", "u3", 24), ("u2", "u3", -16)):
+            ols.delete_media_channel(
+                ols.create_media_channel(a, z, slot=FrequencySlot(n)).mc_id)
+        route = ("f-12", "f-23")
+        assert first_fit_n([(mc.route, mc.slot.n, 4) for mc in live],
+                           route, (), floor, 4) == want
+        mc = ols.create_media_channel("u1", "u3", floor_n=floor)
+        assert (mc.route, mc.slot.n) == (route, want)
 
 
 class OlsMachine(RuleBasedStateMachine):
