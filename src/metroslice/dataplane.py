@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from math import erfc, sqrt
 
 import numpy as np
 
@@ -389,7 +390,8 @@ class DegradationScenario:
 
 
 def _ber(snr_db: float) -> float:
-    return 0.5 * math.erfc(math.sqrt(10.0 ** (snr_db / 10.0) / 2.0))
+    # erfc and sqrt are module globals: a series calls this once a sample.
+    return 0.5 * erfc(sqrt(10.0 ** (snr_db / 10.0) / 2.0))
 
 
 def ber_from_snr_db(snr_db):
@@ -400,7 +402,8 @@ def ber_from_snr_db(snr_db):
     maps over Python floats, so its power and ``erfc`` are libm's on
     every host, not a SIMD kernel numpy picks by CPU; the series it
     serves are a few thousand samples long, so that costs less than
-    importing scipy.
+    importing scipy. ``evolve_quality`` maps the same rule over its SNR
+    list, with no array around it.
     """
     x = np.asarray(snr_db, dtype=np.float64)
     return np.fromiter(map(_ber, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
@@ -413,8 +416,8 @@ def evolve_quality(s: DegradationScenario) -> QualitySeries:
     ramp_db_per_s. Samples cover [0, duration_s] inclusive.
     """
     t = np.arange(0.0, s.duration_s + s.sample_period_s / 2, s.sample_period_s)
-    snr = s.snr0_db - s.ramp_db_per_s * np.maximum(0.0, t - s.ramp_start_s)
-    return QualitySeries(t.tolist(), snr.tolist(), ber_from_snr_db(snr).tolist())
+    snr = (s.snr0_db - s.ramp_db_per_s * np.maximum(0.0, t - s.ramp_start_s)).tolist()
+    return QualitySeries(t.tolist(), snr, list(map(_ber, snr)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ anticipates the pre-FEC BER limit crossing.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,7 +184,7 @@ def detect_soft_failure(
 
     limit = cfg.fec_limit_ber
     t_fec = None
-    for i, (prev, cur) in enumerate(zip(ber, ber[1:])):
+    for i, (prev, cur) in enumerate(itertools.pairwise(ber)):
         if prev < limit <= cur:
             frac = (limit - prev) / (cur - prev)
             t_fec = t[i] + frac * (t[i + 1] - t[i])

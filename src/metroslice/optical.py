@@ -143,23 +143,20 @@ class OlsController:
         sips: list[Sip],
         abstract_view: bool = False,
     ):
-        self._abstract = abstract_view
         self._sips = {s.sip_id: s for s in sips}
         #: Each SIP's tunability in ascending order, for first-fit.
         self._tuning = {s.sip_id: sorted(s.tunability) for s in sips}
         self._channels: dict[str, MediaChannel] = {}
         self._next_id = itertools.count(1)
 
-        self._nodes = [
-            n.node_id for n in topology.nodes if n.kind is NodeKind.ROADM
-        ]
-        node_set = set(self._nodes)
-        self._links: dict[str, tuple[str, str]] = {}
-        self._adj: dict[str, list[tuple[str, str]]] = {n: [] for n in self._nodes}
+        nodes = [n.node_id for n in topology.nodes if n.kind is NodeKind.ROADM]
+        node_set = set(nodes)
+        links = set()
+        self._adj: dict[str, list[tuple[str, str]]] = {n: [] for n in nodes}
         for l in topology.links:
             a, z = l.endpoints
             if l.kind is LinkKind.FIBER and a in node_set and z in node_set:
-                self._links[l.link_id] = (a, z)
+                links.add(l.link_id)
                 self._adj[a].append((l.link_id, z))
                 self._adj[z].append((l.link_id, a))
         for n in self._adj:
@@ -167,20 +164,25 @@ class OlsController:
         for s in sips:
             if s.node_id not in node_set:
                 raise OpticalError(f"SIP {s.sip_id} attached to unknown ROADM")
+        #: Each pair of ROADMs' route, kept the first time it is asked for.
+        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        # The SIPs, nodes and links never change, so neither does the
+        # context.
+        self._context_sips = sorted(self._sips.values(), key=lambda s: s.sip_id)
+        if abstract_view:
+            self._view = OlsView(nodes=("ols",), links=(), abstract=True)
+        else:
+            self._view = OlsView(
+                nodes=tuple(sorted(nodes)),
+                links=tuple(sorted(links)),
+                abstract=False,
+            )
 
     # -- TAPI-style surface -------------------------------------------------
 
     def get_context(self) -> tuple[list[Sip], OlsView]:
-        sips = sorted(self._sips.values(), key=lambda s: s.sip_id)
-        if self._abstract:
-            view = OlsView(nodes=("ols",), links=(), abstract=True)
-        else:
-            view = OlsView(
-                nodes=tuple(sorted(self._nodes)),
-                links=tuple(sorted(self._links)),
-                abstract=False,
-            )
-        return sips, view
+        """The SIPs by id, in a list the caller may change, and the view."""
+        return list(self._context_sips), self._view
 
     def get_active_connections(self) -> list[MediaChannel]:
         """The live channels in creation order."""
@@ -246,12 +248,20 @@ class OlsController:
 
     def _route(self, a_node: str, z_node: str) -> tuple[str, ...]:
         """The lexicographically smallest link-id sequence among the
-        minimum-hop routes from ``a_node`` to ``z_node``.
+        minimum-hop routes from ``a_node`` to ``z_node``, searched once
+        per pair: ``_adj`` never changes. An unreachable pair raises
+        ``NoRoute`` on every call."""
+        route = self._routes.get((a_node, z_node))
+        if route is None:
+            route = self._routes[a_node, z_node] = self._search(a_node, z_node)
+        return route
 
-        A FIFO breadth-first search over ``_adj``, whose lists are sorted
-        by link id, keeping the link and node each node was first reached
-        by. Nodes leave the queue in lexicographic order of their routes,
-        so a node's first discovery is along its smallest min-hop route.
+    def _search(self, a_node: str, z_node: str) -> tuple[str, ...]:
+        """``_route``'s answer, from a FIFO breadth-first search over
+        ``_adj``, whose lists are sorted by link id, keeping the link and
+        node each node was first reached by. Nodes leave the queue in
+        lexicographic order of their routes, so a node's first discovery
+        is along its smallest min-hop route.
         """
         pred: dict[str, tuple[str, str] | None] = {a_node: None}
         queue = deque([a_node])
@@ -352,8 +362,11 @@ CONFIG_STEPS: tuple[tuple[str, TransponderPhase], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepEvent:
+    """One bring-up step in a transponder's log. Plain, not frozen: each
+    bring-up builds its own and ``reset_transponder`` drops them."""
+
     step: int
     name: str
     phase: TransponderPhase
@@ -416,10 +429,16 @@ def configure_transponder(
             f"{tp.tp_id} cannot tune to n={slot.n} ({slot.center_thz} THz)"
         )
 
+    if config_duration_s < 0:
+        raise ValueError("config_duration_s must be >= 0")
     step_dt = config_duration_s / len(CONFIG_STEPS)
+    # Added step by step, as clock.advance would, so every step time is
+    # the same float as one advance per step gives.
+    now = clock.now_s
     for i, (name, phase) in enumerate(CONFIG_STEPS, start=1):
-        clock.advance(step_dt)
-        tp.step_log.append(StepEvent(i, name, phase, clock.now_s))
+        now += step_dt
+        tp.step_log.append(StepEvent(i, name, phase, now))
+    clock.now_s = now
     # Nothing reads the device between steps, so it takes the state of
     # the last one at once: OTU4 carries ODU4 and is mapped into the OCH
     # carrier, and the client ODU4 is assigned to the line ODU4.
@@ -441,7 +460,7 @@ def configure_transponder(
         "client": {"odu4": f"{tp.tp_id}-client-odu4"},
         "assignment": [f"{tp.tp_id}-client-odu4", f"{ln}-odu4"],
     }
-    tp.ready_at_s = clock.now_s + laser_warmup_s
+    tp.ready_at_s = now + laser_warmup_s
     return tp
 
 

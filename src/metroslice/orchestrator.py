@@ -20,6 +20,7 @@ import logging
 import math
 from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from functools import partial
+from operator import itemgetter
 
 from .dataplane import ElementParams, PathModel, path_from_topology
 from .mda import MdaController, MeasurementRecord
@@ -73,8 +74,12 @@ class TimingConfig:
                 raise ValueError(f"{f.name} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorkflowEvent(Record):
+    """One step of a workflow log. Plain, not frozen: each run builds its
+    own and no memo or store keeps one, and a frozen dataclass costs
+    several times as much to build."""
+
     seq: int
     t_virtual_s: float
     actor: str
@@ -129,7 +134,7 @@ class _EventLog:
     def finish(self) -> list[WorkflowEvent]:
         # Stable by timestamp: simultaneous events keep insertion order, so
         # the interleaving of parallel branches is reproducible.
-        ordered = sorted(self._staged, key=lambda e: e[0])
+        ordered = sorted(self._staged, key=itemgetter(0))
         return [WorkflowEvent(seq, *e) for seq, e in enumerate(ordered, start=1)]
 
 
@@ -285,13 +290,16 @@ SPANS = {
 }
 
 
+#: The labels SPANS reads, each once, in the order SPANS first names them.
+_MARKERS = tuple(dict.fromkeys(itertools.chain.from_iterable(SPANS.values())))
+
+
 def derive_kpis(events: list[WorkflowEvent]) -> KpiReport:
     """Compute the KPI report purely from workflow event timestamps."""
     t = {}
     for e in events:
         t.setdefault(e.label, e.t_virtual_s)
-    required = dict.fromkeys(itertools.chain.from_iterable(SPANS.values()))
-    missing = [label for label in required if label not in t]
+    missing = [label for label in _MARKERS if label not in t]
     if missing:
         raise IncompleteLog(f"missing workflow markers: {missing}")
 

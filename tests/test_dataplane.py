@@ -261,7 +261,21 @@ class TestEvolveQuality:
         s = DegradationScenario(ramp_db_per_s=0.5, duration_s=30.0, snr0_db=23.0)
         series = evolve_quality(s)
         for snr, ber in zip(series.snr_db, series.prefec_ber):
-            assert ber == pytest.approx(float(ber_from_snr_db(snr)), rel=1e-12)
+            assert ber == float(ber_from_snr_db(snr))
+
+    def test_columns_match_the_array_path(self):
+        # A period that is no integer, a ramp that starts between two
+        # samples and a duration that is no multiple of the period. Every
+        # column is numpy's grid and ramp, and the vectorised BER of it,
+        # bit for bit.
+        s = DegradationScenario(ramp_db_per_s=0.37, duration_s=31.3, snr0_db=22.9,
+                                sample_period_s=0.7, ramp_start_s=4.45)
+        t = np.arange(0.0, s.duration_s + s.sample_period_s / 2, s.sample_period_s)
+        snr = s.snr0_db - s.ramp_db_per_s * np.maximum(0.0, t - s.ramp_start_s)
+        series = evolve_quality(s)
+        assert series.t_s == t.tolist()
+        assert series.snr_db == snr.tolist()
+        assert series.prefec_ber == ber_from_snr_db(snr).tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):

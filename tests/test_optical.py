@@ -166,8 +166,26 @@ class TestOlsProvisioning:
             Topology(nodes=nodes, links=[]),
             [Sip("a", "r1", "p1"), Sip("b", "r2", "p1")],
         )
-        with pytest.raises(NoRoute):
-            ols.create_media_channel("a", "b")
+        # Every call raises: no answer is kept for an unreachable pair.
+        for _ in range(2):
+            with pytest.raises(NoRoute):
+                ols.create_media_channel("a", "b")
+
+    def test_route_searched_once_per_pair(self, monkeypatch):
+        ols = _ring_controller()
+        searched = []
+        search = OlsController._search
+
+        def counted(self, a_node, z_node):
+            searched.append((a_node, z_node))
+            return search(self, a_node, z_node)
+
+        monkeypatch.setattr(OlsController, "_search", counted)
+        mcs = [ols.create_media_channel("sip-1", "sip-2") for _ in range(2)]
+        assert [mc.route for mc in mcs] == [("f-12",), ("f-12",)]
+        assert searched == [("r1", "r2")]
+        ols.create_media_channel("sip-2", "sip-1")
+        assert searched == [("r1", "r2"), ("r2", "r1")]
 
     def test_route_prefers_lexicographic_link_ids_on_ties(self):
         # Two 2-hop routes between r1 and r2; the one whose link-id
@@ -204,6 +222,13 @@ class TestOlsProvisioning:
         abstract = OlsController(scenario.topology, list(sips), abstract_view=True)
         _, av = abstract.get_context()
         assert av.nodes == ("ols",) and av.links == () and av.abstract
+
+    def test_context_list_belongs_to_the_caller(self, world):
+        sips, _ = world.ols.get_context()
+        want = list(sips)
+        sips.reverse()
+        sips.append(sips[0])
+        assert world.ols.get_context()[0] == want
 
     def test_random_ops_never_violate_spectrum(self):
         # Short randomized soak; the acceptance suite runs the long one.
@@ -281,6 +306,23 @@ class TestRoute:
                         ols._route(a, z)
                 else:
                     assert ols._route(a, z) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_kept_routes_match_a_fresh_controller(self, data):
+        # One controller answers a drawn sequence of pairs, repeats
+        # included; each answer is the one a new controller gives.
+        t = data.draw(roadm_graphs())
+        roadms = st.sampled_from([n.node_id for n in t.nodes if n.kind is NodeKind.ROADM])
+        ols = OlsController(t, [])
+        for a, z in data.draw(st.lists(st.tuples(roadms, roadms), max_size=24)):
+            try:
+                want = OlsController(t, [])._route(a, z)
+            except NoRoute:
+                with pytest.raises(NoRoute):
+                    ols._route(a, z)
+            else:
+                assert ols._route(a, z) == want
 
 
 class TestFirstFitCases:
@@ -501,3 +543,24 @@ class TestTransponder:
     def test_clock_rejects_negative_advance(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-1.0)
+
+    def test_step_times_are_the_clocks(self):
+        # Bit for bit the times one clock.advance per step gives, from a
+        # start and a duration whose sums round.
+        clock = VirtualClock(0.1)
+        tp = configure_transponder(Transponder("tp-x"), FrequencySlot(0), 0.0, clock,
+                                   0.7, 125.3)
+        ref = VirtualClock(0.1)
+        want = [ref.advance(0.7 / len(CONFIG_STEPS)) for _ in CONFIG_STEPS]
+        assert [e.t_s for e in tp.step_log] == want
+        assert clock.now_s == ref.now_s
+        assert tp.ready_at_s == ref.now_s + 125.3
+
+    def test_negative_config_duration_leaves_blank(self):
+        clock = VirtualClock(5.0)
+        tp = Transponder("tp-x")
+        with pytest.raises(ValueError):
+            configure_transponder(tp, FrequencySlot(0), 0.0, clock, -2.0, 125.0)
+        assert tp.phase is TransponderPhase.BLANK
+        assert clock.now_s == 5.0
+        assert tp.step_log == []

@@ -2,7 +2,7 @@
 
 import ast
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -16,6 +16,7 @@ from metroslice.orchestrator import (
     TimingConfig,
     WorkflowError,
     WorkflowEvent,
+    build_circuit_path,
     derive_kpis,
     merge_logs,
     run_wf1,
@@ -223,24 +224,26 @@ class TestDeriveKpis:
             for i, (label, t) in enumerate(stamps)
         ]
 
+    #: One event per marker, in time order.
+    STAMPS = [
+        ("m01_retrieve_ns_descriptors", 0.0),
+        ("m04_vnf_instantiation_dispatch", 2.0),
+        ("m05_connectivity_request", 2.0),
+        ("m06_packet_config_request", 2.0),
+        ("packet_configured", 3.0),
+        ("m07_get_tapi_context", 3.0),
+        ("m09_create_media_channel", 3.0),
+        ("media_channel_provisioned", 7.0),
+        ("m10_configure_transponders", 7.0),
+        ("transponders_configured", 8.0),
+        ("lasers_ready", 20.0),
+        ("connectivity_ready", 20.0),
+        ("vnfs_instantiated", 30.0),
+        ("ns_ready", 30.0),
+    ]
+
     def test_synthetic_log_exact_durations(self):
-        events = self._log([
-            ("m01_retrieve_ns_descriptors", 0.0),
-            ("m04_vnf_instantiation_dispatch", 2.0),
-            ("m05_connectivity_request", 2.0),
-            ("m06_packet_config_request", 2.0),
-            ("packet_configured", 3.0),
-            ("m07_get_tapi_context", 3.0),
-            ("m09_create_media_channel", 3.0),
-            ("media_channel_provisioned", 7.0),
-            ("m10_configure_transponders", 7.0),
-            ("transponders_configured", 8.0),
-            ("lasers_ready", 20.0),
-            ("connectivity_ready", 20.0),
-            ("vnfs_instantiated", 30.0),
-            ("ns_ready", 30.0),
-        ])
-        report = derive_kpis(events)
+        report = derive_kpis(self._log(self.STAMPS))
         assert report.kpi1_s == pytest.approx(17.0)
         assert report.kpi2_s == pytest.approx(18.0)
         assert report.kpi3_s == pytest.approx(30.0)
@@ -253,18 +256,49 @@ class TestDeriveKpis:
         with pytest.raises(IncompleteLog):
             derive_kpis(truncated)
 
-    def test_empty_log_names_every_marker(self):
+    #: Every marker, in the order SPANS first names it.
+    IN_SPANS_ORDER = [
+        "m07_get_tapi_context", "lasers_ready",
+        "m05_connectivity_request", "connectivity_ready",
+        "m01_retrieve_ns_descriptors", "ns_ready",
+        "m04_vnf_instantiation_dispatch", "vnfs_instantiated",
+        "m06_packet_config_request", "packet_configured",
+        "m09_create_media_channel", "media_channel_provisioned",
+        "m10_configure_transponders", "transponders_configured",
+    ]
+
+    def _missing(self, events):
         with pytest.raises(IncompleteLog) as exc:
-            derive_kpis([])
-        named = ast.literal_eval(str(exc.value).removeprefix("missing workflow markers: "))
-        assert sorted(named) == sorted([
-            "m01_retrieve_ns_descriptors", "m04_vnf_instantiation_dispatch",
-            "m05_connectivity_request", "m06_packet_config_request",
-            "packet_configured", "m07_get_tapi_context", "m09_create_media_channel",
-            "media_channel_provisioned", "m10_configure_transponders",
-            "transponders_configured", "lasers_ready", "connectivity_ready",
-            "vnfs_instantiated", "ns_ready",
-        ])
+            derive_kpis(events)
+        return ast.literal_eval(str(exc.value).removeprefix("missing workflow markers: "))
+
+    def test_empty_log_names_every_marker(self):
+        assert self._missing([]) == self.IN_SPANS_ORDER
+
+    def test_missing_markers_named_in_spans_order(self):
+        # The log lists them in another order: the message keeps SPANS'.
+        gone = {"ns_ready", "packet_configured", "m07_get_tapi_context", "lasers_ready"}
+        events = self._log([st for st in self.STAMPS if st[0] not in gone])
+        assert self._missing(events) == [
+            "m07_get_tapi_context", "lasers_ready", "ns_ready", "packet_configured",
+        ]
+
+    def test_first_event_of_a_label_wins(self):
+        want = derive_kpis(self._log(self.STAMPS))
+        # Later copies of a start and an end marker, and a copy further
+        # down the log with an earlier time: the first in the log counts.
+        repeated = self.STAMPS + [
+            ("m07_get_tapi_context", 9.0),
+            ("lasers_ready", 50.0),
+            ("ns_ready", 1.0),
+        ]
+        assert derive_kpis(self._log(repeated)) == want
+
+    def test_labels_outside_spans_are_ignored(self):
+        want = derive_kpis(self._log(self.STAMPS))
+        extra = [("m02_retrieve_vim_status", -4.0), ("m08_get_active_media_channels", 99.0),
+                 ("commissioning_passed", 7.5)]
+        assert derive_kpis(self._log(extra + self.STAMPS + extra)) == want
 
 
 class TestWf2:
@@ -330,3 +364,22 @@ class TestMergeLogs:
         assert [e.label for e in merged] == (
             [e.label for e in wf1_events] + [e.label for e in wf2_events]
         )
+
+
+def test_shared_records_stay_frozen(scenario, world):
+    # A memo or store hands these objects to every later caller: the
+    # candidate from a geometry's kept rankings, the circuit's path model
+    # and its elements from the path memo, and the measurement record and
+    # its statistics from the MDA store.
+    decision, report, _ = run_wf1(scenario.request, world)
+    path = build_circuit_path(world)
+    (rec,), _ = run_wf2(world, ["mc-0001"], scenario.request.max_rtt_us,
+                        start_t_s=report.kpi3_s)
+    shared = [decision.candidate, path, path.elements[0], rec, rec.stats]
+    assert [type(o).__name__ for o in shared] == [
+        "ServiceChainCandidate", "PathModel", "PathElement", "MeasurementRecord",
+        "TrainStats"]
+    for obj in shared:
+        name = fields(obj)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
